@@ -9,104 +9,22 @@ success in one trial, that limit is the reciprocal of the Golden Ratio,
 bracket signs, combinatorial lemmas) is checked in exact rational arithmetic.
 """
 
-from .exact import ExactPoly, binomial, integrate_01
-from .types import (
-    BetaPrior,
-    BinomialObs,
-    BracketFailure,
-    Characteristic,
-    DegenerateStep,
-    Estimate,
-    EstimationError,
-    InvalidStats,
-    NoConvergence,
-    TrianglePrior,
-)
-from .conjugate import (
-    EXPECTATION,
-    EXTREME_POINT,
-    ConjugateFamily,
-    ConjugateModel,
-    IterationTrace,
-    SampleStats,
-    beta_binomial_posterior_mean,
-    characteristic_limit,
-    closed_form_step_estimate,
-    conjugate_iterative_limit,
-    conjugate_mle,
-    conjugate_posterior_mean,
-    iterate_binomial_characteristic,
-    prior_mean,
-)
-from .triangle import (
-    GOLDEN_RATIO,
-    GOLDEN_RATIO_RECIPROCAL,
-    EstimatingPolynomial,
-    balance_integral,
-    estimating_polynomial,
-    fixed_point_iterate,
-    geometric_estimate,
-    geometric_polynomial,
-    negative_binomial_estimate,
-    posterior_mean_exact,
-    posterior_mean_one_success,
-    solve_iterative_bayes,
-    triangle_density,
-    triangle_posterior_mean,
-)
-from .identities import IdentityReport, run_all
-from .risk import EstimatorSpec, RiskTable, compare, exact_risk, standard_estimators
+from .types import BetaPrior, BinomialObs, Characteristic, Estimate, EstimationError
+from .conjugate import characteristic_limit, iterate_binomial_characteristic
+from .triangle import fixed_point_iterate, solve_iterative_bayes, triangle_posterior_mean
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "binomial",
-    "ExactPoly",
-    "integrate_01",
-    "BinomialObs",
     "BetaPrior",
+    "BinomialObs",
     "Characteristic",
-    "TrianglePrior",
     "Estimate",
     "EstimationError",
-    "DegenerateStep",
-    "NoConvergence",
-    "BracketFailure",
-    "InvalidStats",
-    "EXPECTATION",
-    "EXTREME_POINT",
-    "ConjugateFamily",
-    "ConjugateModel",
-    "SampleStats",
-    "IterationTrace",
-    "beta_binomial_posterior_mean",
     "characteristic_limit",
-    "closed_form_step_estimate",
-    "conjugate_iterative_limit",
-    "conjugate_mle",
-    "conjugate_posterior_mean",
-    "iterate_binomial_characteristic",
-    "prior_mean",
-    "GOLDEN_RATIO",
-    "GOLDEN_RATIO_RECIPROCAL",
-    "EstimatingPolynomial",
-    "balance_integral",
-    "estimating_polynomial",
     "fixed_point_iterate",
-    "geometric_estimate",
-    "geometric_polynomial",
-    "negative_binomial_estimate",
-    "posterior_mean_exact",
-    "posterior_mean_one_success",
+    "iterate_binomial_characteristic",
     "solve_iterative_bayes",
-    "triangle_density",
     "triangle_posterior_mean",
-    "IdentityReport",
-    "run_all",
-    "EstimatorSpec",
-    "RiskTable",
-    "compare",
-    "exact_risk",
-    "standard_estimators",
 ]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from typing import List, Optional, Sequence
 
@@ -30,10 +31,6 @@ def _fmt(value: float, digits: int) -> str:
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
-
-
-def _csv_writer():
-    return csv.writer(sys.stdout)
 
 
 # ---------------------------------------------------------------- estimate
@@ -85,7 +82,7 @@ def cmd_estimate(args) -> int:
     if args.format == "json":
         print(json.dumps(_estimate_payload(est, digits)))
     elif args.format == "csv":
-        writer = _csv_writer()
+        writer = csv.writer(sys.stdout)
         writer.writerow(["value", "method", "iterations", "residual", "bracket_lo", "bracket_hi"])
         lo, hi = ("", "") if est.bracket is None else (
             _fmt(float(est.bracket[0]), digits), _fmt(float(est.bracket[1]), digits))
@@ -123,7 +120,7 @@ def cmd_table(args) -> int:
             print(json.dumps([{"n": n, "x": x, "estimate": round(v, digits)}
                               for n, x, v in rows]))
         elif args.format == "csv":
-            writer = _csv_writer()
+            writer = csv.writer(sys.stdout)
             writer.writerow(["n", "x", "estimate"])
             for n, x, v in rows:
                 writer.writerow([n, x, _fmt(v, digits)])
@@ -139,7 +136,7 @@ def cmd_table(args) -> int:
         if args.format == "json":
             print(json.dumps([{"x": x, "estimate": round(v, digits)} for x, v in values]))
         elif args.format == "csv":
-            writer = _csv_writer()
+            writer = csv.writer(sys.stdout)
             writer.writerow(["x", "estimate"])
             for x, v in values:
                 writer.writerow([x, _fmt(v, digits)])
@@ -152,6 +149,9 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    for flag in ("n_max_symbolic", "n_max_pointwise", "gould_max"):
+        if getattr(args, flag) < 1:
+            return _fail(f"--{flag.replace('_', '-')} must be >= 1")
     perturb = (1, 1, 3, 1) if args.self_test else None
     if args.self_test:
         print("self-test: perturbing one estimating-polynomial coefficient "
@@ -171,7 +171,7 @@ def cmd_verify(args) -> int:
             "counterexample": r.counterexample,
         } for r in reports]))
     elif args.format == "csv":
-        writer = _csv_writer()
+        writer = csv.writer(sys.stdout)
         writer.writerow(["identity", "params", "cases", "passed", "counterexample"])
         for r in reports:
             writer.writerow([r.name, r.params, r.cases, r.passed, r.counterexample or ""])
@@ -218,7 +218,7 @@ def cmd_compare(args) -> int:
             for row in rows
         ]))
     elif args.format == "csv":
-        writer = _csv_writer()
+        writer = csv.writer(sys.stdout)
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v, digits) for v in row])
@@ -306,8 +306,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     if not 1 <= args.digits <= 15:
         return _fail("--digits must be between 1 and 15")
-    if getattr(args, "tol", 1.0) <= 0:
-        return _fail("--tol must be positive")
+    if not 0 < getattr(args, "tol", 1.0) < math.inf:
+        return _fail("--tol must be positive and finite")
     return args.func(args)
 
 

@@ -21,7 +21,6 @@ __all__ = [
     "Rational",
     "binomial",
     "ExactPoly",
-    "integrate_01",
     "sign_at",
     "eval_rational",
     "RootBracket",
@@ -161,19 +160,6 @@ class ExactPoly:
     def antiderivative(self) -> "ExactPoly":
         """Antiderivative with zero constant term."""
         return ExactPoly([Fraction(0)] + [c / (i + 1) for i, c in enumerate(self.coeffs)])
-
-    def integrate(self, lo: Rational, hi: Rational) -> Fraction:
-        """Exact definite integral over [lo, hi] for rational endpoints."""
-        anti = self.antiderivative()
-        return anti(Fraction(hi)) - anti(Fraction(lo))
-
-
-def integrate_01(poly: ExactPoly) -> Fraction:
-    """Exact integral of ``poly`` over the unit interval: sum of c_i / (i+1)."""
-    total = Fraction(0)
-    for i, c in enumerate(poly.coeffs):
-        total += Fraction(c, i + 1)
-    return total
 
 
 def _homogeneous_value(coeffs: Sequence[int], u: int, v: int) -> int:

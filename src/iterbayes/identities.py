@@ -18,10 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .exact import ExactPoly, binomial, sign_at
-from .triangle import alternating_core, estimating_polynomial
+from .triangle import alternating_core, balance_polynomial, estimating_polynomial
 from .types import BinomialObs
 
 __all__ = [
@@ -112,19 +112,26 @@ def factorization_sides(obs: BinomialObs) -> Tuple[ExactPoly, ExactPoly]:
     """
     n, x = obs.n, obs.x
     lhs = estimating_polynomial(obs).poly
-
-    def balance_poly(xx: int) -> ExactPoly:
-        coeffs = [Fraction(0)] * (xx + 2)
-        for r in range(n - xx + 1):
-            c = Fraction(binomial(n - xx, r), (xx + r + 2) * (xx + r + 3))
-            coeffs.append(-c if r % 2 else c)
-        return ExactPoly(coeffs)
-
     one_minus_a = ExactPoly([1, -1])
-    mirrored = balance_poly(n - x).compose(one_minus_a)
+    mirrored = balance_polynomial(BinomialObs(n, n - x)).compose(one_minus_a)
     scale = Fraction(math.factorial(n + 3), math.factorial(x) * math.factorial(n - x))
-    rhs = scale * (one_minus_a * (mirrored - balance_poly(x)))
+    rhs = scale * (one_minus_a * (mirrored - balance_polynomial(obs)))
     return lhs, rhs
+
+
+def _over_range(
+    name: str, params: str, n_max: int, check_at: Callable[[BinomialObs], IdentityReport]
+) -> IdentityReport:
+    """Run ``check_at`` for every (n, x) with n <= n_max, summing its cases
+    and stopping at the first failing observation."""
+    cases = 0
+    for n in range(1, n_max + 1):
+        for x in range(n + 1):
+            report = check_at(BinomialObs(n, x))
+            cases += report.cases
+            if not report.passed:
+                return IdentityReport(name, params, cases, False, report.counterexample)
+    return IdentityReport(name, params, cases, True)
 
 
 def check_gould_141(max_m: int = 30, max_x: int = 30) -> IdentityReport:
@@ -189,19 +196,12 @@ def check_factorization(
 
     ``perturb`` = (n, x, coefficient index, delta) forwards the self-test hook.
     """
-    name = "estimating-polynomial-factorization"
-    params = f"n<=({n_max}), all x"
-    cases = 0
-    for n in range(1, n_max + 1):
-        for x in range(n + 1):
-            cases += 1
-            local = None
-            if perturb is not None and perturb[0] == n and perturb[1] == x:
-                local = (perturb[2], perturb[3])
-            report = check_factorization_at(BinomialObs(n, x), perturb=local)
-            if not report.passed:
-                return IdentityReport(name, params, cases, False, report.counterexample)
-    return IdentityReport(name, params, cases, True)
+
+    def at(obs: BinomialObs) -> IdentityReport:
+        hit = perturb is not None and perturb[:2] == (obs.n, obs.x)
+        return check_factorization_at(obs, perturb=perturb[2:] if hit else None)
+
+    return _over_range("estimating-polynomial-factorization", f"n<=({n_max}), all x", n_max, at)
 
 
 def default_grid() -> Tuple[Fraction, ...]:
@@ -236,7 +236,7 @@ def check_core_positivity_at(
             return IdentityReport(name, params, cases, False,
                                   f"n={n}, x={x}, a={a}: core not positive ({pos})")
         recombined = 2 * a ** (x + 2) * pos - (n - x + 1) * (n + 3) * a + (n - x + 1) * (x + 1)
-        if jn(a) != recombined:
+        if jn.poly(a) != recombined:
             return IdentityReport(name, params, cases, False,
                                   f"n={n}, x={x}, a={a}: polynomial != core recombination")
     return IdentityReport(name, params, cases, True)
@@ -245,17 +245,10 @@ def check_core_positivity_at(
 def check_core_positivity(
     n_max: int = 40, grid: Optional[Sequence[Fraction]] = None
 ) -> IdentityReport:
-    name = "core-positivity"
     points = tuple(grid) if grid is not None else default_grid()
     params = f"n<=({n_max}), all x, {len(points)}-point grid"
-    cases = 0
-    for n in range(1, n_max + 1):
-        for x in range(n + 1):
-            report = check_core_positivity_at(BinomialObs(n, x), points)
-            cases += report.cases
-            if not report.passed:
-                return IdentityReport(name, params, cases, False, report.counterexample)
-    return IdentityReport(name, params, cases, True)
+    return _over_range("core-positivity", params, n_max,
+                       lambda obs: check_core_positivity_at(obs, points))
 
 
 def check_endpoint_signs_at(obs: BinomialObs) -> IdentityReport:
@@ -292,16 +285,7 @@ def check_endpoint_signs_at(obs: BinomialObs) -> IdentityReport:
 
 
 def check_endpoint_signs(n_max: int = 40) -> IdentityReport:
-    name = "endpoint-signs"
-    params = f"n<=({n_max}), all x"
-    cases = 0
-    for n in range(1, n_max + 1):
-        for x in range(n + 1):
-            report = check_endpoint_signs_at(BinomialObs(n, x))
-            cases += report.cases
-            if not report.passed:
-                return IdentityReport(name, params, cases, False, report.counterexample)
-    return IdentityReport(name, params, cases, True)
+    return _over_range("endpoint-signs", f"n<=({n_max}), all x", n_max, check_endpoint_signs_at)
 
 
 def run_all(

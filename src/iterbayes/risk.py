@@ -31,7 +31,6 @@ __all__ = [
     "estimates_by_x",
     "risk_at",
     "RiskTable",
-    "exact_risk",
     "compare",
     "monte_carlo_mse",
 ]
@@ -102,18 +101,6 @@ class RiskTable:
         tags = list(self.columns)
         for i, p in enumerate(self.p_grid):
             yield (p, *(self.columns[t][i] for t in tags))
-
-
-def exact_risk(spec: EstimatorSpec, n: int, p_grid: Sequence[float]) -> RiskTable:
-    """Single-estimator risk table over the given grid (exact finite sums)."""
-    if n < 1:
-        raise ValueError("exact_risk: n must be >= 1")
-    grid = tuple(float(p) for p in p_grid)
-    if any(not 0 <= p <= 1 for p in grid):
-        raise ValueError("exact_risk: grid points must lie in [0, 1]")
-    values = estimates_by_x(spec, n)
-    column = tuple(float(risk_at(p, values)) for p in grid)
-    return RiskTable(n=n, p_grid=grid, columns={spec.tag: column})
 
 
 def compare(n: int, grid_size: int = 101) -> RiskTable:

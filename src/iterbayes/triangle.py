@@ -9,7 +9,7 @@ Replacing the mode with the posterior mean of p (given x successes in n
 trials) over and over drives the mode to a fixed point: the iterative Bayes
 estimate.  Its defining equation balances the strictly increasing weight
 
-    balance_integral(a) = a^(x+2) * integral_0^1 t^(x+1) (1-t) (1-a t)^(n-x) dt
+    balance(a) = a^(x+2) * integral_0^1 t^(x+1) (1-t) (1-a t)^(n-x) dt
 
 for (a, x) against (1-a, n-x), which after clearing denominators is a single
 integer-coefficient polynomial (the *estimating polynomial*) with exactly one
@@ -40,18 +40,15 @@ from .types import (
     BracketFailure,
     Estimate,
     NoConvergence,
-    TrianglePrior,
 )
 
 __all__ = [
     "GOLDEN_RATIO",
     "GOLDEN_RATIO_RECIPROCAL",
-    "triangle_density",
-    "density_polynomials",
     "posterior_mean_one_success",
     "posterior_mean_exact",
     "triangle_posterior_mean",
-    "balance_integral",
+    "balance_polynomial",
     "EstimatingPolynomial",
     "alternating_core",
     "estimating_polynomial",
@@ -65,25 +62,6 @@ __all__ = [
 
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
 GOLDEN_RATIO_RECIPROCAL = (math.sqrt(5) - 1) / 2
-
-
-def triangle_density(prior: TrianglePrior, p: float) -> float:
-    """Density of the triangle prior at p; continuous, peaking at 2 at the mode."""
-    if not 0 <= p <= 1:
-        raise ValueError(f"triangle_density: p must be in [0, 1], got {p}")
-    m = prior.mode
-    if p <= m:
-        return 2 * p / m
-    return 2 * (1 - p) / (1 - m)
-
-
-def density_polynomials(prior: TrianglePrior) -> Tuple[ExactPoly, ExactPoly]:
-    """The two linear branches (left of the mode, right of it) as exact
-    polynomials, for exact integration; requires a rational mode."""
-    m = Fraction(prior.mode)
-    left = ExactPoly([0, Fraction(2, 1) / m])
-    right = ExactPoly([Fraction(2, 1) / (1 - m), -Fraction(2, 1) / (1 - m)])
-    return left, right
 
 
 def posterior_mean_one_success(mode):
@@ -130,22 +108,21 @@ def triangle_posterior_mean(mode: float, obs: BinomialObs) -> float:
     return float(posterior_mean_exact(mode, obs))
 
 
-def balance_integral(a, obs: BinomialObs):
-    """The strictly increasing weight a^(x+2) ∫ t^(x+1)(1-t)(1-a t)^(n-x) dt.
+def balance_polynomial(obs: BinomialObs) -> ExactPoly:
+    """The strictly increasing weight a^(x+2) ∫ t^(x+1)(1-t)(1-a t)^(n-x) dt
+    as a polynomial in a.
 
-    Evaluated through the exact term-by-term expansion
-    a^(x+2) * sum_r C(n-x, r) (-1)^r a^r / ((x+r+2)(x+r+3)); exact for
-    rational ``a``.  The iterative Bayes estimate is the unique point where
-    this weight for (a, x) equals the one for (1-a, n-x).
+    Built from the exact term-by-term expansion
+    a^(x+2) * sum_r C(n-x, r) (-1)^r a^r / ((x+r+2)(x+r+3)).  The iterative
+    Bayes estimate is the unique point where this weight for (a, x) equals
+    the one for (1-a, n-x).
     """
     n, x = obs.n, obs.x
-    total = 0
+    coeffs = [Fraction(0)] * (x + 2)
     for r in range(n - x + 1):
-        term = Fraction(binomial(n - x, r), (x + r + 2) * (x + r + 3))
-        if r % 2:
-            term = -term
-        total += term * a**r
-    return a ** (x + 2) * total
+        c = Fraction(binomial(n - x, r), (x + r + 2) * (x + r + 3))
+        coeffs.append(-c if r % 2 else c)
+    return ExactPoly(coeffs)
 
 
 def alternating_core(obs: BinomialObs) -> ExactPoly:
@@ -171,14 +148,6 @@ class EstimatingPolynomial:
     def int_coeffs(self) -> Tuple[int, ...]:
         return tuple(int(c) for c in self.poly.coeffs)
 
-    def __call__(self, point):
-        return self.poly(point)
-
-    def bracket(self) -> Tuple[Fraction, Fraction]:
-        """Interval ((x+1)/(n+3), (x+2)/(n+3)) with a guaranteed sign change."""
-        n, x = self.obs.n, self.obs.x
-        return Fraction(x + 1, n + 3), Fraction(x + 2, n + 3)
-
 
 def estimating_polynomial(obs: BinomialObs) -> EstimatingPolynomial:
     """Build the estimating polynomial
@@ -195,7 +164,32 @@ def estimating_polynomial(obs: BinomialObs) -> EstimatingPolynomial:
 
 
 def solver_bracket(obs: BinomialObs) -> Tuple[Fraction, Fraction]:
-    return estimating_polynomial(obs).bracket()
+    """Interval ((x+1)/(n+3), (x+2)/(n+3)) with a guaranteed sign change."""
+    return Fraction(obs.x + 1, obs.n + 3), Fraction(obs.x + 2, obs.n + 3)
+
+
+def _bisect_estimate(
+    coeffs: Tuple[int, ...],
+    obs: BinomialObs,
+    tol: Union[float, Fraction],
+    max_residual: Union[float, Fraction, None],
+    label: str,
+) -> Estimate:
+    """Bisect ``coeffs`` on the solver bracket of ``obs``; an absent sign
+    change raises BracketFailure naming ``label``."""
+    lo, hi = solver_bracket(obs)
+    try:
+        result = bisect_root(coeffs, lo, hi, tol=tol, max_residual=max_residual)
+    except ValueError as exc:
+        raise BracketFailure(f"no sign change over {lo}..{hi} for {label}: {exc}") from exc
+    return Estimate(
+        value=float(result.value),
+        method=METHOD_BISECTION,
+        iterations=result.iterations,
+        residual=float(result.residual),
+        bracket=(result.lo, result.hi),
+        value_exact=result.value,
+    )
 
 
 def solve_iterative_bayes(
@@ -212,20 +206,8 @@ def solve_iterative_bayes(
     most that magnitude (extended-precision refinement; the bracket stays an
     exact rational interval throughout).
     """
-    jn = estimating_polynomial(obs)
-    lo, hi = jn.bracket()
-    try:
-        result = bisect_root(jn.int_coeffs, lo, hi, tol=tol, max_residual=max_residual)
-    except ValueError as exc:
-        raise BracketFailure(f"no sign change over {lo}..{hi} for {obs}: {exc}") from exc
-    return Estimate(
-        value=float(result.value),
-        method=METHOD_BISECTION,
-        iterations=result.iterations,
-        residual=float(result.residual),
-        bracket=(result.lo, result.hi),
-        value_exact=result.value,
-    )
+    coeffs = estimating_polynomial(obs).int_coeffs
+    return _bisect_estimate(coeffs, obs, tol, max_residual, str(obs))
 
 
 def fixed_point_iterate(
@@ -301,22 +283,8 @@ def geometric_estimate(x: int, tol: Union[float, Fraction] = 1e-12) -> Estimate:
         raise ValueError("geometric_estimate: x must be >= 0")
     if x == 0:
         return negative_binomial_estimate(1, 0, tol=tol)
-    n = x + 1
-    poly = geometric_polynomial(x)
-    lo, hi = Fraction(x + 1, n + 3), Fraction(x + 2, n + 3)
-    coeffs = tuple(int(c) for c in poly.coeffs)
-    try:
-        result = bisect_root(coeffs, lo, hi, tol=tol)
-    except ValueError as exc:
-        raise BracketFailure(f"no sign change over {lo}..{hi} for geometric x={x}: {exc}") from exc
-    return Estimate(
-        value=float(result.value),
-        method=METHOD_BISECTION,
-        iterations=result.iterations,
-        residual=float(result.residual),
-        bracket=(result.lo, result.hi),
-        value_exact=result.value,
-    )
+    coeffs = tuple(int(c) for c in geometric_polynomial(x).coeffs)
+    return _bisect_estimate(coeffs, BinomialObs(x + 1, x), tol, None, f"geometric x={x}")
 
 
 def negative_binomial_estimate(r: int, x: int, tol: Union[float, Fraction] = 1e-12) -> Estimate:

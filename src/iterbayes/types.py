@@ -19,12 +19,10 @@ __all__ = [
     "BinomialObs",
     "BetaPrior",
     "Characteristic",
-    "TrianglePrior",
     "Estimate",
     "METHOD_CLOSED_FORM",
     "METHOD_BISECTION",
     "METHOD_FIXED_POINT",
-    "METHOD_QUADRATURE",
     "METHODS",
 ]
 
@@ -63,8 +61,7 @@ class InvalidStats(EstimationError):
 METHOD_CLOSED_FORM = "closed-form"
 METHOD_BISECTION = "bisection"
 METHOD_FIXED_POINT = "fixed-point"
-METHOD_QUADRATURE = "quadrature-oracle"
-METHODS = (METHOD_CLOSED_FORM, METHOD_BISECTION, METHOD_FIXED_POINT, METHOD_QUADRATURE)
+METHODS = (METHOD_CLOSED_FORM, METHOD_BISECTION, METHOD_FIXED_POINT)
 
 
 @dataclass(frozen=True)
@@ -113,17 +110,6 @@ class Characteristic:
         if denom == 0:
             raise ValueError("Characteristic: alpha + beta - b is zero")
         return (prior.alpha - self.a) / denom
-
-
-@dataclass(frozen=True)
-class TrianglePrior:
-    """Piecewise-linear density on (0, 1) rising to 2 at its single mode."""
-
-    mode: float
-
-    def __post_init__(self):
-        if not 0 < self.mode < 1:
-            raise ValueError(f"TrianglePrior: mode must be in (0, 1), got {self.mode}")
 
 
 @dataclass(frozen=True)

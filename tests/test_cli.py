@@ -1,12 +1,22 @@
+import contextlib
+import importlib.util
+import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from iterbayes.cli import main
 
 from reference_tables import PRINT_TOL, TABLE2, TABLE3
+
+# The benchmark's CLI script and golden outputs, loaded from bench/ by path.
+_spec = importlib.util.spec_from_file_location(
+    "bench_workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
 
 
 def run(capsys, *argv):
@@ -85,8 +95,11 @@ class TestEstimate:
         assert code == 2 and "digits" in err
 
     def test_tol_validated(self, capsys):
-        code, _, err = run(capsys, "estimate", "--n", "1", "--x", "1", "--tol", "0")
-        assert code == 2 and "tol" in err
+        for command in (("estimate", "--n", "1", "--x", "1"), ("table", "table2"),
+                        ("table", "table3")):
+            for tol in ("0", "-1e-12", "inf", "nan"):
+                code, out, err = run(capsys, *command, "--tol", tol)
+                assert code == 2 and "tol" in err and out == ""
 
 
 class TestTable:
@@ -164,6 +177,12 @@ class TestVerify:
         assert code == 0
         assert out.splitlines()[0] == "identity,params,cases,passed,counterexample"
 
+    @pytest.mark.parametrize("flag", ["--n-max-symbolic", "--n-max-pointwise", "--gould-max"])
+    def test_empty_ranges_rejected(self, capsys, flag):
+        for bound in ("0", "-3"):
+            code, out, err = run(capsys, *self.ARGS, flag, bound)
+            assert code == 2 and flag in err and out == ""
+
 
 class TestCompare:
     def test_shape_and_values(self, capsys):
@@ -231,3 +250,14 @@ class TestUsage:
         )
         assert proc.returncode == 0
         assert "0.618034" in proc.stdout
+
+
+@pytest.mark.parametrize("name, argv, want_code", workloads.CLI_COMMANDS,
+                         ids=[name for name, _, _ in workloads.CLI_COMMANDS])
+def test_golden_output(name, argv, want_code):
+    # stdout captured as bench/worker.py captures it, compared byte for byte
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    assert code == want_code
+    assert out.getvalue().encode() == workloads.golden_stdout(name)

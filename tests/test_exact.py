@@ -8,7 +8,6 @@ from iterbayes.exact import (
     binomial,
     bisect_root,
     eval_rational,
-    integrate_01,
     sign_at,
 )
 
@@ -77,29 +76,6 @@ class TestExactPoly:
         p = ExactPoly([Fraction(3, 2), 0, -5, Fraction(1, 4)])
         assert p.antiderivative().derivative() == p
         assert p.derivative().coeffs == (0, -10, Fraction(3, 4))
-
-    def test_integrate_interval(self):
-        p = ExactPoly([0, 2])  # 2t
-        assert p.integrate(0, 1) == 1
-        assert p.integrate(Fraction(1, 4), Fraction(1, 2)) == Fraction(3, 16)
-
-
-class TestIntegrate01:
-    def test_constant_one(self):
-        assert integrate_01(ExactPoly([1])) == 1
-
-    def test_success_weight_integrand(self):
-        # t^(x+1) (1-t) with x = 1: 1/3 - 1/4 = 1/12 by term-by-term antiderivative
-        p = ExactPoly([0, 0, 1, -1])
-        assert integrate_01(p) == Fraction(1, 12)
-
-    def test_rescaled_triangle_branch(self):
-        assert integrate_01(ExactPoly([0, 2])) == 1
-
-    def test_matches_antiderivative_route(self):
-        p = ExactPoly([Fraction(2, 3), -1, Fraction(7, 5), 4])
-        anti = p.antiderivative()
-        assert integrate_01(p) == anti(Fraction(1)) - anti(Fraction(0))
 
 
 class TestSignAndEval:

@@ -6,7 +6,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iterbayes.exact import ExactPoly, integrate_01
+from iterbayes.exact import ExactPoly
 from iterbayes.triangle import posterior_mean_exact, solve_iterative_bayes
 from iterbayes.types import BinomialObs
 
@@ -38,12 +38,6 @@ def test_poly_eval_commutes_with_ring_operations(p_coeffs, q_coeffs, a):
     p, q = ExactPoly(p_coeffs), ExactPoly(q_coeffs)
     assert (p + q)(a) == p(a) + q(a)
     assert (p * q)(a) == p(a) * q(a)
-
-
-@given(coeff_lists, coeff_lists, small_rationals, small_rationals)
-def test_integrate_01_is_linear(p_coeffs, q_coeffs, alpha, beta):
-    p, q = ExactPoly(p_coeffs), ExactPoly(q_coeffs)
-    assert integrate_01(alpha * p + beta * q) == alpha * integrate_01(p) + beta * integrate_01(q)
 
 
 @given(coeff_lists, coeff_lists, small_rationals)

@@ -11,7 +11,6 @@ from iterbayes.risk import (
     EstimatorSpec,
     compare,
     estimates_by_x,
-    exact_risk,
     monte_carlo_mse,
     risk_at,
     standard_estimators,
@@ -89,10 +88,6 @@ class TestTables:
         rows = list(table.rows())
         assert len(rows) == 3 and all(len(r) == 5 for r in rows)
 
-    def test_exact_risk_single_column(self):
-        table = exact_risk(_spec(MLE), 1, [0.0, 0.5, 1.0])
-        assert table.columns[MLE] == (0.0, 0.25, 0.0)
-
     def test_risk_curves_symmetric_about_half(self):
         table = compare(4, 11)
         for tag in ESTIMATOR_TAGS:
@@ -114,8 +109,6 @@ class TestTables:
             compare(0, 3)
         with pytest.raises(ValueError):
             compare(2, 1)
-        with pytest.raises(ValueError):
-            exact_risk(_spec(MLE), 1, [1.5])
 
 
 class TestMonteCarlo:

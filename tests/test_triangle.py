@@ -5,13 +5,12 @@ from fractions import Fraction
 import pytest
 
 import iterbayes.triangle as triangle
-from iterbayes.exact import ExactPoly, binomial, bisect_root, integrate_01, sign_at
+from iterbayes.exact import ExactPoly, binomial, bisect_root, sign_at
 from iterbayes.identities import factorization_sides
 from iterbayes.triangle import (
     GOLDEN_RATIO,
     GOLDEN_RATIO_RECIPROCAL,
-    balance_integral,
-    density_polynomials,
+    balance_polynomial,
     estimating_polynomial,
     fixed_point_iterate,
     geometric_estimate,
@@ -20,10 +19,10 @@ from iterbayes.triangle import (
     posterior_mean_exact,
     posterior_mean_one_success,
     solve_iterative_bayes,
-    triangle_density,
+    solver_bracket,
     triangle_posterior_mean,
 )
-from iterbayes.types import BinomialObs, BracketFailure, NoConvergence, TrianglePrior
+from iterbayes.types import BinomialObs, BracketFailure, NoConvergence
 
 from helpers import quadrature_posterior_mean
 from reference_tables import PRINT_TOL, TABLE2, TABLE3
@@ -34,33 +33,6 @@ class TestGoldenConstants:
         # within one ulp of 0.618...
         assert GOLDEN_RATIO_RECIPROCAL == pytest.approx(1 / GOLDEN_RATIO, abs=2e-16)
         assert GOLDEN_RATIO_RECIPROCAL == pytest.approx(GOLDEN_RATIO - 1, abs=2e-16)
-
-
-class TestDensity:
-    def test_peak_is_two(self):
-        assert triangle_density(TrianglePrior(0.5), 0.5) == pytest.approx(2.0)
-        assert triangle_density(TrianglePrior(0.618), 0.618) == pytest.approx(2.0)
-
-    def test_boundaries_vanish(self):
-        prior = TrianglePrior(0.618)
-        assert triangle_density(prior, 0.0) == 0.0
-        assert triangle_density(prior, 1.0) == 0.0
-        assert triangle_density(prior, 1e-9) == pytest.approx(0.0, abs=1e-8)
-
-    def test_continuous_at_mode(self):
-        prior = TrianglePrior(0.37)
-        below = triangle_density(prior, 0.37 - 1e-12)
-        above = triangle_density(prior, 0.37 + 1e-12)
-        assert below == pytest.approx(above, abs=1e-9)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            triangle_density(TrianglePrior(0.5), 1.5)
-
-    @pytest.mark.parametrize("mode", [Fraction(1, 2), Fraction(1, 7), Fraction(9, 10)])
-    def test_normalization_exact(self, mode):
-        left, right = density_polynomials(TrianglePrior(mode))
-        assert left.integrate(0, mode) + right.integrate(mode, 1) == 1
 
 
 class TestPosteriorMeanOneSuccess:
@@ -114,15 +86,15 @@ class TestPosteriorMean:
 
 class TestBalanceIntegral:
     def test_zero_at_origin(self):
-        assert balance_integral(Fraction(0), BinomialObs(4, 2)) == 0
+        assert balance_polynomial(BinomialObs(4, 2))(Fraction(0)) == 0
 
     def test_value_at_one(self):
         # a = 1 collapses to 1 / ((n+3) C(n+2, x+1)); n = x = 1 gives 1/12
-        assert balance_integral(Fraction(1), BinomialObs(1, 1)) == Fraction(1, 12)
+        assert balance_polynomial(BinomialObs(1, 1))(Fraction(1)) == Fraction(1, 12)
         for n in range(1, 13):
             for x in range(n + 1):
                 want = Fraction(1, (n + 3) * binomial(n + 2, x + 1))
-                assert balance_integral(Fraction(1), BinomialObs(n, x)) == want
+                assert balance_polynomial(BinomialObs(n, x))(Fraction(1)) == want
 
     def test_matches_defining_integral(self):
         # independent route: expand t^(x+1) (1-t) (1-a t)^(n-x) as a polynomial
@@ -132,19 +104,21 @@ class TestBalanceIntegral:
             obs = BinomialObs(n, x)
             for a in (Fraction(1, 3), Fraction(7, 10)):
                 integrand = t ** (x + 1) * ExactPoly([1, -1]) * ExactPoly([1, -a]) ** (n - x)
-                want = a ** (x + 2) * integrate_01(integrand)
-                assert balance_integral(a, obs) == want
+                anti = integrand.antiderivative()
+                want = a ** (x + 2) * (anti(Fraction(1)) - anti(Fraction(0)))
+                assert balance_polynomial(obs)(a) == want
 
     def test_strictly_increasing(self):
         obs = BinomialObs(4, 1)
-        assert balance_integral(Fraction(3, 10), obs) < balance_integral(Fraction(6, 10), obs)
+        balance = balance_polynomial(obs)
+        assert balance(Fraction(3, 10)) < balance(Fraction(6, 10))
 
     def test_strictly_increasing_full_grid(self):
         # exact values on a 100-point grid, every observation with n <= 20
         for n in range(1, 21):
             for x in range(n + 1):
-                obs = BinomialObs(n, x)
-                values = [balance_integral(Fraction(j, 100), obs) for j in range(101)]
+                balance = balance_polynomial(BinomialObs(n, x))
+                values = [balance(Fraction(j, 100)) for j in range(101)]
                 assert all(u < v for u, v in zip(values, values[1:]))
 
 
@@ -171,8 +145,7 @@ class TestEstimatingPolynomial:
                 assert all(c.denominator == 1 for c in coeffs)
 
     def test_bracket(self):
-        jn = estimating_polynomial(BinomialObs(9, 4))
-        assert jn.bracket() == (Fraction(5, 12), Fraction(6, 12))
+        assert solver_bracket(BinomialObs(9, 4)) == (Fraction(5, 12), Fraction(6, 12))
 
 
 class TestSolveIterativeBayes:
@@ -333,7 +306,7 @@ class TestOutputConsistency:
                 _, rhs = factorization_sides(obs)
                 scale = math.lcm(*(c.denominator for c in rhs.coeffs))
                 coeffs = tuple(int(c * scale) for c in rhs.coeffs)
-                lo, hi = estimating_polynomial(obs).bracket()
+                lo, hi = solver_bracket(obs)
                 via_identity = bisect_root(coeffs, lo, hi, tol=Fraction(1, 10**12))
                 direct = solve_iterative_bayes(obs, tol=1e-12)
                 assert abs(float(via_identity.value) - direct.value) < 1e-8
@@ -341,8 +314,9 @@ class TestOutputConsistency:
     def test_single_sign_change_inside_bracket(self):
         for n in range(1, 9):
             for x in range(n + 1):
-                jn = estimating_polynomial(BinomialObs(n, x))
-                lo, hi = jn.bracket()
+                obs = BinomialObs(n, x)
+                jn = estimating_polynomial(obs)
+                lo, hi = solver_bracket(obs)
                 signs = [
                     sign_at(jn.int_coeffs, lo + (hi - lo) * Fraction(j, 24))
                     for j in range(25)

@@ -8,7 +8,6 @@ from iterbayes.types import (
     BinomialObs,
     Characteristic,
     Estimate,
-    TrianglePrior,
 )
 
 
@@ -41,13 +40,6 @@ def test_characteristic_value():
         Characteristic(-1, 0)
     with pytest.raises(ValueError):
         Characteristic(1, 2).value(BetaPrior(1, 1))  # zero denominator
-
-
-def test_triangle_prior_validation():
-    TrianglePrior(0.618)
-    for bad in (0, 1, -0.2, 1.5):
-        with pytest.raises(ValueError):
-            TrianglePrior(bad)
 
 
 def test_estimate_validation():
