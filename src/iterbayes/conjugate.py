@@ -1,9 +1,9 @@
 """Characteristic-replacement iteration for conjugate models.
 
 For the beta-binomial model, a prior characteristic (alpha - a)/(alpha + beta - b)
-is repeatedly re-solved (beta held fixed at beta0, alpha free) so that it equals
-the previous posterior mean.  The iteration has a closed form per step and the
-limit is (x + a)/(n + b) whenever the contraction ratio
+is repeatedly re-solved (alpha free, beta held at the prior's value beta0) so
+that it equals the previous posterior mean.  The iteration has a closed form per
+step and the limit is (x + a)/(n + b) whenever the contraction ratio
 
     c = (beta0 - (b - a)) / (beta0 + n - x)
 
@@ -25,7 +25,7 @@ import dataclasses
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 from .types import (
     METHOD_FIXED_POINT,
@@ -80,7 +80,8 @@ class IterationTrace:
     """Full record of a characteristic-replacement run in exact rationals.
 
     ``alphas[k]`` is the solved hyperparameter after k replacements (alphas[0]
-    is the starting value) and ``estimates[k]`` the posterior mean it yields.
+    is the starting value), ``estimates[k]`` the posterior mean it yields, and
+    ``beta0`` the prior's beta, held fixed throughout.
     Every step satisfies the defining relation exactly and is re-checkable:
     (alphas[k+1] - a) / (alphas[k+1] + beta0 - b) == estimates[k].
     """
@@ -99,29 +100,22 @@ class IterationTrace:
 
 
 def iterate_binomial_characteristic(
-    prior: BetaPrior,
-    beta0: Union[int, float, Fraction],
-    char: Characteristic,
-    obs: BinomialObs,
-    m: int,
+    prior: BetaPrior, char: Characteristic, obs: BinomialObs, m: int
 ) -> IterationTrace:
     """Run m characteristic replacements for the beta-binomial model, exactly.
 
     Each step solves the new alpha from
-    (alpha' - a) / (alpha' + beta0 - b) = previous posterior mean, then takes
-    the posterior mean at alpha'.  All arithmetic is in Fractions (float
-    inputs are converted to their exact binary values), so traces can be
-    compared coefficient-exactly against the closed form.
+    (alpha' - a) / (alpha' + beta0 - b) = previous posterior mean, with beta0
+    the prior's beta, then takes the posterior mean at alpha'.  All arithmetic
+    is in Fractions (float inputs are converted to their exact binary values),
+    so traces can be compared coefficient-exactly against the closed form.
 
     Raises DegenerateStep if any step produces alpha' <= a, which pushes the
     characteristic out of (0, 1).
     """
     if m < 0:
         raise ValueError("iterate_binomial_characteristic: m must be >= 0")
-    alpha = Fraction(prior.alpha)
-    b0 = Fraction(beta0)
-    if b0 <= 0:
-        raise ValueError("iterate_binomial_characteristic: beta0 must be positive")
+    alpha, b0 = Fraction(prior.alpha), Fraction(prior.beta)
     a, b = Fraction(char.a), Fraction(char.b)
     n, x = obs.n, obs.x
 
@@ -148,13 +142,10 @@ def iterate_binomial_characteristic(
 
 
 def closed_form_step_estimate(
-    prior: BetaPrior,
-    beta0: Union[int, float, Fraction],
-    char: Characteristic,
-    obs: BinomialObs,
-    m: int,
+    prior: BetaPrior, char: Characteristic, obs: BinomialObs, m: int
 ) -> Fraction:
-    """Closed form of the step-m posterior mean, exactly in rationals.
+    """Closed form of the step-m posterior mean, exactly in rationals, with
+    beta0 the prior's beta.
 
     Two branches: when a = b and x = n the solved hyperparameter grows
     linearly and the estimate is
@@ -165,8 +156,7 @@ def closed_form_step_estimate(
     """
     if m < 0:
         raise ValueError("closed_form_step_estimate: m must be >= 0")
-    alpha = Fraction(prior.alpha)
-    b0 = Fraction(beta0)
+    alpha, b0 = Fraction(prior.alpha), Fraction(prior.beta)
     a, b = Fraction(char.a), Fraction(char.b)
     n, x = obs.n, obs.x
     if a == b and x == n:

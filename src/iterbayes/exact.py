@@ -23,6 +23,8 @@ __all__ = [
     "ExactPoly",
     "sign_at",
     "eval_rational",
+    "MAX_ITER",
+    "check_tol",
     "RootBracket",
     "bisect_root",
 ]
@@ -154,9 +156,6 @@ class ExactPoly:
             result = result * inner + ExactPoly([c])
         return result
 
-    def derivative(self) -> "ExactPoly":
-        return ExactPoly([i * c for i, c in enumerate(self.coeffs)][1:])
-
     def antiderivative(self) -> "ExactPoly":
         """Antiderivative with zero constant term."""
         return ExactPoly([Fraction(0)] + [c / (i + 1) for i, c in enumerate(self.coeffs)])
@@ -196,18 +195,29 @@ def eval_rational(coeffs: Sequence[int], point: Rational) -> Fraction:
                     q.denominator ** d)
 
 
+# Step limit of bisect_root.  Each step halves the bracket, so only a tol
+# below 2**-MAX_ITER times the starting width raises RuntimeError.
+MAX_ITER = 10_000
+
+
+def check_tol(tol: Union[Rational, float], where: str) -> Fraction:
+    """``tol`` as an exact Fraction; ValueError unless it is positive and finite."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"{where}: tol must be positive and finite, got {tol}")
+    return Fraction(tol)
+
+
 @dataclass(frozen=True)
 class RootBracket:
     """Result of exact bisection: the reported point, its enclosing interval
-    with opposite polynomial signs at the ends, the exact residual there, and
-    whether the point is an exact rational root."""
+    with opposite polynomial signs at the ends, and the exact residual there
+    (zero when the point is an exact rational root)."""
 
     value: Fraction
     lo: Fraction
     hi: Fraction
     iterations: int
     residual: Fraction
-    exact: bool
 
 
 def bisect_root(
@@ -215,19 +225,17 @@ def bisect_root(
     lo: Rational,
     hi: Rational,
     tol: Union[Rational, float] = Fraction(1, 10**12),
-    max_residual: Union[Rational, float, None] = None,
-    max_iter: int = 10_000,
 ) -> RootBracket:
     """Isolate the sign change of an integer-coefficient polynomial in (lo, hi).
 
     The endpoints must evaluate to nonzero values of opposite sign (ValueError
     otherwise).  Bisection proceeds with exact rational midpoints and exact
-    big-integer sign tests until the interval is narrower than ``tol``; when
-    ``max_residual`` is given, refinement continues until the exact value of
-    the polynomial at the reported midpoint is no larger in magnitude.  A
+    big-integer sign tests until the interval is narrower than ``tol``; the
+    midpoint of that interval is reported with its exact residual.  A
     midpoint that is an exact root is returned as such, with zero residual and
     the last strict-sign interval as the bracket.
     """
+    tol = check_tol(tol, "bisect_root")
     lo, hi = Fraction(lo), Fraction(hi)
     if not lo < hi:
         raise ValueError(f"bisect_root: need lo < hi, got {lo} >= {hi}")
@@ -238,38 +246,19 @@ def bisect_root(
             f"bisect_root: no strict sign change over ({lo}, {hi}): "
             f"signs ({s_lo}, {s_hi})"
         )
-    tol = Fraction(tol)
-    if tol <= 0:
-        raise ValueError("bisect_root: tol must be positive")
-    res_limit = None if max_residual is None else Fraction(max_residual)
 
     iterations = 0
     while hi - lo >= tol:
         iterations += 1
-        if iterations > max_iter:
+        if iterations > MAX_ITER:
             raise RuntimeError("bisect_root: iteration limit exceeded")
         mid = (lo + hi) / 2
         s = sign_at(coeffs, mid)
         if s == 0:
-            return RootBracket(mid, lo, hi, iterations, Fraction(0), True)
+            return RootBracket(mid, lo, hi, iterations, Fraction(0))
         if s == s_lo:
             lo = mid
         else:
             hi = mid
-
-    # Width target met; now pin the residual at the reported midpoint, using
-    # each exact evaluation to keep shrinking if a residual target was asked.
-    while True:
-        iterations += 1
-        if iterations > max_iter:
-            raise RuntimeError("bisect_root: iteration limit exceeded")
-        mid = (lo + hi) / 2
-        val = eval_rational(coeffs, mid)
-        if val == 0:
-            return RootBracket(mid, lo, hi, iterations, Fraction(0), True)
-        if res_limit is None or abs(val) <= res_limit:
-            return RootBracket(mid, lo, hi, iterations, abs(val), False)
-        if (val > 0) == (s_lo > 0):
-            lo = mid
-        else:
-            hi = mid
+    mid = (lo + hi) / 2
+    return RootBracket(mid, lo, hi, iterations + 1, abs(eval_rational(coeffs, mid)))

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .exact import ExactPoly, binomial, sign_at
 from .triangle import alternating_core, balance_polynomial, estimating_polynomial
@@ -38,9 +38,19 @@ __all__ = [
     "check_core_positivity",
     "check_endpoint_signs_at",
     "check_endpoint_signs",
-    "default_grid",
+    "GRID",
     "run_all",
 ]
+
+
+# Nine interior rationals j/10: the points where core-positivity compares the
+# two forms of the core polynomial.
+GRID = tuple(Fraction(j, 10) for j in range(1, 10))
+
+
+def _check_bound(label: str, value: int) -> None:
+    if value < 1:
+        raise ValueError(f"{label} must be >= 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -124,6 +134,7 @@ def _over_range(
 ) -> IdentityReport:
     """Run ``check_at`` for every (n, x) with n <= n_max, summing its cases
     and stopping at the first failing observation."""
+    _check_bound(f"{name}: n_max", n_max)
     cases = 0
     for n in range(1, n_max + 1):
         for x in range(n + 1):
@@ -134,11 +145,13 @@ def _over_range(
     return IdentityReport(name, params, cases, True)
 
 
-def check_gould_141(max_m: int = 30, max_x: int = 30) -> IdentityReport:
-    name, params = "gould-1.41", f"m<=({max_m}), x<=({max_x})"
+def check_gould_141(bound: int = 30) -> IdentityReport:
+    """Gould 1.41 for every 1 <= m <= bound and 0 <= x <= bound."""
+    _check_bound("gould-1.41: bound", bound)
+    name, params = "gould-1.41", f"m<=({bound}), x<=({bound})"
     cases = 0
-    for m in range(1, max_m + 1):
-        for x in range(max_x + 1):
+    for m in range(1, bound + 1):
+        for x in range(bound + 1):
             cases += 1
             lhs, rhs = gould_141_sides(m, x)
             if lhs != rhs:
@@ -148,6 +161,7 @@ def check_gould_141(max_m: int = 30, max_x: int = 30) -> IdentityReport:
 
 
 def check_gould_183(max_x: int = 30) -> IdentityReport:
+    _check_bound("gould-1.83: max_x", max_x)
     name, params = "gould-1.83", f"x<=({max_x})"
     for x in range(max_x + 1):
         if not gould_183_holds(x):
@@ -204,28 +218,17 @@ def check_factorization(
     return _over_range("estimating-polynomial-factorization", f"n<=({n_max}), all x", n_max, at)
 
 
-def default_grid() -> Tuple[Fraction, ...]:
-    """Nine interior rationals j/10, the default evaluation grid."""
-    return tuple(Fraction(j, 10) for j in range(1, 10))
-
-
-def check_core_positivity_at(
-    obs: BinomialObs, grid: Optional[Sequence[Fraction]] = None
-) -> IdentityReport:
-    """At each grid point: alternating core == positive convolution form,
+def check_core_positivity_at(obs: BinomialObs) -> IdentityReport:
+    """At each point of GRID: alternating core == positive convolution form,
     both strictly positive, and the estimating polynomial equals
     2 a^(x+2) core(a) - (n-x+1)(n+3) a + (n-x+1)(x+1) exactly."""
     name = "core-positivity"
     params = f"n={obs.n}, x={obs.x}"
-    points = tuple(grid) if grid is not None else default_grid()
-    if not all(0 < Fraction(a) < 1 for a in points):
-        raise ValueError("check_core_positivity_at: grid points must lie in (0, 1)")
     n, x = obs.n, obs.x
     core = alternating_core(obs)
     jn = estimating_polynomial(obs)
     cases = 0
-    for a in points:
-        a = Fraction(a)
+    for a in GRID:
         cases += 1
         alt = core(a)
         pos = positive_core_value(a, obs)
@@ -242,13 +245,9 @@ def check_core_positivity_at(
     return IdentityReport(name, params, cases, True)
 
 
-def check_core_positivity(
-    n_max: int = 40, grid: Optional[Sequence[Fraction]] = None
-) -> IdentityReport:
-    points = tuple(grid) if grid is not None else default_grid()
-    params = f"n<=({n_max}), all x, {len(points)}-point grid"
-    return _over_range("core-positivity", params, n_max,
-                       lambda obs: check_core_positivity_at(obs, points))
+def check_core_positivity(n_max: int = 40) -> IdentityReport:
+    params = f"n<=({n_max}), all x, {len(GRID)}-point grid"
+    return _over_range("core-positivity", params, n_max, check_core_positivity_at)
 
 
 def check_endpoint_signs_at(obs: BinomialObs) -> IdentityReport:
@@ -292,14 +291,18 @@ def run_all(
     n_max_symbolic: int = 12,
     n_max_pointwise: int = 40,
     gould_max: int = 30,
-    grid: Optional[Sequence[Fraction]] = None,
     perturb: Optional[Tuple[int, int, int, int]] = None,
 ) -> List[IdentityReport]:
-    """Run the whole suite; one report per identity per parameter range."""
+    """Run the whole suite; one report per identity per parameter range.
+
+    Every bound must be >= 1 (ValueError before any check runs)."""
+    for label, value in (("n_max_symbolic", n_max_symbolic),
+                         ("n_max_pointwise", n_max_pointwise), ("gould_max", gould_max)):
+        _check_bound(label, value)
     return [
-        check_gould_141(gould_max, gould_max),
+        check_gould_141(gould_max),
         check_gould_183(gould_max),
         check_factorization(n_max_symbolic, perturb=perturb),
-        check_core_positivity(n_max_pointwise, grid=grid),
+        check_core_positivity(n_max_pointwise),
         check_endpoint_signs(n_max_pointwise),
     ]

@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Tuple, Union
 
-from .exact import ExactPoly, binomial, bisect_root
+from .exact import ExactPoly, binomial, bisect_root, check_tol
 from .types import (
     METHOD_BISECTION,
     METHOD_FIXED_POINT,
@@ -71,36 +71,41 @@ def posterior_mean_one_success(mode):
 
 
 @lru_cache(maxsize=None)
-def _mean_pieces(n: int, x: int):
-    # Antiderivatives of the four polynomial integrands of the posterior-mean
-    # ratio, plus the right-hand pieces' full integrals over (0, 1).
+def _mean_pieces(n: int, x: int) -> Tuple[ExactPoly, ExactPoly]:
+    """Numerator and denominator of the posterior mean as polynomials in the
+    mode m, both scaled by m(1-m)/2 to clear the prior's 2/m and 2/(1-m):
+
+        (1-m) * integral_0^m t p(t) dt  +  m * integral_m^1 t q(t) dt   (num)
+        (1-m) * integral_0^m p(t) dt    +  m * integral_m^1 q(t) dt     (den)
+
+    with p(t) = t^(x+1) (1-t)^(n-x) and q(t) = t^x (1-t)^(n-x+1), the
+    likelihood times the left and right prior branches without their weights.
+    """
     t = ExactPoly([0, 1])
     one_minus_t = ExactPoly([1, -1])
-    num_left = (t ** (x + 2) * one_minus_t ** (n - x)).antiderivative()
-    num_right = (t ** (x + 1) * one_minus_t ** (n - x + 1)).antiderivative()
-    den_left = (t ** (x + 1) * one_minus_t ** (n - x)).antiderivative()
-    den_right = (t**x * one_minus_t ** (n - x + 1)).antiderivative()
-    return num_left, num_right, den_left, den_right, num_right(Fraction(1)), den_right(Fraction(1))
+
+    def weighted(left: ExactPoly, right: ExactPoly) -> ExactPoly:
+        left_int = left.antiderivative()
+        right_int = right.antiderivative()
+        return one_minus_t * left_int + t * (right_int(1) - right_int)
+
+    p = t ** (x + 1) * one_minus_t ** (n - x)
+    q = t**x * one_minus_t ** (n - x + 1)
+    return weighted(t * p, t * q), weighted(p, q)
 
 
 def posterior_mean_exact(mode: Union[Fraction, float], obs: BinomialObs) -> Fraction:
     """Posterior mean of p under the triangle prior, as an exact rational.
 
-    Both branch integrals are polynomial, so each is expanded and integrated
-    term by term over (0, mode) and (mode, 1); the result is one exact
-    division.  Float modes are converted to their exact binary value first.
+    Both branch integrals are polynomial in the mode, so the mean is the ratio
+    of two cached polynomials evaluated at the mode: one exact division.
+    Float modes are converted to their exact binary value first.
     """
     m = Fraction(mode)
     if not 0 < m < 1:
         raise ValueError(f"posterior mean: mode must be in (0, 1), got {mode}")
-    num_left, num_right, den_left, den_right, num_right_full, den_right_full = _mean_pieces(
-        obs.n, obs.x
-    )
-    w_left = 2 / m
-    w_right = 2 / (1 - m)
-    num = w_left * num_left(m) + w_right * (num_right_full - num_right(m))
-    den = w_left * den_left(m) + w_right * (den_right_full - den_right(m))
-    return num / den
+    num, den = _mean_pieces(obs.n, obs.x)
+    return num(m) / den(m)
 
 
 def triangle_posterior_mean(mode: float, obs: BinomialObs) -> float:
@@ -169,17 +174,14 @@ def solver_bracket(obs: BinomialObs) -> Tuple[Fraction, Fraction]:
 
 
 def _bisect_estimate(
-    coeffs: Tuple[int, ...],
-    obs: BinomialObs,
-    tol: Union[float, Fraction],
-    max_residual: Union[float, Fraction, None],
-    label: str,
+    coeffs: Tuple[int, ...], obs: BinomialObs, tol: Union[float, Fraction], label: str
 ) -> Estimate:
     """Bisect ``coeffs`` on the solver bracket of ``obs``; an absent sign
     change raises BracketFailure naming ``label``."""
+    tol = check_tol(tol, label)
     lo, hi = solver_bracket(obs)
     try:
-        result = bisect_root(coeffs, lo, hi, tol=tol, max_residual=max_residual)
+        result = bisect_root(coeffs, lo, hi, tol=tol)
     except ValueError as exc:
         raise BracketFailure(f"no sign change over {lo}..{hi} for {label}: {exc}") from exc
     return Estimate(
@@ -192,22 +194,17 @@ def _bisect_estimate(
     )
 
 
-def solve_iterative_bayes(
-    obs: BinomialObs,
-    tol: Union[float, Fraction] = 1e-12,
-    max_residual: Union[float, Fraction, None] = None,
-) -> Estimate:
+def solve_iterative_bayes(obs: BinomialObs, tol: Union[float, Fraction] = 1e-12) -> Estimate:
     """Authoritative solver: exact-sign bisection on the guaranteed bracket.
 
     The bracket is never widened; an absent sign change would contradict the
-    uniqueness of the root and raises BracketFailure.  ``tol`` bounds the
-    final bracket width; ``max_residual`` optionally refines further until
-    the exact value of the estimating polynomial at the reported point is at
-    most that magnitude (extended-precision refinement; the bracket stays an
-    exact rational interval throughout).
+    uniqueness of the root and raises BracketFailure.  ``tol`` (positive and
+    finite, else ValueError) bounds the final bracket width, and with it the
+    residual: the reported point is the bracket's midpoint, and the exact
+    value of the estimating polynomial there is returned as the residual.
     """
     coeffs = estimating_polynomial(obs).int_coeffs
-    return _bisect_estimate(coeffs, obs, tol, max_residual, str(obs))
+    return _bisect_estimate(coeffs, obs, tol, str(obs))
 
 
 def fixed_point_iterate(
@@ -215,27 +212,22 @@ def fixed_point_iterate(
     mode0: float = 0.5,
     tol: float = 1e-10,
     max_iter: int = 500,
-    damping: float = 1.0,
 ) -> Estimate:
     """Secondary path: iterate mode <- posterior_mean(mode) until |step| < tol.
 
-    Plain iteration (damping 1.0) is the default; a damping factor in (0, 1]
-    shortens the step.  Convergence of the plain map is observed, not proven,
-    so hitting ``max_iter`` raises NoConvergence carrying the last iterate,
-    a reportable outcome rather than a bug.  Never the authoritative answer;
-    agreement with the bisection root is asserted in tests.
+    Convergence of the map is observed, not proven, so hitting ``max_iter``
+    raises NoConvergence carrying the last iterate, a reportable outcome
+    rather than a bug.  Never the authoritative answer; agreement with the
+    bisection root is asserted in tests.
     """
     if not 0 < mode0 < 1:
         raise ValueError(f"fixed_point_iterate: mode0 must be in (0, 1), got {mode0}")
-    if not 0 < damping <= 1:
-        raise ValueError(f"fixed_point_iterate: damping must be in (0, 1], got {damping}")
     if tol <= 0:
         raise ValueError("fixed_point_iterate: tol must be positive")
     mode = float(mode0)
     delta = math.inf
     for step in range(1, max_iter + 1):
-        target = triangle_posterior_mean(mode, obs)
-        new = mode + damping * (target - mode)
+        new = triangle_posterior_mean(mode, obs)
         delta = abs(new - mode)
         mode = new
         if delta < tol:
@@ -284,7 +276,7 @@ def geometric_estimate(x: int, tol: Union[float, Fraction] = 1e-12) -> Estimate:
     if x == 0:
         return negative_binomial_estimate(1, 0, tol=tol)
     coeffs = tuple(int(c) for c in geometric_polynomial(x).coeffs)
-    return _bisect_estimate(coeffs, BinomialObs(x + 1, x), tol, None, f"geometric x={x}")
+    return _bisect_estimate(coeffs, BinomialObs(x + 1, x), tol, f"geometric x={x}")
 
 
 def negative_binomial_estimate(r: int, x: int, tol: Union[float, Fraction] = 1e-12) -> Estimate:

@@ -105,12 +105,6 @@ class Characteristic:
         if not 0 <= self.a <= self.b:
             raise ValueError(f"Characteristic: need 0 <= a <= b, got {self}")
 
-    def value(self, prior: BetaPrior):
-        denom = prior.alpha + prior.beta - self.b
-        if denom == 0:
-            raise ValueError("Characteristic: alpha + beta - b is zero")
-        return (prior.alpha - self.a) / denom
-
 
 @dataclass(frozen=True)
 class Estimate:

@@ -2,12 +2,18 @@
 
 The quadrature route evaluates posterior-mean integrals in plain floating
 point with adaptive Simpson; no shared code with the polynomial expansion it
-cross-checks.  The error target is relative, which needs a realistic estimate
+cross-checks.  The weighted route is the exact reference for the package's
+posterior mean: the prior's 2/m and 2/(1-m) branch weights applied to four
+branch integrals and two full integrals over (0, 1), each expanded by the
+binomial theorem in plain Fractions.  The error target is relative, which needs a realistic estimate
 of the integral's magnitude up front: sharply peaked integrands can make a
 coarse scan underestimate it by orders, so a depth-limited first pass
 integrates |f| for the scale before the tight pass runs.  A hard evaluation
 budget turns any would-be runaway recursion into a loud error.
 """
+
+from fractions import Fraction
+from math import comb
 
 _BUDGET = 2_000_000
 
@@ -71,4 +77,29 @@ def quadrature_posterior_mean(mode, n, x, rel_tol=1e-12):
     ) + w_right * adaptive_simpson(
         lambda p: p**x * (1 - p) ** (n - x + 1), mode, 1.0, rel_tol
     )
+    return num / den
+
+
+def _integral_t_pow(a, b, upper):
+    """Exact integral_0^upper t^a (1-t)^b dt by the binomial theorem."""
+    return sum(
+        Fraction((-1) ** k * comb(b, k), a + k + 1) * upper ** (a + k + 1)
+        for k in range(b + 1)
+    )
+
+
+def weighted_posterior_mean(mode, n, x):
+    """Posterior mean of p under the triangle prior, exactly, as the ratio of
+    the weighted left-branch integral over (0, m) plus the weighted
+    right-branch integral over (m, 1), for numerator and denominator."""
+    m = Fraction(mode)
+    w_left, w_right = 2 / m, 2 / (1 - m)
+
+    def branches(left, right):
+        full = _integral_t_pow(*right, Fraction(1))
+        return (w_left * _integral_t_pow(*left, m)
+                + w_right * (full - _integral_t_pow(*right, m)))
+
+    num = branches((x + 2, n - x), (x + 1, n - x + 1))
+    den = branches((x + 1, n - x), (x, n - x + 1))
     return num / den

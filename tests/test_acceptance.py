@@ -129,14 +129,14 @@ def test_criterion_06_characteristic_iteration_randomized():
         prior = BetaPrior(alpha0, beta0)
         char = Characteristic(a, b)
         obs = BinomialObs(n, x)
-        trace = iterate_binomial_characteristic(prior, beta0, char, obs, 50)
+        trace = iterate_binomial_characteristic(prior, char, obs, 50)
         assert 0 < trace.ratio < 1
         ok &= all(
-            trace.estimates[m] == closed_form_step_estimate(prior, beta0, char, obs, m)
+            trace.estimates[m] == closed_form_step_estimate(prior, char, obs, m)
             for m in range(51)
         )
         steps = max(60, min(12000, int(-30 / float(trace.ratio - 1))))
-        long_trace = iterate_binomial_characteristic(prior, beta0, char, obs, steps)
+        long_trace = iterate_binomial_characteristic(prior, char, obs, steps)
         limit = Fraction(x + a, n + b)
         ok &= abs(float(long_trace.estimates[-1] - limit)) < 1e-8
         checked += 1

@@ -2,12 +2,14 @@ import contextlib
 import importlib.util
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import iterbayes
 from iterbayes.cli import main
 
 from reference_tables import PRINT_TOL, TABLE2, TABLE3
@@ -244,9 +246,13 @@ class TestUsage:
         assert "estimate" in out and "verify" in out
 
     def test_module_entry_point(self):
+        # the child imports the same package as this test, installed or not
+        src = str(Path(iterbayes.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
         proc = subprocess.run(
             [sys.executable, "-m", "iterbayes", "estimate", "--n", "1", "--x", "1"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
         assert "0.618034" in proc.stdout

@@ -53,38 +53,38 @@ class TestCharacteristicLimit:
         assert characteristic_limit(Characteristic(a, b), BinomialObs(n, x)) == pytest.approx(want)
 
     def test_shortcut_characteristics(self):
-        prior = BetaPrior(2, 3)
-        assert EXPECTATION.value(prior) == pytest.approx(0.4)
-        assert EXTREME_POINT.value(prior) == pytest.approx(1 / 3)
+        # the prior expectation and the interior mode of a beta prior
+        assert EXPECTATION == Characteristic(0, 0)
+        assert EXTREME_POINT == Characteristic(1, 2)
 
 
 class TestCharacteristicIteration:
     def test_zero_steps_returns_starting_point(self):
         prior = BetaPrior(2, 2)
-        trace = iterate_binomial_characteristic(prior, 2, EXTREME_POINT, BinomialObs(3, 2), 0)
+        trace = iterate_binomial_characteristic(prior, EXTREME_POINT, BinomialObs(3, 2), 0)
         assert trace.alphas == (Fraction(2),)
         assert trace.estimates == (Fraction(2 + 2, 2 + 2 + 3),)
 
     def test_expectation_replacement_converges_to_mle(self):
-        # a = b = 0, beta0 = 1, alpha0 = 1, n = 2, x = 1 -> 1/2
-        trace = iterate_binomial_characteristic(BetaPrior(1, 1), 1, EXPECTATION, BinomialObs(2, 1), 120)
+        # a = b = 0, alpha0 = beta0 = 1, n = 2, x = 1 -> 1/2
+        trace = iterate_binomial_characteristic(BetaPrior(1, 1), EXPECTATION, BinomialObs(2, 1), 120)
         assert abs(float(trace.estimates[-1]) - 0.5) < 1e-12
 
     def test_extreme_point_replacement_converges_to_uniform_bayes(self):
         # a = 1, b = 2 -> (x+1)/(n+2) = 2/3 for one success in one trial
-        trace = iterate_binomial_characteristic(BetaPrior(2, 2), 2, EXTREME_POINT, BinomialObs(1, 1), 120)
+        trace = iterate_binomial_characteristic(BetaPrior(2, 2), EXTREME_POINT, BinomialObs(1, 1), 120)
         assert abs(float(trace.estimates[-1]) - 2 / 3) < 1e-12
 
     def test_trace_steps_satisfy_defining_relation_exactly(self):
         char = Characteristic(Fraction(1, 2), Fraction(3, 2))
-        trace = iterate_binomial_characteristic(BetaPrior(Fraction(5, 2), 3), 3, char, BinomialObs(5, 3), 25)
+        trace = iterate_binomial_characteristic(BetaPrior(Fraction(5, 2), 3), char, BinomialObs(5, 3), 25)
         a, b = Fraction(char.a), Fraction(char.b)
         for k in range(25):
             alpha_next = trace.alphas[k + 1]
             assert (alpha_next - a) / (alpha_next + trace.beta0 - b) == trace.estimates[k]
 
     def test_ratio_field(self):
-        trace = iterate_binomial_characteristic(BetaPrior(2, 2), 2, EXTREME_POINT, BinomialObs(1, 1), 1)
+        trace = iterate_binomial_characteristic(BetaPrior(2, 2), EXTREME_POINT, BinomialObs(1, 1), 1)
         assert trace.ratio == Fraction(2 - 1, 2 + 1 - 1)  # (beta0-(b-a))/(beta0+n-x)
 
     # the recurrence is authoritative; the closed form must reproduce it exactly
@@ -104,20 +104,20 @@ class TestCharacteristicIteration:
         prior = BetaPrior(alpha0, beta0)
         char = Characteristic(a, b)
         obs = BinomialObs(n, x)
-        trace = iterate_binomial_characteristic(prior, beta0, char, obs, 50)
+        trace = iterate_binomial_characteristic(prior, char, obs, 50)
         for m in range(51):
-            assert trace.estimates[m] == closed_form_step_estimate(prior, beta0, char, obs, m)
+            assert trace.estimates[m] == closed_form_step_estimate(prior, char, obs, m)
 
     def test_error_decreasing_and_vanishing(self):
         # |estimate_m - limit| strictly decreasing for 0 < c < 1, below 1e-10 by m = 200
         configs = [
-            (BetaPrior(1, 1), 1, Characteristic(0, 0), BinomialObs(2, 1)),
-            (BetaPrior(2, 2), 2, Characteristic(1, 2), BinomialObs(4, 1)),
-            (BetaPrior(Fraction(5, 2), 4), 4, Characteristic(Fraction(1, 2), 2), BinomialObs(6, 5)),
-            (BetaPrior(3, 1), 5, Characteristic(0, 0), BinomialObs(3, 0)),
+            (BetaPrior(1, 1), Characteristic(0, 0), BinomialObs(2, 1)),
+            (BetaPrior(2, 2), Characteristic(1, 2), BinomialObs(4, 1)),
+            (BetaPrior(Fraction(5, 2), 4), Characteristic(Fraction(1, 2), 2), BinomialObs(6, 5)),
+            (BetaPrior(3, 5), Characteristic(0, 0), BinomialObs(3, 0)),
         ]
-        for prior, beta0, char, obs in configs:
-            trace = iterate_binomial_characteristic(prior, beta0, char, obs, 200)
+        for prior, char, obs in configs:
+            trace = iterate_binomial_characteristic(prior, char, obs, 200)
             assert 0 < trace.ratio < 1
             limit = Fraction(obs.x + Fraction(char.a), obs.n + Fraction(char.b))
             errors = [abs(e - limit) for e in trace.estimates]
@@ -128,8 +128,8 @@ class TestCharacteristicIteration:
         char = Characteristic(1, 2)
         obs = BinomialObs(5, 2)
         runs = []
-        for prior, beta0 in [(BetaPrior(2, 2), 2), (BetaPrior(9, 4), 4)]:
-            trace = iterate_binomial_characteristic(prior, beta0, char, obs, 400)
+        for prior in [BetaPrior(2, 2), BetaPrior(9, 4)]:
+            trace = iterate_binomial_characteristic(prior, char, obs, 400)
             runs.append(float(trace.estimates[-1]))
         assert abs(runs[0] - runs[1]) < 2e-12
         assert runs[0] == pytest.approx(3 / 7)  # (x+1)/(n+2)
@@ -138,15 +138,15 @@ class TestCharacteristicIteration:
         # initial characteristic (1-2)/(1+1-4) = 1/2 is admissible, but the
         # first solved alpha falls to a -> DegenerateStep, never clamped
         with pytest.raises(DegenerateStep):
-            iterate_binomial_characteristic(BetaPrior(1, 1), 1, Characteristic(2, 4), BinomialObs(2, 1), 5)
+            iterate_binomial_characteristic(BetaPrior(1, 1), Characteristic(2, 4), BinomialObs(2, 1), 5)
 
     def test_inadmissible_start_rejected(self):
         with pytest.raises(ValueError, match="not in"):
-            iterate_binomial_characteristic(BetaPrior(1, 1), 1, Characteristic(1, 2), BinomialObs(1, 1), 1)
+            iterate_binomial_characteristic(BetaPrior(1, 1), Characteristic(1, 2), BinomialObs(1, 1), 1)
 
     def test_negative_m_rejected(self):
         with pytest.raises(ValueError):
-            iterate_binomial_characteristic(BetaPrior(2, 2), 2, EXPECTATION, BinomialObs(1, 1), -1)
+            iterate_binomial_characteristic(BetaPrior(2, 2), EXPECTATION, BinomialObs(1, 1), -1)
 
 
 def _models():

@@ -4,16 +4,15 @@ import pytest
 
 from iterbayes.exact import ExactPoly, eval_rational
 from iterbayes.identities import (
+    GRID,
     IdentityReport,
     check_core_positivity,
-    check_core_positivity_at,
     check_endpoint_signs,
     check_endpoint_signs_at,
     check_factorization,
     check_factorization_at,
     check_gould_141,
     check_gould_183,
-    default_grid,
     factorization_sides,
     gould_141_sides,
     gould_183_holds,
@@ -44,7 +43,7 @@ class TestGould141:
             gould_141_sides(1, -1)
 
     def test_range_check_passes(self):
-        report = check_gould_141(12, 12)
+        report = check_gould_141(12)
         assert report.passed and report.cases == 12 * 13
 
 
@@ -100,7 +99,7 @@ class TestCorePositivity:
         for n, x in [(3, 0), (5, 5), (9, 4)]:
             obs = BinomialObs(n, x)
             core = alternating_core(obs)
-            for a in default_grid():
+            for a in GRID:
                 assert core(a) == positive_core_value(a, obs) > 0
 
     def test_recombination_matches_estimating_polynomial(self):
@@ -117,10 +116,6 @@ class TestCorePositivity:
 
     def test_range_check_passes(self):
         assert check_core_positivity(8).passed
-
-    def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            check_core_positivity_at(BinomialObs(2, 1), grid=(Fraction(0),))
 
 
 class TestEndpointSigns:
@@ -158,6 +153,21 @@ class TestReportsAndRunner:
             "endpoint-signs",
         ]
         assert all(r.passed for r in reports)
+
+    @pytest.mark.parametrize("check, bounds", [
+        (run_all, (0, 4, 4)),
+        (run_all, (3, 0, 4)),
+        (run_all, (3, 4, 0)),
+        (run_all, (0, 0, -3)),
+        (check_gould_141, (0,)),
+        (check_gould_183, (-1,)),
+        (check_factorization, (0,)),
+        (check_core_positivity, (-2,)),
+        (check_endpoint_signs, (0,)),
+    ])
+    def test_bounds_below_one_rejected(self, check, bounds):
+        with pytest.raises(ValueError, match=">= 1"):
+            check(*bounds)
 
     def test_run_all_perturbed_fails(self):
         reports = run_all(n_max_symbolic=3, n_max_pointwise=4, gould_max=4, perturb=(2, 1, 3, 1))

