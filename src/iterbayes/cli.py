@@ -18,7 +18,7 @@ import sys
 from typing import List, Optional, Sequence
 
 from . import identities, risk, triangle
-from .types import BinomialObs, Characteristic, Estimate, EstimationError
+from .types import METHOD_CLOSED_FORM, BinomialObs, Characteristic, Estimate, EstimationError
 from .conjugate import characteristic_limit
 
 FORMATS = ("plain", "csv", "json")
@@ -71,7 +71,7 @@ def cmd_estimate(args) -> int:
             a, b = args.characteristic
             obs = BinomialObs(args.n, args.x)
             value = characteristic_limit(Characteristic(a, b), obs)
-            est = Estimate(value=float(value), method="closed-form")
+            est = Estimate(value=float(value), method=METHOD_CLOSED_FORM)
         else:
             if args.n is None or args.x is None:
                 return _fail("estimate requires --n and --x")

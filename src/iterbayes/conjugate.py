@@ -27,6 +27,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Tuple
 
+from .exact import check_tol
 from .types import (
     METHOD_FIXED_POINT,
     BetaPrior,
@@ -45,13 +46,12 @@ __all__ = [
     "characteristic_limit",
     "IterationTrace",
     "iterate_binomial_characteristic",
-    "closed_form_step_estimate",
     "ConjugateFamily",
     "ConjugateModel",
     "SampleStats",
-    "prior_mean",
     "conjugate_posterior_mean",
     "conjugate_mle",
+    "MAX_ITER",
     "conjugate_iterative_limit",
 ]
 
@@ -86,17 +86,9 @@ class IterationTrace:
     (alphas[k+1] - a) / (alphas[k+1] + beta0 - b) == estimates[k].
     """
 
-    char: Characteristic
-    obs: BinomialObs
     beta0: Fraction
     alphas: Tuple[Fraction, ...]
     estimates: Tuple[Fraction, ...]
-
-    @property
-    def ratio(self) -> Fraction:
-        """Contraction ratio c = (beta0 - (b - a)) / (beta0 + n - x)."""
-        a, b = Fraction(self.char.a), Fraction(self.char.b)
-        return (self.beta0 - (b - a)) / (self.beta0 + self.obs.n - self.obs.x)
 
 
 def iterate_binomial_characteristic(
@@ -108,7 +100,7 @@ def iterate_binomial_characteristic(
     (alpha' - a) / (alpha' + beta0 - b) = previous posterior mean, with beta0
     the prior's beta, then takes the posterior mean at alpha'.  All arithmetic
     is in Fractions (float inputs are converted to their exact binary values),
-    so traces can be compared coefficient-exactly against the closed form.
+    so traces can be compared exactly against the step-m closed form.
 
     Raises DegenerateStep if any step produces alpha' <= a, which pushes the
     characteristic out of (0, 1).
@@ -117,7 +109,6 @@ def iterate_binomial_characteristic(
         raise ValueError("iterate_binomial_characteristic: m must be >= 0")
     alpha, b0 = Fraction(prior.alpha), Fraction(prior.beta)
     a, b = Fraction(char.a), Fraction(char.b)
-    n, x = obs.n, obs.x
 
     denom0 = alpha + b0 - b
     if denom0 == 0 or not 0 < (alpha - a) / denom0 < 1:
@@ -127,7 +118,7 @@ def iterate_binomial_characteristic(
         )
 
     alphas = [alpha]
-    estimates = [(alpha + x) / (alpha + b0 + n)]
+    estimates = [beta_binomial_posterior_mean(BetaPrior(alpha, b0), obs)]
     for step in range(1, m + 1):
         e = estimates[-1]
         alpha = (a + e * (b0 - b)) / (1 - e)
@@ -137,35 +128,8 @@ def iterate_binomial_characteristic(
                 "characteristic left (0, 1)"
             )
         alphas.append(alpha)
-        estimates.append((alpha + x) / (alpha + b0 + n))
-    return IterationTrace(char, obs, b0, tuple(alphas), tuple(estimates))
-
-
-def closed_form_step_estimate(
-    prior: BetaPrior, char: Characteristic, obs: BinomialObs, m: int
-) -> Fraction:
-    """Closed form of the step-m posterior mean, exactly in rationals, with
-    beta0 the prior's beta.
-
-    Two branches: when a = b and x = n the solved hyperparameter grows
-    linearly and the estimate is
-        (alpha + n + m(a + n)) / (alpha + n + beta0 + m(a + n));
-    otherwise it is the geometric form in the contraction ratio c,
-        [(alpha+x)(1-c)c^m + (a+x)(1-c^m)]
-        / [(alpha+x)(1-c)c^m - (a+x)c^m + n + b].
-    """
-    if m < 0:
-        raise ValueError("closed_form_step_estimate: m must be >= 0")
-    alpha, b0 = Fraction(prior.alpha), Fraction(prior.beta)
-    a, b = Fraction(char.a), Fraction(char.b)
-    n, x = obs.n, obs.x
-    if a == b and x == n:
-        return (alpha + n + m * (a + n)) / (alpha + n + b0 + m * (a + n))
-    c = (b0 - (b - a)) / (b0 + n - x)
-    cm = c**m
-    num = (alpha + x) * (1 - c) * cm + (a + x) * (1 - cm)
-    den = (alpha + x) * (1 - c) * cm - (a + x) * cm + n + b
-    return num / den
+        estimates.append(beta_binomial_posterior_mean(BetaPrior(alpha, b0), obs))
+    return IterationTrace(b0, tuple(alphas), tuple(estimates))
 
 
 class ConjugateFamily(Enum):
@@ -236,18 +200,6 @@ class SampleStats:
             raise ValueError("SampleStats: sum_sq_dev must be >= 0")
 
 
-def prior_mean(model: ConjugateModel):
-    """Expectation of the model's prior distribution."""
-    f = model.family
-    if f is ConjugateFamily.POISSON:
-        return model.beta / model.alpha
-    if f is ConjugateFamily.EXPONENTIAL:
-        return model.alpha / (model.beta - 1)
-    if f is ConjugateFamily.NORMAL_MEAN:
-        return model.alpha
-    return model.beta / model.alpha
-
-
 def conjugate_posterior_mean(model: ConjugateModel, stats: SampleStats):
     """Posterior expectation of the parameter given the sample statistics."""
     f = model.family
@@ -291,11 +243,12 @@ def _solve_prior_mean(model: ConjugateModel, target) -> ConjugateModel:
     return dataclasses.replace(model, beta=model.alpha * target)
 
 
+# Step limit of conjugate_iterative_limit.
+MAX_ITER = 10**6
+
+
 def conjugate_iterative_limit(
-    model: ConjugateModel,
-    stats: SampleStats,
-    tol: float = 1e-12,
-    max_iter: int = 10**6,
+    model: ConjugateModel, stats: SampleStats, tol: float = 1e-12
 ) -> Estimate:
     """Iterate expectation replacement until the posterior mean stabilizes.
 
@@ -304,9 +257,9 @@ def conjugate_iterative_limit(
     Converges geometrically to the family's MLE whenever the contraction is
     strict; degenerate configurations that freeze the iteration away from the
     MLE (zero prior variance, zero squared deviation) are rejected up front.
+    ``tol`` must be positive and finite (ValueError otherwise).
     """
-    if tol <= 0:
-        raise ValueError("conjugate_iterative_limit: tol must be positive")
+    check_tol(tol, "conjugate_iterative_limit")
     f = model.family
     if f is ConjugateFamily.NORMAL_MEAN and model.beta == 0:
         raise InvalidStats("normal-mean: zero prior variance freezes the iteration at alpha")
@@ -316,7 +269,7 @@ def conjugate_iterative_limit(
         raise InvalidStats("normal-precision: iterative limit needs sum_sq_dev > 0")
 
     est = conjugate_posterior_mean(model, stats)
-    for step in range(1, max_iter + 1):
+    for step in range(1, MAX_ITER + 1):
         model = _solve_prior_mean(model, est)
         new = conjugate_posterior_mean(model, stats)
         delta = abs(new - est)
@@ -329,8 +282,8 @@ def conjugate_iterative_limit(
                 residual=float(delta),
             )
     raise NoConvergence(
-        f"no convergence after {max_iter} iterations (last delta {delta:.3e})",
+        f"no convergence after {MAX_ITER} iterations (last delta {delta:.3e})",
         last_value=float(est),
         residual=float(delta),
-        iterations=max_iter,
+        iterations=MAX_ITER,
     )

@@ -25,7 +25,6 @@ __all__ = [
     "UNIFORM_BAYES",
     "JEFFREYS_BAYES",
     "ITERATIVE_BAYES_TRIANGLE",
-    "ESTIMATOR_TAGS",
     "EstimatorSpec",
     "standard_estimators",
     "estimates_by_x",
@@ -39,7 +38,6 @@ MLE = "MLE"
 UNIFORM_BAYES = "UniformBayes"
 JEFFREYS_BAYES = "JeffreysBayes"
 ITERATIVE_BAYES_TRIANGLE = "IterativeBayesTriangle"
-ESTIMATOR_TAGS = (MLE, UNIFORM_BAYES, JEFFREYS_BAYES, ITERATIVE_BAYES_TRIANGLE)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,12 @@ point with adaptive Simpson; no shared code with the polynomial expansion it
 cross-checks.  The weighted route is the exact reference for the package's
 posterior mean: the prior's 2/m and 2/(1-m) branch weights applied to four
 branch integrals and two full integrals over (0, 1), each expanded by the
-binomial theorem in plain Fractions.  The error target is relative, which needs a realistic estimate
+binomial theorem in plain Fractions.  The closed forms are exact references
+for the package's iterations: the posterior mean for one success in one
+trial, and the step-m estimate of the beta-binomial characteristic
+replacement with its contraction ratio.
+
+The quadrature error target is relative, which needs a realistic estimate
 of the integral's magnitude up front: sharply peaked integrands can make a
 coarse scan underestimate it by orders, so a depth-limited first pass
 integrates |f| for the scale before the tight pass runs.  A hard evaluation
@@ -102,4 +107,41 @@ def weighted_posterior_mean(mode, n, x):
 
     num = branches((x + 2, n - x), (x + 1, n - x + 1))
     den = branches((x + 1, n - x), (x, n - x + 1))
+    return num / den
+
+
+def posterior_mean_one_success(mode):
+    """Closed-form posterior mean for one success in one trial:
+    (1 + m + m^2) / (2(1 + m)).  Exact for Fraction input."""
+    return (1 + mode + mode * mode) / (2 * (1 + mode))
+
+
+def contraction_ratio(prior, char, obs):
+    """Contraction ratio c = (beta0 - (b - a)) / (beta0 + n - x) of the
+    characteristic replacement, with beta0 the prior's beta, exactly."""
+    b0 = Fraction(prior.beta)
+    a, b = Fraction(char.a), Fraction(char.b)
+    return (b0 - (b - a)) / (b0 + obs.n - obs.x)
+
+
+def closed_form_step_estimate(prior, char, obs, m):
+    """Closed form of the step-m posterior mean of the characteristic
+    replacement, exactly in rationals, with beta0 the prior's beta.
+
+    Two branches: when a = b and x = n the solved hyperparameter grows
+    linearly and the estimate is
+        (alpha + n + m(a + n)) / (alpha + n + beta0 + m(a + n));
+    otherwise it is the geometric form in the contraction ratio c,
+        [(alpha+x)(1-c)c^m + (a+x)(1-c^m)]
+        / [(alpha+x)(1-c)c^m - (a+x)c^m + n + b].
+    """
+    alpha, b0 = Fraction(prior.alpha), Fraction(prior.beta)
+    a, b = Fraction(char.a), Fraction(char.b)
+    n, x = obs.n, obs.x
+    if a == b and x == n:
+        return (alpha + n + m * (a + n)) / (alpha + n + b0 + m * (a + n))
+    c = contraction_ratio(prior, char, obs)
+    cm = c**m
+    num = (alpha + x) * (1 - c) * cm + (a + x) * (1 - cm)
+    den = (alpha + x) * (1 - c) * cm - (a + x) * cm + n + b
     return num / den

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import adaptive_simpson
+from helpers import adaptive_simpson, closed_form_step_estimate, contraction_ratio
 
+import iterbayes.conjugate as conjugate
 from iterbayes.conjugate import (
     EXPECTATION,
     EXTREME_POINT,
@@ -14,12 +15,10 @@ from iterbayes.conjugate import (
     SampleStats,
     beta_binomial_posterior_mean,
     characteristic_limit,
-    closed_form_step_estimate,
     conjugate_iterative_limit,
     conjugate_mle,
     conjugate_posterior_mean,
     iterate_binomial_characteristic,
-    prior_mean,
 )
 from iterbayes.types import (
     BetaPrior,
@@ -83,10 +82,6 @@ class TestCharacteristicIteration:
             alpha_next = trace.alphas[k + 1]
             assert (alpha_next - a) / (alpha_next + trace.beta0 - b) == trace.estimates[k]
 
-    def test_ratio_field(self):
-        trace = iterate_binomial_characteristic(BetaPrior(2, 2), EXTREME_POINT, BinomialObs(1, 1), 1)
-        assert trace.ratio == Fraction(2 - 1, 2 + 1 - 1)  # (beta0-(b-a))/(beta0+n-x)
-
     # the recurrence is authoritative; the closed form must reproduce it exactly
     @pytest.mark.parametrize(
         "alpha0, beta0, a, b, n, x",
@@ -118,7 +113,7 @@ class TestCharacteristicIteration:
         ]
         for prior, char, obs in configs:
             trace = iterate_binomial_characteristic(prior, char, obs, 200)
-            assert 0 < trace.ratio < 1
+            assert 0 < contraction_ratio(prior, char, obs) < 1
             limit = Fraction(obs.x + Fraction(char.a), obs.n + Fraction(char.b))
             errors = [abs(e - limit) for e in trace.estimates]
             assert all(errors[m + 1] < errors[m] for m in range(200) if errors[m] != 0)
@@ -176,13 +171,6 @@ class TestConjugateModels:
             SampleStats(n=0)
         with pytest.raises(ValueError):
             SampleStats(n=2, sum_sq_dev=-1.0)
-
-    def test_prior_means(self):
-        models = _models()
-        assert prior_mean(models[ConjugateFamily.POISSON]) == pytest.approx(1.0)
-        assert prior_mean(models[ConjugateFamily.EXPONENTIAL]) == pytest.approx(1.0)
-        assert prior_mean(models[ConjugateFamily.NORMAL_MEAN]) == pytest.approx(0.3)
-        assert prior_mean(models[ConjugateFamily.NORMAL_PRECISION]) == pytest.approx(1.0)
 
     def test_posterior_mean_poisson(self):
         # (beta + sum x) / (alpha + n) = (1 + 6) / (1 + 3)
@@ -297,10 +285,11 @@ class TestConjugateIterativeLimit:
         with pytest.raises(InvalidStats):
             conjugate_iterative_limit(model, SampleStats(n=4, sum_sq_dev=0.0))
 
-    def test_step_limit_reported(self):
+    def test_step_limit_reported(self, monkeypatch):
+        monkeypatch.setattr(conjugate, "MAX_ITER", 2)
         model = _models()[ConjugateFamily.POISSON]
         with pytest.raises(NoConvergence) as excinfo:
-            conjugate_iterative_limit(model, SampleStats(n=1, sum_x=5), tol=1e-30, max_iter=2)
+            conjugate_iterative_limit(model, SampleStats(n=1, sum_x=5), tol=1e-30)
         assert excinfo.value.iterations == 2
         assert excinfo.value.residual > 0
 

@@ -1,12 +1,21 @@
 """The package's top-level API is exactly what the README's quick start uses,
-plus the result and error types; every other name comes from its submodule."""
+plus the result and error types; every other name comes from its submodule.
+Every exported name resolves, and the benchmark's self-test, which hooks the
+package's functions by module attribute, still finds what it needs."""
 
+import importlib
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import iterbayes
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+SUBMODULES = ["conjugate", "exact", "identities", "risk", "triangle", "types"]
 
 
 def quick_start_code() -> str:
@@ -37,3 +46,15 @@ def test_top_level_names():
         "triangle_posterior_mean",
     }
     assert all(hasattr(iterbayes, name) for name in iterbayes.__all__)
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_submodule_exports_resolve(name):
+    module = importlib.import_module(f"iterbayes.{name}")
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def test_benchmark_selftest_passes():
+    done = subprocess.run([sys.executable, "bench/selftest.py"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]

@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from iterbayes.risk import (
-    ESTIMATOR_TAGS,
     ITERATIVE_BAYES_TRIANGLE,
     JEFFREYS_BAYES,
     MLE,
@@ -17,6 +16,9 @@ from iterbayes.risk import (
 )
 from iterbayes.triangle import solve_iterative_bayes
 from iterbayes.types import BinomialObs
+
+
+ESTIMATOR_TAGS = (MLE, UNIFORM_BAYES, JEFFREYS_BAYES, ITERATIVE_BAYES_TRIANGLE)
 
 
 def _spec(tag):

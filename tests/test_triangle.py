@@ -7,9 +7,8 @@ import pytest
 import iterbayes.triangle as triangle
 from iterbayes.exact import ExactPoly, binomial, bisect_root, sign_at
 from iterbayes.identities import factorization_sides
+from iterbayes.conjugate import ConjugateFamily, ConjugateModel, SampleStats, conjugate_iterative_limit
 from iterbayes.triangle import (
-    GOLDEN_RATIO,
-    GOLDEN_RATIO_RECIPROCAL,
     balance_polynomial,
     estimating_polynomial,
     fixed_point_iterate,
@@ -17,22 +16,16 @@ from iterbayes.triangle import (
     geometric_polynomial,
     negative_binomial_estimate,
     posterior_mean_exact,
-    posterior_mean_one_success,
     solve_iterative_bayes,
     solver_bracket,
     triangle_posterior_mean,
 )
 from iterbayes.types import BinomialObs, BracketFailure, NoConvergence
 
-from helpers import quadrature_posterior_mean, weighted_posterior_mean
+from helpers import posterior_mean_one_success, quadrature_posterior_mean, weighted_posterior_mean
 from reference_tables import PRINT_TOL, TABLE2, TABLE3
 
-
-class TestGoldenConstants:
-    def test_reciprocal_relations(self):
-        # within one ulp of 0.618...
-        assert GOLDEN_RATIO_RECIPROCAL == pytest.approx(1 / GOLDEN_RATIO, abs=2e-16)
-        assert GOLDEN_RATIO_RECIPROCAL == pytest.approx(GOLDEN_RATIO - 1, abs=2e-16)
+GOLDEN_RATIO_RECIPROCAL = (math.sqrt(5) - 1) / 2
 
 
 class TestPosteriorMeanOneSuccess:
@@ -195,10 +188,20 @@ class TestSolveIterativeBayes:
         lambda tol: geometric_estimate(0, tol=tol),
         lambda tol: negative_binomial_estimate(2, 1, tol=tol),
         lambda tol: bisect_root((-1, 1, 1), 0, 1, tol=tol),
-    ], ids=["solve", "geometric", "geometric-x0", "negative-binomial", "bisect_root"])
+        lambda tol: conjugate_iterative_limit(
+            ConjugateModel(ConjugateFamily.POISSON, alpha=1.0, beta=1.0), SampleStats(n=3, sum_x=4), tol=tol),
+    ], ids=["solve", "geometric", "geometric-x0", "negative-binomial", "bisect_root", "conjugate"])
     def test_bad_tol_rejected(self, solve, tol):
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             solve(tol)
+
+    def test_tol_checked_before_polynomial_built(self, monkeypatch):
+        def unreachable(obs):
+            raise AssertionError("estimating polynomial built before the tol check")
+
+        monkeypatch.setattr(triangle, "estimating_polynomial", unreachable)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            solve_iterative_bayes(BinomialObs(3000, 1000), tol=float("nan"))
 
     def test_bracket_failure_translated(self, monkeypatch):
         def broken(*args, **kwargs):
@@ -228,37 +231,35 @@ class TestSolveIterativeBayes:
 
 class TestFixedPointIterate:
     def test_converges_to_golden(self):
-        est = fixed_point_iterate(BinomialObs(1, 1), mode0=0.5, tol=1e-8)
+        est = fixed_point_iterate(BinomialObs(1, 1), mode0=0.5)
         assert est.value == pytest.approx(0.618034, abs=1e-6)
         assert est.method == "fixed-point"
 
     def test_symmetric_case_from_far_start(self):
-        est = fixed_point_iterate(BinomialObs(2, 1), mode0=0.9, tol=1e-10)
+        est = fixed_point_iterate(BinomialObs(2, 1), mode0=0.9)
         assert est.value == pytest.approx(0.5, abs=1e-9)
 
     def test_already_at_fixed_point(self):
         root = solve_iterative_bayes(BinomialObs(1, 1), tol=1e-15).value
-        est = fixed_point_iterate(BinomialObs(1, 1), mode0=root, tol=1e-10)
+        est = fixed_point_iterate(BinomialObs(1, 1), mode0=root)
         assert est.iterations <= 1
 
     def test_agreement_with_bisection(self):
         for n, x in [(1, 1), (4, 0), (7, 5), (12, 3)]:
-            tol = 1e-10
-            fp = fixed_point_iterate(BinomialObs(n, x), tol=tol)
+            fp = fixed_point_iterate(BinomialObs(n, x))
             bisect = solve_iterative_bayes(BinomialObs(n, x), tol=1e-13)
-            assert abs(fp.value - bisect.value) < 10 * tol
+            assert abs(fp.value - bisect.value) < 10 * triangle.FIXED_POINT_TOL
 
-    def test_no_convergence_reported(self):
+    def test_no_convergence_reported(self, monkeypatch):
+        monkeypatch.setattr(triangle, "FIXED_POINT_MAX_ITER", 2)
         with pytest.raises(NoConvergence) as excinfo:
-            fixed_point_iterate(BinomialObs(1, 1), mode0=0.05, tol=1e-12, max_iter=2)
+            fixed_point_iterate(BinomialObs(1, 1), mode0=0.05)
         assert 0 < excinfo.value.last_value < 1
         assert excinfo.value.iterations == 2
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             fixed_point_iterate(BinomialObs(1, 1), mode0=0.0)
-        with pytest.raises(ValueError):
-            fixed_point_iterate(BinomialObs(1, 1), tol=0.0)
 
 
 class TestGeometricAndNegativeBinomial:
