@@ -257,7 +257,12 @@ def conjugate_iterative_limit(
     Converges geometrically to the family's MLE whenever the contraction is
     strict; degenerate configurations that freeze the iteration away from the
     MLE (zero prior variance, zero squared deviation) are rejected up front.
-    ``tol`` must be positive and finite (ValueError otherwise).
+
+    A step d_k leaves about d_k * c / (1 - c) still to go, c = d_k / d_(k-1)
+    being the observed contraction, so the iteration stops when that bound
+    is below ``tol`` (or a step is exactly 0) and reports it as the
+    residual.  A small step alone says little when c is near 1.  ``tol``
+    must be positive and finite (ValueError otherwise).
     """
     check_tol(tol, "conjugate_iterative_limit")
     f = model.family
@@ -269,17 +274,25 @@ def conjugate_iterative_limit(
         raise InvalidStats("normal-precision: iterative limit needs sum_sq_dev > 0")
 
     est = conjugate_posterior_mean(model, stats)
+    delta = None
     for step in range(1, MAX_ITER + 1):
         model = _solve_prior_mean(model, est)
         new = conjugate_posterior_mean(model, stats)
-        delta = abs(new - est)
+        prev, delta = delta, abs(new - est)
         est = new
-        if delta < tol:
+        if delta == 0:
+            remaining = delta
+        elif prev and delta < prev:
+            ratio = delta / prev
+            remaining = delta * ratio / (1 - ratio)
+        else:
+            continue
+        if remaining < tol:
             return Estimate(
                 value=float(est),
                 method=METHOD_FIXED_POINT,
                 iterations=step,
-                residual=float(delta),
+                residual=float(remaining),
             )
     raise NoConvergence(
         f"no convergence after {MAX_ITER} iterations (last delta {delta:.3e})",

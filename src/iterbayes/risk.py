@@ -48,7 +48,9 @@ class EstimatorSpec:
     fn: Callable[[BinomialObs], float]
 
 
-@lru_cache(maxsize=None)
+# One entry per (n, x); bounded so that a long session keeps a fixed
+# footprint.  A risk table at n needs n + 1 entries.
+@lru_cache(maxsize=1024)
 def _triangle_value(n: int, x: int) -> float:
     return solve_iterative_bayes(BinomialObs(n, x), tol=1e-13).value
 

@@ -14,10 +14,13 @@ estimate.  Its defining equation balances the strictly increasing weight
 for (a, x) against (1-a, n-x), which after clearing denominators is a single
 integer-coefficient polynomial (the *estimating polynomial*) with exactly one
 root in (0, 1).  That root always lies in the open interval
-((x+1)/(n+3), (x+2)/(n+3)), so the authoritative solver is plain bisection on
-that bracket with exact rational sign tests, correct unconditionally on
-floating-point behaviour.  Fixed-point iteration of the posterior-mean map is
-provided as a secondary, cross-checking path.
+((x+1)/(n+3), (x+2)/(n+3)), so the authoritative solver isolates it there with
+exact rational sign tests, correct unconditionally on floating-point
+behaviour.  It returns the bracket plain bisection of that interval would,
+found by quadratic interval refinement on bisection's own grid of points
+(``exact.bisect_root``) with a dozen exact evaluations instead of forty or
+more.  Fixed-point iteration of the posterior-mean map is provided as a
+secondary, cross-checking path.
 
 For one success in one trial the estimating polynomial factors as
 2(a - 1)(a^2 + a - 1): the estimate is (sqrt(5) - 1)/2, the reciprocal of the
@@ -59,7 +62,9 @@ __all__ = [
     "negative_binomial_estimate",
 ]
 
-@lru_cache(maxsize=None)
+# One entry per (n, x); bounded so that a long session keeps a fixed
+# footprint.  Every (n, x) with n <= 40 is 860 entries.
+@lru_cache(maxsize=1024)
 def _mean_pieces(n: int, x: int) -> Tuple[ExactPoly, ExactPoly]:
     """Numerator and denominator of the posterior mean as polynomials in the
     mode m, both scaled by m(1-m)/2 to clear the prior's 2/m and 2/(1-m):
@@ -183,7 +188,8 @@ def _bisect_estimate(
 
 
 def solve_iterative_bayes(obs: BinomialObs, tol: Union[float, Fraction] = 1e-12) -> Estimate:
-    """Authoritative solver: exact-sign bisection on the guaranteed bracket.
+    """Authoritative solver: exact-sign root isolation on the guaranteed
+    bracket, with the result plain bisection would give.
 
     The bracket is never widened; an absent sign change would contradict the
     uniqueness of the root and raises BracketFailure.  ``tol`` (positive and

@@ -10,6 +10,10 @@ for the package's iterations: the posterior mean for one success in one
 trial, and the step-m estimate of the beta-binomial characteristic
 replacement with its contraction ratio.
 
+The bisection reference is the plain halving loop of exact-sign bisection:
+the package's root isolation must return every field of its result, so it
+stays here as the definition the faster search is held to.
+
 The quadrature error target is relative, which needs a realistic estimate
 of the integral's magnitude up front: sharply peaked integrands can make a
 coarse scan underestimate it by orders, so a depth-limited first pass
@@ -19,6 +23,8 @@ budget turns any would-be runaway recursion into a loud error.
 
 from fractions import Fraction
 from math import comb
+
+from iterbayes.exact import MAX_ITER, RootBracket, check_tol, eval_rational, sign_at
 
 _BUDGET = 2_000_000
 
@@ -145,3 +151,36 @@ def closed_form_step_estimate(prior, char, obs, m):
     num = (alpha + x) * (1 - c) * cm + (a + x) * (1 - cm)
     den = (alpha + x) * (1 - c) * cm - (a + x) * cm + n + b
     return num / den
+
+
+def reference_bisect_root(coeffs, lo, hi, tol=Fraction(1, 10**12)):
+    """Exact-sign bisection of (lo, hi) until it is narrower than ``tol``:
+    the midpoint of the last interval with its exact residual, or a midpoint
+    that is an exact root with zero residual and the interval it halved."""
+    tol = check_tol(tol, "bisect_root")
+    lo, hi = Fraction(lo), Fraction(hi)
+    if not lo < hi:
+        raise ValueError(f"bisect_root: need lo < hi, got {lo} >= {hi}")
+    s_lo = sign_at(coeffs, lo)
+    s_hi = sign_at(coeffs, hi)
+    if s_lo == 0 or s_hi == 0 or s_lo == s_hi:
+        raise ValueError(
+            f"bisect_root: no strict sign change over ({lo}, {hi}): "
+            f"signs ({s_lo}, {s_hi})"
+        )
+
+    iterations = 0
+    while hi - lo >= tol:
+        iterations += 1
+        if iterations > MAX_ITER:
+            raise RuntimeError("bisect_root: iteration limit exceeded")
+        mid = (lo + hi) / 2
+        s = sign_at(coeffs, mid)
+        if s == 0:
+            return RootBracket(mid, lo, hi, iterations, Fraction(0))
+        if s == s_lo:
+            lo = mid
+        else:
+            hi = mid
+    mid = (lo + hi) / 2
+    return RootBracket(mid, lo, hi, iterations + 1, abs(eval_rational(coeffs, mid)))

@@ -270,6 +270,23 @@ class TestConjugateIterativeLimit:
         assert est.method == "fixed-point"
         assert est.residual < 1e-12
 
+    def test_slow_contraction_stops_near_the_limit(self):
+        # Contraction c = 1/1.01: a step below tol leaves about 100 times that
+        # still to go, so stopping on the step alone ends ~1e-10 short.
+        model = ConjugateModel(ConjugateFamily.NORMAL_MEAN, alpha=0.0, beta=0.1, sigma0_sq=1.0)
+        est = conjugate_iterative_limit(model, SampleStats(n=1, sum_x=10.0), tol=1e-12)
+        assert abs(est.value - 10.0) < 1e-11
+        assert est.residual < 1e-12
+
+    def test_residual_is_distance_to_go_in_exact_arithmetic(self):
+        # In rationals the iteration is exactly geometric (c = 4/5), so the
+        # reported d_k c / (1 - c) is the exact distance to the MLE.
+        model = ConjugateModel(ConjugateFamily.NORMAL_MEAN, alpha=Fraction(0),
+                               beta=Fraction(1, 2), sigma0_sq=Fraction(1))
+        est = conjugate_iterative_limit(model, SampleStats(n=1, sum_x=Fraction(10)), tol=1e-12)
+        assert 0 < est.residual < 1e-12
+        assert abs(abs(est.value - 10.0) - est.residual) < 4e-15
+
     def test_normal_mean_limit_is_sample_mean(self):
         model = _models()[ConjugateFamily.NORMAL_MEAN]
         est = conjugate_iterative_limit(model, SampleStats(n=4, sum_x=10.0))

@@ -1,8 +1,11 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
+import iterbayes.exact as exact
 from iterbayes.exact import (
+    MAX_ITER,
     ExactPoly,
     RootBracket,
     binomial,
@@ -10,6 +13,15 @@ from iterbayes.exact import (
     eval_rational,
     sign_at,
 )
+from iterbayes.triangle import (
+    estimating_polynomial,
+    geometric_polynomial,
+    solve_iterative_bayes,
+    solver_bracket,
+)
+from iterbayes.types import BinomialObs
+
+from helpers import reference_bisect_root
 
 
 class TestBinomial:
@@ -129,3 +141,108 @@ class TestBisectRoot:
             bisect_root((-1, 1, 1), 1, 0)
         with pytest.raises(ValueError):
             bisect_root((-1, 1, 1), 0, 1, tol=0)
+
+
+# Tolerances the refinement is held to bisection at: decimal, binary-unfriendly
+# and far below double precision.
+TOLS = [Fraction(1, 10**6), 1e-12, Fraction(1, 10**15), 1e-30, Fraction(1, 3**50)]
+TOL_IDS = ["1e-6", "1e-12", "1e-15", "1e-30", "3^-50"]
+
+
+@lru_cache(maxsize=None)
+def _solver_case(n, x):
+    obs = BinomialObs(n, x)
+    return (estimating_polynomial(obs).int_coeffs, *solver_bracket(obs))
+
+
+def _geometric_case(x):
+    return (tuple(int(c) for c in geometric_polynomial(x).coeffs),
+            *solver_bracket(BinomialObs(x + 1, x)))
+
+
+GENERIC_CASES = [
+    ((-1, 1, 1), 0, 1),                       # a^2 + a - 1, rising
+    ((1, -1, -1), 0, 1),                      # the same root, falling
+    ((-1, 2), 0, 1),                          # exact root at the first midpoint
+    ((-3, 8), 0, 1),                          # exact root 3/8, met at step 3
+    ((-5, 16), 0, 1),                         # exact root 5/16
+    ((7, -3), Fraction(-2, 3), 5),            # root 7/3, ends of unlike denominators
+    ((-1,) + (0,) * 29 + (1000,), 0, 1),      # steep: the secant misses at first
+    ((1,) + (0,) * 11 + (-4096,), 0, 1),      # root 1/2 of a degree-12 power
+] + [_geometric_case(x) for x in (1, 2, 3, 7, 15)]
+
+
+class TestBisectRootEqualsBisection:
+    """bisect_root returns, field for field, what plain bisection returns."""
+
+    @pytest.mark.parametrize("tol", TOLS, ids=TOL_IDS)
+    def test_every_estimating_polynomial_up_to_n40(self, tol):
+        for n in range(1, 41):
+            for x in range(n + 1):
+                coeffs, lo, hi = _solver_case(n, x)
+                assert bisect_root(coeffs, lo, hi, tol) == reference_bisect_root(coeffs, lo, hi, tol), (n, x)
+
+    @pytest.mark.parametrize("tol", TOLS + [Fraction(1, 4), Fraction(1, 8), 0.3, 2],
+                             ids=TOL_IDS + ["1/4", "1/8", "0.3", "2"])
+    @pytest.mark.parametrize("coeffs, lo, hi", GENERIC_CASES)
+    def test_generic_polynomials(self, coeffs, lo, hi, tol):
+        assert bisect_root(coeffs, lo, hi, tol) == reference_bisect_root(coeffs, lo, hi, tol)
+
+    def test_exact_root_keeps_bisection_bracket_and_count(self):
+        # 3/8 is bisection's third midpoint: bracket (1/4, 1/2), 3 steps.
+        result = bisect_root((-3, 8), 0, 1)
+        assert result == RootBracket(Fraction(3, 8), Fraction(1, 4), Fraction(1, 2), 3, Fraction(0))
+        # At tol 1/4 the grid is eighths, and 5/16 is the last cell's midpoint.
+        result = bisect_root((-5, 16), 0, 1, tol=Fraction(1, 4))
+        assert result == RootBracket(Fraction(5, 16), Fraction(1, 4), Fraction(3, 8), 4, Fraction(0))
+
+
+def _count_evaluations(monkeypatch):
+    calls = [0]
+    horner = exact._homogeneous_value
+
+    def counted(coeffs, u, v):
+        calls[0] += 1
+        return horner(coeffs, u, v)
+
+    monkeypatch.setattr(exact, "_homogeneous_value", counted)
+    return calls
+
+
+class TestEvaluationCount:
+    # n <= 20 in full, then every x of seven larger n up to 120.
+    CASES = [(n, x) for n in list(range(1, 21)) + [30, 45, 60, 75, 90, 105, 120]
+             for x in range(n + 1)]
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-30], ids=["1e-12", "1e-30"])
+    def test_at_most_20_exact_evaluations_per_solve(self, monkeypatch, tol):
+        calls = _count_evaluations(monkeypatch)
+        worst = 0
+        for n, x in self.CASES:
+            calls[0] = 0
+            solve_iterative_bayes(BinomialObs(n, x), tol=tol)
+            worst = max(worst, calls[0])
+        assert 0 < worst <= 20
+
+    def test_bisection_needs_many_more(self, monkeypatch):
+        # What the guard above is measured against: K + 3 = 99 evaluations
+        # for n = 10 at 1e-30 (K = 96 halvings).
+        calls = _count_evaluations(monkeypatch)
+        coeffs, lo, hi = _solver_case(10, 3)
+        reference_bisect_root(coeffs, lo, hi, 1e-30)
+        assert calls[0] == 99
+
+    def test_grid_too_deep_raises_before_any_evaluation(self, monkeypatch):
+        calls = _count_evaluations(monkeypatch)
+        width = Fraction(1, 3)
+        for tol in (width / 2 ** (MAX_ITER + 1), width / 2**MAX_ITER):
+            with pytest.raises(RuntimeError, match="iteration limit"):
+                bisect_root((-1, 1, 1), 0, width, tol)
+        assert calls[0] == 0
+
+    def test_deepest_allowed_grid(self):
+        # K = MAX_ITER halvings fit the limit, as they did for bisection.
+        result = bisect_root((-1, 3), 0, 1, tol=Fraction(1, 2 ** (MAX_ITER - 1)))
+        assert result.iterations == MAX_ITER + 1
+        assert result.lo < Fraction(1, 3) < result.hi
+        assert result.hi - result.lo == Fraction(1, 2**MAX_ITER)

@@ -6,9 +6,16 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iterbayes.exact import ExactPoly
-from iterbayes.triangle import posterior_mean_exact, solve_iterative_bayes
+from iterbayes.exact import ExactPoly, bisect_root
+from iterbayes.triangle import (
+    estimating_polynomial,
+    posterior_mean_exact,
+    solve_iterative_bayes,
+    solver_bracket,
+)
 from iterbayes.types import BinomialObs
+
+from helpers import reference_bisect_root
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=50)
 small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=20)
@@ -44,6 +51,17 @@ def test_poly_eval_commutes_with_ring_operations(p_coeffs, q_coeffs, a):
 def test_poly_compose_matches_pointwise(outer, inner, a):
     p, q = ExactPoly(outer), ExactPoly(inner)
     assert p.compose(q)(a) == p(q(a))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=1, max_value=150), st.data(),
+       st.sampled_from([Fraction(1, 10**6), 1e-12, 1e-30, Fraction(1, 3**50)]))
+def test_root_isolation_equals_bisection(n, data, tol):
+    x = data.draw(st.integers(min_value=0, max_value=n))
+    obs = BinomialObs(n, x)
+    coeffs = estimating_polynomial(obs).int_coeffs
+    lo, hi = solver_bracket(obs)
+    assert bisect_root(coeffs, lo, hi, tol) == reference_bisect_root(coeffs, lo, hi, tol)
 
 
 @settings(max_examples=40, deadline=None)

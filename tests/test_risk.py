@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import iterbayes.risk as risk
 from iterbayes.risk import (
     ITERATIVE_BAYES_TRIANGLE,
     JEFFREYS_BAYES,
@@ -130,3 +131,16 @@ class TestMonteCarlo:
     def test_sample_count_validated(self):
         with pytest.raises(ValueError):
             monte_carlo_mse(_spec(MLE), 2, 0.5, samples=1, seed=1)
+
+
+class TestTriangleValueCache:
+    def test_bounded_and_evicting(self):
+        cached = risk._triangle_value
+        maxsize = cached.cache_info().maxsize
+        assert maxsize is not None and maxsize >= 1024
+        # Every (n, x) with n <= 45 is 1,080 keys, more than the bound.
+        for n in range(1, 46):
+            for x in range(n + 1):
+                cached(n, x)
+                assert cached.cache_info().currsize <= maxsize
+        assert cached.cache_info().currsize == maxsize

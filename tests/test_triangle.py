@@ -67,6 +67,16 @@ class TestPosteriorMean:
         with pytest.raises(ValueError):
             posterior_mean_exact(Fraction(0), BinomialObs(2, 1))
 
+    def test_piece_cache_bounded(self):
+        cached = triangle._mean_pieces
+        maxsize = cached.cache_info().maxsize
+        # Finite, and large enough for every (n, x) with n <= 40 (860 keys).
+        assert maxsize is not None and maxsize >= 1024
+        for n in range(1, 21):
+            for x in range(n + 1):
+                posterior_mean_exact(Fraction(1, 3), BinomialObs(n, x))
+                assert cached.cache_info().currsize <= maxsize
+
     @pytest.mark.parametrize(
         "mode, n, x",
         [(0.3, 1, 1), (0.618, 3, 2), (0.5, 5, 2), (0.9, 7, 0), (0.12, 10, 10)],
