@@ -243,6 +243,21 @@ def _solve_prior_mean(model: ConjugateModel, target) -> ConjugateModel:
     return dataclasses.replace(model, beta=model.alpha * target)
 
 
+def _contraction_odds(model: ConjugateModel, stats: SampleStats):
+    """c / (1 - c) for the contraction c of the iteration's error per step:
+    alpha/(alpha+n) (Poisson), (beta-1)/(beta+n-1) (exponential),
+    sigma0^2/(sigma0^2+n beta^2) (normal mean) and 2 alpha/(2 alpha+S)
+    (normal precision).  Written without 1 - c, which cancels for c near 1."""
+    f = model.family
+    if f is ConjugateFamily.POISSON:
+        return model.alpha / stats.n
+    if f is ConjugateFamily.EXPONENTIAL:
+        return (model.beta - 1) / stats.n
+    if f is ConjugateFamily.NORMAL_MEAN:
+        return model.sigma0_sq / (stats.n * model.beta * model.beta)
+    return 2 * model.alpha / stats.sum_sq_dev
+
+
 # Step limit of conjugate_iterative_limit.
 MAX_ITER = 10**6
 
@@ -258,35 +273,29 @@ def conjugate_iterative_limit(
     strict; degenerate configurations that freeze the iteration away from the
     MLE (zero prior variance, zero squared deviation) are rejected up front.
 
-    A step d_k leaves about d_k * c / (1 - c) still to go, c = d_k / d_(k-1)
-    being the observed contraction, so the iteration stops when that bound
+    The error shrinks by the family's known factor c each step, so a step
+    d_k leaves d_k * c / (1 - c) still to go; the iteration stops when that
     is below ``tol`` (or a step is exactly 0) and reports it as the
     residual.  A small step alone says little when c is near 1.  ``tol``
     must be positive and finite (ValueError otherwise).
     """
     check_tol(tol, "conjugate_iterative_limit")
     f = model.family
-    if f is ConjugateFamily.NORMAL_MEAN and model.beta == 0:
+    if f is ConjugateFamily.NORMAL_MEAN and model.beta * model.beta == 0:
         raise InvalidStats("normal-mean: zero prior variance freezes the iteration at alpha")
     if f is ConjugateFamily.NORMAL_PRECISION and (
         stats.sum_sq_dev is None or stats.sum_sq_dev <= 0
     ):
         raise InvalidStats("normal-precision: iterative limit needs sum_sq_dev > 0")
 
+    odds = _contraction_odds(model, stats)
     est = conjugate_posterior_mean(model, stats)
-    delta = None
     for step in range(1, MAX_ITER + 1):
         model = _solve_prior_mean(model, est)
         new = conjugate_posterior_mean(model, stats)
-        prev, delta = delta, abs(new - est)
+        delta = abs(new - est)
         est = new
-        if delta == 0:
-            remaining = delta
-        elif prev and delta < prev:
-            ratio = delta / prev
-            remaining = delta * ratio / (1 - ratio)
-        else:
-            continue
+        remaining = delta * odds
         if remaining < tol:
             return Estimate(
                 value=float(est),

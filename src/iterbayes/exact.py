@@ -65,12 +65,6 @@ class ExactPoly:
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("ExactPoly is immutable")
 
-    @classmethod
-    def monomial(cls, power: int, coeff: Rational = 1) -> "ExactPoly":
-        if power < 0:
-            raise ValueError("monomial power must be >= 0")
-        return cls([0] * power + [coeff])
-
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""

@@ -13,7 +13,10 @@ estimate.  Its defining equation balances the strictly increasing weight
 
 for (a, x) against (1-a, n-x), which after clearing denominators is a single
 integer-coefficient polynomial (the *estimating polynomial*) with exactly one
-root in (0, 1).  That root always lies in the open interval
+root in (0, 1).  Each of its coefficients has a closed form, a product of two
+binomial coefficients, so it is written directly as a tuple of integers;
+``identities`` re-derives it from the balance integrals and checks the two
+agree.  The root always lies in the open interval
 ((x+1)/(n+3), (x+2)/(n+3)), so the authoritative solver isolates it there with
 exact rational sign tests, correct unconditionally on floating-point
 behaviour.  It returns the bracket plain bisection of that interval would,
@@ -50,7 +53,6 @@ __all__ = [
     "triangle_posterior_mean",
     "balance_polynomial",
     "EstimatingPolynomial",
-    "alternating_core",
     "estimating_polynomial",
     "solver_bracket",
     "solve_iterative_bayes",
@@ -124,42 +126,36 @@ def balance_polynomial(obs: BinomialObs) -> ExactPoly:
     return ExactPoly(coeffs)
 
 
-def alternating_core(obs: BinomialObs) -> ExactPoly:
-    """Core polynomial of the estimating polynomial (alternating-sum form):
-    sum_r C(n+3, n-x-r) C(x+r, r) (-1)^r a^r.  Strictly positive on (0, 1)."""
-    n, x = obs.n, obs.x
-    coeffs = []
-    for r in range(n - x + 1):
-        c = binomial(n + 3, n - x - r) * binomial(x + r, r)
-        coeffs.append(-c if r % 2 else c)
-    return ExactPoly(coeffs)
-
-
 @dataclass(frozen=True)
 class EstimatingPolynomial:
     """Integer-coefficient polynomial whose unique root in (0, 1) is the
     iterative Bayes estimate for the observation."""
 
-    obs: BinomialObs
-    poly: ExactPoly
+    int_coeffs: Tuple[int, ...]
 
     @property
-    def int_coeffs(self) -> Tuple[int, ...]:
-        return tuple(int(c) for c in self.poly.coeffs)
+    def poly(self) -> ExactPoly:
+        """The same polynomial as an ExactPoly."""
+        return ExactPoly(self.int_coeffs)
 
 
 def estimating_polynomial(obs: BinomialObs) -> EstimatingPolynomial:
-    """Build the estimating polynomial
+    """Build the estimating polynomial, m = n - x,
 
-        2 a^(x+2) * core(a) - (n-x+1)(n+3) a + (n-x+1)(x+1)
+        2 a^(x+2) * sum_r (-1)^r C(n+3, m-r) C(x+r, r) a^r - (m+1)(n+3) a + (m+1)(x+1)
 
-    with ``core`` the alternating-sum core.  Positive at the lower bracket
-    end, negative at the upper one; degree n+2, all coefficients integers.
+    coefficient by coefficient in integers.  The alternating sum (the core)
+    is strictly positive on (0, 1); ``identities`` checks it against a
+    manifestly positive form.  Positive at the lower bracket end, negative
+    at the upper one; degree n+2.
     """
     n, x = obs.n, obs.x
-    head = ExactPoly.monomial(x + 2, 2) * alternating_core(obs)
-    tail = ExactPoly([(n - x + 1) * (x + 1), -(n - x + 1) * (n + 3)])
-    return EstimatingPolynomial(obs, head + tail)
+    m = n - x
+    coeffs = [(m + 1) * (x + 1), -(m + 1) * (n + 3)] + [0] * x
+    for r in range(m + 1):
+        c = 2 * binomial(n + 3, m - r) * binomial(x + r, r)
+        coeffs.append(-c if r % 2 else c)
+    return EstimatingPolynomial(tuple(coeffs))
 
 
 def solver_bracket(obs: BinomialObs) -> Tuple[Fraction, Fraction]:
@@ -240,9 +236,10 @@ def fixed_point_iterate(obs: BinomialObs, mode0: float = 0.5) -> Estimate:
     )
 
 
-def geometric_polynomial(x: int) -> ExactPoly:
+def geometric_polynomial(x: int) -> Tuple[int, ...]:
     """Estimating polynomial for the geometric model (x successes before the
-    first failure), valid for x >= 1:
+    first failure), valid for x >= 1, as integer coefficients lowest degree
+    first:
 
         (x+1) a^(x+3) - (x+4) a^(x+2) + (x+4) a - (x+1).
 
@@ -255,7 +252,7 @@ def geometric_polynomial(x: int) -> ExactPoly:
     coeffs[1] = x + 4
     coeffs[x + 2] = -(x + 4)
     coeffs[x + 3] = x + 1
-    return ExactPoly(coeffs)
+    return tuple(coeffs)
 
 
 def geometric_estimate(x: int, tol: Union[float, Fraction] = 1e-12) -> Estimate:
@@ -272,8 +269,7 @@ def geometric_estimate(x: int, tol: Union[float, Fraction] = 1e-12) -> Estimate:
         return negative_binomial_estimate(1, 0, tol=tol)
     label = f"geometric x={x}"
     tol = check_tol(tol, label)
-    coeffs = tuple(int(c) for c in geometric_polynomial(x).coeffs)
-    return _bisect_estimate(coeffs, BinomialObs(x + 1, x), tol, label)
+    return _bisect_estimate(geometric_polynomial(x), BinomialObs(x + 1, x), tol, label)
 
 
 def negative_binomial_estimate(r: int, x: int, tol: Union[float, Fraction] = 1e-12) -> Estimate:

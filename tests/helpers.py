@@ -10,6 +10,10 @@ for the package's iterations: the posterior mean for one success in one
 trial, and the step-m estimate of the beta-binomial characteristic
 replacement with its contraction ratio.
 
+The estimating-polynomial reference builds it as a convolution in Fractions:
+the alternating core times 2 a^(x+2), plus the linear tail.  The package
+writes each coefficient in closed form, and must give the same integers.
+
 The bisection reference is the plain halving loop of exact-sign bisection:
 the package's root isolation must return every field of its result, so it
 stays here as the definition the faster search is held to.
@@ -24,7 +28,7 @@ budget turns any would-be runaway recursion into a loud error.
 from fractions import Fraction
 from math import comb
 
-from iterbayes.exact import MAX_ITER, RootBracket, check_tol, eval_rational, sign_at
+from iterbayes.exact import MAX_ITER, ExactPoly, RootBracket, check_tol, eval_rational, sign_at
 
 _BUDGET = 2_000_000
 
@@ -151,6 +155,25 @@ def closed_form_step_estimate(prior, char, obs, m):
     num = (alpha + x) * (1 - c) * cm + (a + x) * (1 - cm)
     den = (alpha + x) * (1 - c) * cm - (a + x) * cm + n + b
     return num / den
+
+
+def alternating_core(obs):
+    """Core of the estimating polynomial in alternating-sum form,
+    sum_r C(n+3, n-x-r) C(x+r, r) (-1)^r a^r, as an ExactPoly."""
+    n, x = obs.n, obs.x
+    return ExactPoly([(-1) ** r * comb(n + 3, n - x - r) * comb(x + r, r)
+                      for r in range(n - x + 1)])
+
+
+def reference_estimating_coeffs(obs):
+    """2 a^(x+2) * core(a) - (n-x+1)(n+3) a + (n-x+1)(x+1), built by
+    Fraction polynomial arithmetic and returned as integers."""
+    n, x = obs.n, obs.x
+    head = ExactPoly([0] * (x + 2) + [2]) * alternating_core(obs)
+    tail = ExactPoly([(n - x + 1) * (x + 1), -(n - x + 1) * (n + 3)])
+    poly = head + tail
+    assert all(c.denominator == 1 for c in poly.coeffs)
+    return tuple(int(c) for c in poly.coeffs)
 
 
 def reference_bisect_root(coeffs, lo, hi, tol=Fraction(1, 10**12)):

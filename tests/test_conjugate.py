@@ -287,15 +287,25 @@ class TestConjugateIterativeLimit:
         assert 0 < est.residual < 1e-12
         assert abs(abs(est.value - 10.0) - est.residual) < 4e-15
 
+    @pytest.mark.parametrize("prior_sd", [0.3, 0.1, 0.05, 0.03])
+    def test_stops_within_tol_of_the_limit_in_floats(self, prior_sd):
+        # c = 1/(1 + sd^2) is up to 0.9991: a step at rounding level still
+        # leaves over a thousand times itself to go.
+        model = ConjugateModel(ConjugateFamily.NORMAL_MEAN, alpha=0.0, beta=prior_sd, sigma0_sq=1.0)
+        est = conjugate_iterative_limit(model, SampleStats(n=1, sum_x=10.0), tol=1e-12)
+        assert abs(est.value - 10.0) <= 1e-12 + est.residual
+
     def test_normal_mean_limit_is_sample_mean(self):
         model = _models()[ConjugateFamily.NORMAL_MEAN]
         est = conjugate_iterative_limit(model, SampleStats(n=4, sum_x=10.0))
         assert est.value == pytest.approx(2.5, abs=1e-10)
 
     def test_zero_prior_variance_rejected(self):
-        model = ConjugateModel(ConjugateFamily.NORMAL_MEAN, alpha=0.7, beta=0.0, sigma0_sq=1.0)
-        with pytest.raises(InvalidStats):
-            conjugate_iterative_limit(model, SampleStats(n=4, sum_x=10.0))
+        for prior_sd in (0.0, 1e-200):  # 1e-200 squares to 0.0
+            model = ConjugateModel(ConjugateFamily.NORMAL_MEAN, alpha=0.7, beta=prior_sd,
+                                   sigma0_sq=1.0)
+            with pytest.raises(InvalidStats):
+                conjugate_iterative_limit(model, SampleStats(n=4, sum_x=10.0))
 
     def test_zero_sum_sq_dev_rejected(self):
         model = _models()[ConjugateFamily.NORMAL_PRECISION]

@@ -1,8 +1,10 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from iterbayes.exact import ExactPoly, eval_rational
+import iterbayes.identities as identities
+from iterbayes.exact import ExactPoly, eval_rational, sign_at
 from iterbayes.identities import (
     GRID,
     IdentityReport,
@@ -19,8 +21,10 @@ from iterbayes.identities import (
     positive_core_value,
     run_all,
 )
-from iterbayes.triangle import alternating_core, estimating_polynomial
+from iterbayes.triangle import EstimatingPolynomial, estimating_polynomial
 from iterbayes.types import BinomialObs
+
+from helpers import alternating_core
 
 
 class TestGould141:
@@ -175,3 +179,60 @@ class TestReportsAndRunner:
         assert len(failed) == 1
         assert failed[0].name == "estimating-polynomial-factorization"
         assert failed[0].counterexample
+
+
+def _wrong_binomial(m, k):
+    # C(3, 1) read as 5: enters gould-1.41 at x = 3 and gould-1.83 at x = 1.
+    return comb(m, k) + ((m, k) == (3, 1))
+
+
+def _off_by_two(n, x, index):
+    """estimating_polynomial with one coefficient off by 2 at (n, x)."""
+    real = estimating_polynomial
+
+    def wrong(obs):
+        coeffs = list(real(obs).int_coeffs)
+        if (obs.n, obs.x) == (n, x):
+            coeffs[index] += 2
+        return EstimatingPolynomial(tuple(coeffs))
+
+    return wrong
+
+
+def _flipped_sign_at_n3(coeffs, point):
+    """sign_at with the sign flipped on the degree-5 polynomials (n = 3)."""
+    sign = sign_at(coeffs, point)
+    return -sign if len(coeffs) == 6 else sign
+
+
+def _scaled_positive_core(factor):
+    real = positive_core_value
+    return lambda a, obs: real(a, obs) * (factor if (obs.n, obs.x) == (3, 1) else 1)
+
+
+class TestEveryIdentityCanFail:
+    """Each check of the suite turns one wrong input into a failing report
+    with a counterexample."""
+
+    @pytest.mark.parametrize("check, attr, wrong, where", [
+        (check_gould_141, "binomial", _wrong_binomial, "x=3"),
+        (check_gould_183, "binomial", _wrong_binomial, "x=1"),
+        (check_factorization, "estimating_polynomial", _off_by_two(3, 1, 4),
+         "n=3, x=1: coefficient of a^4"),
+        (check_core_positivity, "positive_core_value", _scaled_positive_core(-1),
+         "n=3, x=1, a=1/10: core not positive"),
+        (check_core_positivity, "positive_core_value", _scaled_positive_core(Fraction(3, 2)),
+         "n=3, x=1, a=1/10: polynomial != core recombination"),
+        (check_core_positivity, "estimating_polynomial", _off_by_two(3, 1, 4),
+         "n=3, x=1, a=1/10: polynomial != core recombination"),
+        (check_core_positivity, "estimating_polynomial", _off_by_two(3, 1, 0),
+         "n=3, x=1, a=1/10: polynomial != core recombination"),
+        (check_endpoint_signs, "sign_at", _flipped_sign_at_n3,
+         "n=3, x=0: sign at lower bracket end"),
+    ], ids=["gould-1.41", "gould-1.83", "factorization", "core-not-positive",
+            "core-forms-differ", "core-J-head-off", "core-J-tail-off", "endpoint-signs"])
+    def test_wrong_input_fails(self, monkeypatch, check, attr, wrong, where):
+        monkeypatch.setattr(identities, attr, wrong)
+        report = check(4)
+        assert not report.passed
+        assert where in report.counterexample

@@ -15,7 +15,7 @@ from iterbayes.triangle import (
 )
 from iterbayes.types import BinomialObs
 
-from helpers import reference_bisect_root
+from helpers import reference_bisect_root, reference_estimating_coeffs
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=50)
 small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=20)
@@ -64,13 +64,24 @@ def test_root_isolation_equals_bisection(n, data, tol):
     assert bisect_root(coeffs, lo, hi, tol) == reference_bisect_root(coeffs, lo, hi, tol)
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=1, max_value=300), st.data())
+def test_estimating_polynomial_matches_fraction_reference(n, data):
+    obs = BinomialObs(n, data.draw(st.integers(min_value=0, max_value=n)))
+    assert estimating_polynomial(obs).int_coeffs == reference_estimating_coeffs(obs)
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=1, max_value=12), st.data())
+@given(st.integers(min_value=1, max_value=60), st.data())
 def test_solution_symmetry_and_bracket(n, data):
+    # (n, n - x) is the mirror image of (n, x) about 1/2, bracket and grid
+    # included, so the solve reflects exactly.
     x = data.draw(st.integers(min_value=0, max_value=n))
     est = solve_iterative_bayes(BinomialObs(n, x), tol=1e-12)
     mirror = solve_iterative_bayes(BinomialObs(n, n - x), tol=1e-12)
-    assert abs(est.value + mirror.value - 1.0) < 1e-10
+    assert mirror.value_exact == 1 - est.value_exact
+    assert mirror.bracket == (1 - est.bracket[1], 1 - est.bracket[0])
+    assert mirror.iterations == est.iterations
     assert Fraction(x + 1, n + 3) < est.value_exact < Fraction(x + 2, n + 3)
 
 

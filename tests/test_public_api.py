@@ -1,8 +1,10 @@
 """The package's top-level API is exactly what the README's quick start uses,
 plus the result and error types; every other name comes from its submodule.
-Every exported name resolves, and the benchmark's self-test, which hooks the
-package's functions by module attribute, still finds what it needs."""
+Every exported name resolves, the benchmark's self-test, which hooks the
+package's functions by module attribute, still finds what it needs, and the
+package imports nothing outside the standard library."""
 
+import ast
 import importlib
 import re
 import subprocess
@@ -16,6 +18,7 @@ import iterbayes
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
 SUBMODULES = ["conjugate", "exact", "identities", "risk", "triangle", "types"]
+PYPROJECT = ROOT / "pyproject.toml"
 
 
 def quick_start_code() -> str:
@@ -58,3 +61,21 @@ def test_benchmark_selftest_passes():
     done = subprocess.run([sys.executable, "bench/selftest.py"], cwd=ROOT,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
+
+
+def test_no_runtime_dependencies():
+    # Every import in the package is relative or from the standard library,
+    # and the project declares no dependencies.
+    outside = []
+    for path in sorted((ROOT / "src" / "iterbayes").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}: {name}" for name in names
+                        if name.partition(".")[0] not in sys.stdlib_module_names]
+    assert outside == []
+    assert re.search(r"^dependencies = \[\]$", PYPROJECT.read_text(encoding="utf-8"), re.M)

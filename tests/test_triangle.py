@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import iterbayes.triangle as triangle
-from iterbayes.exact import ExactPoly, binomial, bisect_root, sign_at
+from iterbayes.exact import ExactPoly, binomial, bisect_root, eval_rational, sign_at
 from iterbayes.identities import factorization_sides
 from iterbayes.conjugate import ConjugateFamily, ConjugateModel, SampleStats, conjugate_iterative_limit
 from iterbayes.triangle import (
@@ -22,7 +22,12 @@ from iterbayes.triangle import (
 )
 from iterbayes.types import BinomialObs, BracketFailure, NoConvergence
 
-from helpers import posterior_mean_one_success, quadrature_posterior_mean, weighted_posterior_mean
+from helpers import (
+    posterior_mean_one_success,
+    quadrature_posterior_mean,
+    reference_estimating_coeffs,
+    weighted_posterior_mean,
+)
 from reference_tables import PRINT_TOL, TABLE2, TABLE3
 
 GOLDEN_RATIO_RECIPROCAL = (math.sqrt(5) - 1) / 2
@@ -155,6 +160,12 @@ class TestEstimatingPolynomial:
                 assert coeffs[1] == -(n - x + 1) * (n + 3)
                 assert all(c.denominator == 1 for c in coeffs)
 
+    def test_matches_fraction_reference_up_to_n60(self):
+        for n in range(1, 61):
+            for x in range(n + 1):
+                obs = BinomialObs(n, x)
+                assert estimating_polynomial(obs).int_coeffs == reference_estimating_coeffs(obs), (n, x)
+
     def test_bracket(self):
         assert solver_bracket(BinomialObs(9, 4)) == (Fraction(5, 12), Fraction(6, 12))
 
@@ -279,9 +290,9 @@ class TestGeometricAndNegativeBinomial:
 
     def test_geometric_polynomial_x1_exact_root(self):
         # 2a^4 - 5a^3 + 5a - 2 vanishes at 1/2
-        poly = geometric_polynomial(1)
-        assert poly.coeffs == (-2, 5, 0, -5, 2)
-        assert poly(Fraction(1, 2)) == 0
+        coeffs = geometric_polynomial(1)
+        assert coeffs == (-2, 5, 0, -5, 2)
+        assert eval_rational(coeffs, Fraction(1, 2)) == 0
         assert geometric_estimate(1).value_exact == Fraction(1, 2)
 
     def test_geometric_matches_negative_binomial_reduction(self):
@@ -292,8 +303,8 @@ class TestGeometricAndNegativeBinomial:
 
     def test_geometric_polynomial_is_scaled_estimating_polynomial(self):
         for x in range(1, 8):
-            jn = estimating_polynomial(BinomialObs(x + 1, x)).poly
-            assert (-2) * geometric_polynomial(x) == jn
+            jn = estimating_polynomial(BinomialObs(x + 1, x)).int_coeffs
+            assert tuple(-2 * c for c in geometric_polynomial(x)) == jn
 
     @pytest.mark.parametrize(
         "r, x, want",
@@ -316,7 +327,10 @@ class TestGeometricAndNegativeBinomial:
 class TestOutputConsistency:
     def test_residual_and_mean_consistency_up_to_n20(self):
         # at the reported point: tiny exact residual of the estimating
-        # polynomial, and the posterior-mean map is within 1e-8 of identity
+        # polynomial, and the posterior-mean map is within 1e-8 of identity.
+        # The bracket is certified by the Bayesian definition itself: the
+        # posterior mean lies above the mode at the lower end and below it
+        # at the upper end, or equals it at an exact root.
         for n in range(1, 21):
             for x in range(n + 1):
                 obs = BinomialObs(n, x)
@@ -324,6 +338,12 @@ class TestOutputConsistency:
                 assert est.residual <= 1e-10
                 mean = posterior_mean_exact(est.value_exact, obs)
                 assert abs(float(mean - est.value_exact)) < 1e-8
+                lo, hi = est.bracket
+                if est.residual:
+                    assert posterior_mean_exact(lo, obs) > lo, (n, x)
+                    assert posterior_mean_exact(hi, obs) < hi, (n, x)
+                else:
+                    assert mean == est.value_exact, (n, x)
 
     def test_identity_form_root_oracle_up_to_n20(self):
         # third route to the root: bisect the expanded balance-difference
