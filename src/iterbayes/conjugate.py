@@ -243,19 +243,35 @@ def _solve_prior_mean(model: ConjugateModel, target) -> ConjugateModel:
     return dataclasses.replace(model, beta=model.alpha * target)
 
 
-def _contraction_odds(model: ConjugateModel, stats: SampleStats):
-    """c / (1 - c) for the contraction c of the iteration's error per step:
+def _contraction_weights(model: ConjugateModel, stats: SampleStats):
+    """Weights (w0, w1) of the error's contraction per step c = w0/(w0 + w1):
     alpha/(alpha+n) (Poisson), (beta-1)/(beta+n-1) (exponential),
-    sigma0^2/(sigma0^2+n beta^2) (normal mean) and 2 alpha/(2 alpha+S)
-    (normal precision).  Written without 1 - c, which cancels for c near 1."""
+    sigma0^2/(sigma0^2+n beta^2) (normal mean), 2 alpha/(2 alpha+S) (normal
+    precision).  c/(1 - c) = w0/w1 needs no 1 - c, which cancels near c = 1."""
     f = model.family
     if f is ConjugateFamily.POISSON:
-        return model.alpha / stats.n
+        return model.alpha, stats.n
     if f is ConjugateFamily.EXPONENTIAL:
-        return (model.beta - 1) / stats.n
+        return model.beta - 1, stats.n
     if f is ConjugateFamily.NORMAL_MEAN:
-        return model.sigma0_sq / (stats.n * model.beta * model.beta)
-    return 2 * model.alpha / stats.sum_sq_dev
+        return model.sigma0_sq, stats.n * model.beta * model.beta
+    return 2 * model.alpha, stats.sum_sq_dev
+
+
+def _distance_left(model: ConjugateModel, stats: SampleStats, est) -> Fraction:
+    """Exact distance from ``est`` to the limit: the step from ``est`` redone
+    in rationals from the float state, times 1/(1 - c) = (w0 + w1)/w1."""
+
+    def exact(obj, *fields):
+        return dataclasses.replace(
+            obj, **{f: Fraction(getattr(obj, f)) for f in fields if getattr(obj, f) is not None})
+
+    model = exact(model, "alpha", "beta", "sigma0_sq")
+    stats = exact(stats, "sum_x", "sum_sq_dev")
+    start = Fraction(est)
+    step = abs(conjugate_posterior_mean(_solve_prior_mean(model, start), stats) - start)
+    prior_w, sample_w = _contraction_weights(model, stats)
+    return step * (prior_w + sample_w) / sample_w
 
 
 # Step limit of conjugate_iterative_limit.
@@ -270,33 +286,37 @@ def conjugate_iterative_limit(
     Each step re-solves the free hyperparameter so the prior expectation
     equals the previous posterior mean, then recomputes the posterior mean.
     Converges geometrically to the family's MLE whenever the contraction is
-    strict; degenerate configurations that freeze the iteration away from the
-    MLE (zero prior variance, zero squared deviation) are rejected up front.
+    strict.  Configurations that freeze it away from the MLE are rejected up
+    front with InvalidStats: zero squared deviation, and a contraction c that
+    rounds to 1 in floats (the sample's weight vanishes, as at zero prior
+    variance).
 
     The error shrinks by the family's known factor c each step, so a step
     d_k leaves d_k * c / (1 - c) still to go; the iteration stops when that
-    is below ``tol`` (or a step is exactly 0) and reports it as the
-    residual.  A small step alone says little when c is near 1.  ``tol``
-    must be positive and finite (ValueError otherwise).
+    is below ``tol`` and reports it as the residual.  A float step of exactly
+    0 is a stall, not arrival: it stops there and reports the exact distance
+    left, from that step redone in rationals.  ``tol`` must be positive and
+    finite (ValueError otherwise).
     """
     check_tol(tol, "conjugate_iterative_limit")
-    f = model.family
-    if f is ConjugateFamily.NORMAL_MEAN and model.beta * model.beta == 0:
-        raise InvalidStats("normal-mean: zero prior variance freezes the iteration at alpha")
-    if f is ConjugateFamily.NORMAL_PRECISION and (
+    if model.family is ConjugateFamily.NORMAL_PRECISION and (
         stats.sum_sq_dev is None or stats.sum_sq_dev <= 0
     ):
         raise InvalidStats("normal-precision: iterative limit needs sum_sq_dev > 0")
+    prior_w, sample_w = _contraction_weights(model, stats)
+    if not prior_w / (prior_w + sample_w) < 1:
+        raise InvalidStats(f"{model.family.value}: the contraction rounds to 1, so the "
+                           "sample's weight vanishes and the iteration cannot move")
 
-    odds = _contraction_odds(model, stats)
+    odds = prior_w / sample_w
     est = conjugate_posterior_mean(model, stats)
     for step in range(1, MAX_ITER + 1):
         model = _solve_prior_mean(model, est)
         new = conjugate_posterior_mean(model, stats)
         delta = abs(new - est)
+        remaining = delta * odds if delta else _distance_left(model, stats, est)
         est = new
-        remaining = delta * odds
-        if remaining < tol:
+        if remaining < tol or not delta:
             return Estimate(
                 value=float(est),
                 method=METHOD_FIXED_POINT,

@@ -1,5 +1,6 @@
-"""Exact arithmetic foundation: big-integer binomial coefficients, dense
-univariate polynomials over rationals, and exact root bracketing.
+"""Exact arithmetic foundation: big-integer binomial coefficients, the one
+evaluator of integer polynomials at rationals, dense polynomials over the
+rationals for the verifier's symbolic check, and exact root bracketing.
 
 Everything in this module is computed without rounding.  Scalars are
 ``fractions.Fraction`` (arbitrary precision, always in lowest terms with a
@@ -49,9 +50,7 @@ class ExactPoly:
     ``coeffs[i]`` multiplies the i-th power of the variable; trailing zero
     coefficients are stripped, so the leading coefficient of a nonzero
     polynomial is nonzero and the zero polynomial has an empty tuple.
-    Instances are immutable and hashable.  Evaluation at a Fraction (or int)
-    point is exact; evaluation at a float runs the same Horner loop in float
-    arithmetic.
+    Instances are immutable; evaluation (Horner) is exact at a rational point.
     """
 
     __slots__ = ("coeffs",)
@@ -78,9 +77,6 @@ class ExactPoly:
             return self.coeffs == other.coeffs
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
     def __repr__(self) -> str:
         return f"ExactPoly({list(self.coeffs)!r})"
 
@@ -93,9 +89,7 @@ class ExactPoly:
     def __neg__(self) -> "ExactPoly":
         return ExactPoly([-c for c in self.coeffs])
 
-    def __add__(self, other) -> "ExactPoly":
-        if not isinstance(other, ExactPoly):
-            other = ExactPoly([other])
+    def __add__(self, other: "ExactPoly") -> "ExactPoly":
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -104,15 +98,8 @@ class ExactPoly:
             out[i] += c
         return ExactPoly(out)
 
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "ExactPoly":
-        if not isinstance(other, ExactPoly):
-            other = ExactPoly([other])
+    def __sub__(self, other: "ExactPoly") -> "ExactPoly":
         return self + (-other)
-
-    def __rsub__(self, other) -> "ExactPoly":
-        return (-self) + other
 
     def __mul__(self, other) -> "ExactPoly":
         if not isinstance(other, ExactPoly):
@@ -129,20 +116,6 @@ class ExactPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> "ExactPoly":
-        if exponent < 0:
-            raise ValueError("negative polynomial power")
-        result = ExactPoly([1])
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-
     def compose(self, inner: "ExactPoly") -> "ExactPoly":
         """Substitute ``inner`` for the variable (Horner composition)."""
         result = ExactPoly()
@@ -150,13 +123,11 @@ class ExactPoly:
             result = result * inner + ExactPoly([c])
         return result
 
-    def antiderivative(self) -> "ExactPoly":
-        """Antiderivative with zero constant term."""
-        return ExactPoly([Fraction(0)] + [c / (i + 1) for i, c in enumerate(self.coeffs)])
-
 
 def _homogeneous_value(coeffs: Sequence[int], u: int, v: int) -> int:
-    """v**d * p(u/v) for integer coefficients; exact big-integer arithmetic."""
+    """v**d * p(u/v) for integer coefficients; exact big-integer arithmetic.
+    Passed v - u for v, it is v**d times sum_i coeffs[i] a^i (1-a)^(d-i) at
+    a = u/v: the polynomial with Bernstein weights ``coeffs``."""
     d = len(coeffs) - 1
     acc = coeffs[d]
     vpow = 1

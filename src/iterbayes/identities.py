@@ -1,8 +1,8 @@
 """Executable verification of the algebra behind the triangle-prior solver.
 
-Every check here is exact (Fractions and big integers, no tolerances).  The
-two load-bearing facts for the solver are (i) the estimating polynomial equals
-the scaled balance-integral difference
+Every check here is exact: the symbolic one in Fraction polynomials, the
+pointwise ones in big integers.  The two load-bearing facts for the solver
+are (i) the estimating polynomial equals the scaled balance-integral difference
 
     scale * (1-a) * [balance(1-a, n-x) - balance(a, x)],
     scale = (n+3)! / (x! (n-x)!)
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Tuple
 
-from .exact import ExactPoly, binomial, eval_rational, sign_at
+from .exact import ExactPoly, _homogeneous_value, binomial, sign_at
 from .triangle import balance_polynomial, estimating_polynomial
 from .types import BinomialObs
 
@@ -93,23 +93,18 @@ def gould_183_holds(x: int) -> bool:
     return sum(binomial(2 * x + 1, k) for k in range(x + 1)) == 4**x
 
 
-def positive_core_value(a, obs: BinomialObs):
-    """Manifestly positive convolution form of the core polynomial:
+def positive_core_value(a: Fraction, obs: BinomialObs) -> int:
+    """Manifestly positive convolution form of the core polynomial,
 
-        sum_k C(n+3, k) C(n-x-k+2, 2) a^(n-x-k) (1-a)^k,
+        pos(a) = sum_k C(n+3, k) C(n-x-k+2, 2) a^(n-x-k) (1-a)^k,
 
-    every term nonnegative on (0, 1); exact for rational ``a``.
+    every term nonnegative on (0, 1), at a = u/v scaled to the integer
+    v^(n-x) pos(a): the weights C(n+3, n-x-i) C(i+2, 2) of u^i (v-u)^(n-x-i).
     """
     n, x = obs.n, obs.x
-    total = 0
-    for k in range(n - x + 1):
-        total += (
-            binomial(n + 3, k)
-            * binomial(n - x - k + 2, 2)
-            * a ** (n - x - k)
-            * (1 - a) ** k
-        )
-    return total
+    weights = [binomial(n + 3, n - x - i) * binomial(i + 2, 2) for i in range(n - x + 1)]
+    u, v = a.numerator, a.denominator
+    return _homogeneous_value(weights, u, v - u)
 
 
 def factorization_sides(obs: BinomialObs) -> Tuple[ExactPoly, ExactPoly]:
@@ -181,23 +176,15 @@ def check_factorization_at(
     name = "estimating-polynomial-factorization"
     params = f"n={obs.n}, x={obs.x}"
     lhs, rhs = factorization_sides(obs)
-    if perturb is not None:
-        index, delta = perturb
-        coeffs = list(lhs.coeffs)
-        while len(coeffs) <= index:
-            coeffs.append(Fraction(0))
-        coeffs[index] += delta
-        lhs = ExactPoly(coeffs)
-    if lhs != rhs:
-        bad = next(
-            i
-            for i in range(max(len(lhs.coeffs), len(rhs.coeffs)))
-            if (lhs.coeffs[i : i + 1] or [0]) != (rhs.coeffs[i : i + 1] or [0])
-        )
+    index, delta = perturb if perturb is not None else (0, 0)
+    size = max(len(lhs.coeffs), len(rhs.coeffs), index + 1)
+    left, right = ([*p.coeffs] + [0] * (size - len(p.coeffs)) for p in (lhs, rhs))
+    left[index] += delta
+    bad = next((i for i in range(size) if left[i] != right[i]), None)
+    if bad is not None:
         return IdentityReport(
             name, params, 1, False,
-            f"n={obs.n}, x={obs.x}: coefficient of a^{bad} differs "
-            f"({(list(lhs.coeffs) + [0] * (bad + 1))[bad]} vs {(list(rhs.coeffs) + [0] * (bad + 1))[bad]})",
+            f"n={obs.n}, x={obs.x}: coefficient of a^{bad} differs ({left[bad]} vs {right[bad]})",
         )
     return IdentityReport(name, params, 1, True)
 
@@ -219,24 +206,28 @@ def check_factorization(
 
 
 def check_core_positivity_at(obs: BinomialObs) -> IdentityReport:
-    """At each point a of GRID, m = n - x: the positive convolution form of
-    the core is strictly positive, and the estimating polynomial J, whose
+    """At each point a = u/v of GRID, m = n - x: the positive convolution form
+    of the core is strictly positive, and the estimating polynomial J, whose
     coefficients are written from the alternating form, equals
     2 a^(x+2) pos(a) - (m+1)(n+3) a + (m+1)(x+1) exactly.  Since J is built
-    from the alternating form, the second check is the two forms agreeing."""
+    from the alternating form, the second check is the two forms agreeing.
+    Both sides are compared times v^(n+2), in integers."""
     name = "core-positivity"
     params = f"n={obs.n}, x={obs.x}"
     n, x = obs.n, obs.x
+    m = n - x
     coeffs = estimating_polynomial(obs).int_coeffs
     cases = 0
     for a in GRID:
         cases += 1
+        u, v = a.numerator, a.denominator
         pos = positive_core_value(a, obs)
         if not pos > 0:
-            return IdentityReport(name, params, cases, False,
-                                  f"n={n}, x={x}, a={a}: core not positive ({pos})")
-        recombined = 2 * a ** (x + 2) * pos - (n - x + 1) * (n + 3) * a + (n - x + 1) * (x + 1)
-        if eval_rational(coeffs, a) != recombined:
+            return IdentityReport(name, params, cases, False, f"n={n}, x={x}, a={a}: "
+                                  f"core not positive ({Fraction(pos, v ** m)})")
+        recombined = (2 * u ** (x + 2) * pos - (m + 1) * (n + 3) * u * v ** (n + 1)
+                      + (m + 1) * (x + 1) * v ** (n + 2))
+        if _homogeneous_value(coeffs, u, v) != recombined:
             return IdentityReport(name, params, cases, False,
                                   f"n={n}, x={x}, a={a}: polynomial != core recombination")
     return IdentityReport(name, params, cases, True)

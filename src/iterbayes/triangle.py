@@ -23,7 +23,8 @@ behaviour.  It returns the bracket plain bisection of that interval would,
 found by quadratic interval refinement on bisection's own grid of points
 (``exact.bisect_root``) with a dozen exact evaluations instead of forty or
 more.  Fixed-point iteration of the posterior-mean map is provided as a
-secondary, cross-checking path.
+secondary, cross-checking path; the posterior mean it iterates is evaluated
+like the solver's signs, in big integers, from positive Bernstein weights.
 
 For one success in one trial the estimating polynomial factors as
 2(a - 1)(a^2 + a - 1): the estimate is (sqrt(5) - 1)/2, the reciprocal of the
@@ -38,7 +39,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Tuple, Union
 
-from .exact import ExactPoly, binomial, bisect_root, check_tol
+from .exact import ExactPoly, _homogeneous_value, binomial, bisect_root, check_tol
 from .types import (
     METHOD_BISECTION,
     METHOD_FIXED_POINT,
@@ -67,41 +68,43 @@ __all__ = [
 # One entry per (n, x); bounded so that a long session keeps a fixed
 # footprint.  Every (n, x) with n <= 40 is 860 entries.
 @lru_cache(maxsize=1024)
-def _mean_pieces(n: int, x: int) -> Tuple[ExactPoly, ExactPoly]:
-    """Numerator and denominator of the posterior mean as polynomials in the
-    mode m, both scaled by m(1-m)/2 to clear the prior's 2/m and 2/(1-m):
+def _mean_pieces(n: int, x: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Numerator and denominator of the posterior mean as integer weights of
+    the Bernstein basis m^j (1-m)^(d-j) in the mode m.  Scaled by m(1-m)/2 to
+    clear the prior's 2/m and 2/(1-m), they are
 
         (1-m) * integral_0^m t p(t) dt  +  m * integral_m^1 t q(t) dt   (num)
         (1-m) * integral_0^m p(t) dt    +  m * integral_m^1 q(t) dt     (den)
 
-    with p(t) = t^(x+1) (1-t)^(n-x) and q(t) = t^x (1-t)^(n-x+1), the
-    likelihood times the left and right prior branches without their weights.
+    with p(t) = t^(x+1) (1-t)^(n-x) and q(t) = t^x (1-t)^(n-x+1).  Each branch
+    is a binomial tail sum of positive terms, integral_0^m t^a (1-t)^b dt =
+    a! b!/(a+b+1)! sum_{j>a} C(a+b+1, j) m^j (1-m)^(a+b+1-j).  The common
+    factor m(1-m) and the constants, whose ratio (x+1)/(n+3) the caller
+    applies, are left out.
     """
-    t = ExactPoly([0, 1])
-    one_minus_t = ExactPoly([1, -1])
-
-    def weighted(left: ExactPoly, right: ExactPoly) -> ExactPoly:
-        left_int = left.antiderivative()
-        right_int = right.antiderivative()
-        return one_minus_t * left_int + t * (right_int(1) - right_int)
-
-    p = t ** (x + 1) * one_minus_t ** (n - x)
-    q = t**x * one_minus_t ** (n - x + 1)
-    return weighted(t * p, t * q), weighted(p, q)
+    r = n - x + 1
+    num = tuple(r * binomial(n + 3, j) if j <= x + 1 else (x + 2) * binomial(n + 3, j + 1)
+                for j in range(n + 3))
+    den = tuple(r * binomial(n + 2, j) if j <= x else (x + 1) * binomial(n + 2, j + 1)
+                for j in range(n + 2))
+    return num, den
 
 
 def posterior_mean_exact(mode: Union[Fraction, float], obs: BinomialObs) -> Fraction:
     """Posterior mean of p under the triangle prior, as an exact rational.
 
     Both branch integrals are polynomial in the mode, so the mean is the ratio
-    of two cached polynomials evaluated at the mode: one exact division.
-    Float modes are converted to their exact binary value first.
+    of two cached polynomials, evaluated at the mode in big integers: one
+    exact division.  Float modes are converted to their exact binary value.
     """
     m = Fraction(mode)
     if not 0 < m < 1:
         raise ValueError(f"posterior mean: mode must be in (0, 1), got {mode}")
-    num, den = _mean_pieces(obs.n, obs.x)
-    return num(m) / den(m)
+    n, x = obs.n, obs.x
+    num, den = _mean_pieces(n, x)
+    p, q = m.numerator, m.denominator
+    return Fraction((x + 1) * _homogeneous_value(num, p, q - p),
+                    (n + 3) * q * _homogeneous_value(den, p, q - p))
 
 
 def triangle_posterior_mean(mode: float, obs: BinomialObs) -> float:

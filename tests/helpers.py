@@ -14,6 +14,9 @@ The estimating-polynomial reference builds it as a convolution in Fractions:
 the alternating core times 2 a^(x+2), plus the linear tail.  The package
 writes each coefficient in closed form, and must give the same integers.
 
+The power and antiderivative helpers integrate a polynomial in plain
+Fraction arithmetic: the independent route to the balance integral.
+
 The bisection reference is the plain halving loop of exact-sign bisection:
 the package's root isolation must return every field of its result, so it
 stays here as the definition the faster search is held to.
@@ -174,6 +177,19 @@ def reference_estimating_coeffs(obs):
     poly = head + tail
     assert all(c.denominator == 1 for c in poly.coeffs)
     return tuple(int(c) for c in poly.coeffs)
+
+
+def poly_power(poly, exponent):
+    """``poly`` to a nonnegative integer power, by repeated multiplication."""
+    result = ExactPoly([1])
+    for _ in range(exponent):
+        result = result * poly
+    return result
+
+
+def antiderivative(poly):
+    """Antiderivative of an ExactPoly with zero constant term."""
+    return ExactPoly([0] + [c / (i + 1) for i, c in enumerate(poly.coeffs)])
 
 
 def reference_bisect_root(coeffs, lo, hi, tol=Fraction(1, 10**12)):

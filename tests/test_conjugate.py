@@ -295,6 +295,30 @@ class TestConjugateIterativeLimit:
         est = conjugate_iterative_limit(model, SampleStats(n=1, sum_x=10.0), tol=1e-12)
         assert abs(est.value - 10.0) <= 1e-12 + est.residual
 
+    @pytest.mark.parametrize("prior_sd", [0.2, 0.3])
+    def test_zero_step_reports_the_exact_distance_left(self, prior_sd):
+        # At tol 1e-14 the float iteration stalls on a step of exactly 0,
+        # about 2e-14 from the MLE; that distance, exact, is the residual.
+        model = ConjugateModel(ConjugateFamily.NORMAL_MEAN, alpha=0.0, beta=prior_sd, sigma0_sq=1.0)
+        est = conjugate_iterative_limit(model, SampleStats(n=1, sum_x=10.0), tol=1e-14)
+        distance = abs(Fraction(est.value) - 10)
+        assert distance > 0
+        assert est.residual == float(distance)
+
+    @pytest.mark.parametrize("family, model_kw, stats", [
+        (ConjugateFamily.NORMAL_MEAN, dict(alpha=0.7, beta=1e-10, sigma0_sq=1.0),
+         SampleStats(n=4, sum_x=10.0)),
+        (ConjugateFamily.POISSON, dict(alpha=1e20, beta=1.0), SampleStats(n=1, sum_x=5)),
+        (ConjugateFamily.EXPONENTIAL, dict(alpha=1.0, beta=1e20), SampleStats(n=1, sum_x=5.0)),
+        (ConjugateFamily.NORMAL_PRECISION, dict(alpha=1e20, beta=1.0, mu0=0.0),
+         SampleStats(n=1, sum_sq_dev=1.0)),
+    ], ids=["normal-mean", "poisson", "exponential", "normal-precision"])
+    def test_contraction_rounding_to_one_rejected(self, family, model_kw, stats):
+        # c = w0 / (w0 + w1) is 1.0 in floats: the sample's weight vanishes,
+        # so the iteration cannot leave its start.
+        with pytest.raises(InvalidStats):
+            conjugate_iterative_limit(ConjugateModel(family, **model_kw), stats)
+
     def test_normal_mean_limit_is_sample_mean(self):
         model = _models()[ConjugateFamily.NORMAL_MEAN]
         est = conjugate_iterative_limit(model, SampleStats(n=4, sum_x=10.0))

@@ -88,6 +88,11 @@ class TestFactorization:
         report = check_factorization_at(BinomialObs(1, 1), perturb=(0, -1))
         assert not report.passed and "a^0" in report.counterexample
 
+    def test_perturbation_past_the_degree_names_its_index(self):
+        # both sides have degree 4; the first differing coefficient is a^7
+        report = check_factorization_at(BinomialObs(2, 1), perturb=(7, 1))
+        assert report.counterexample == "n=2, x=1: coefficient of a^7 differs (1 vs 0)"
+
 
 class TestCorePositivity:
     def test_one_trial_core_is_constant_one(self):
@@ -100,19 +105,21 @@ class TestCorePositivity:
         assert positive_core_value(Fraction(99, 100), obs) > 0
 
     def test_forms_agree_on_grid(self):
+        # positive_core_value is the core at a times denominator(a)^(n-x)
         for n, x in [(3, 0), (5, 5), (9, 4)]:
             obs = BinomialObs(n, x)
             core = alternating_core(obs)
             for a in GRID:
-                assert core(a) == positive_core_value(a, obs) > 0
+                assert core(a) * a.denominator ** (n - x) == positive_core_value(a, obs) > 0
 
     def test_recombination_matches_estimating_polynomial(self):
         for n, x in [(2, 1), (7, 3)]:
             obs = BinomialObs(n, x)
             jn = estimating_polynomial(obs)
             for a in (Fraction(1, 4), Fraction(2, 3)):
+                pos = Fraction(positive_core_value(a, obs), a.denominator ** (n - x))
                 want = (
-                    2 * a ** (x + 2) * positive_core_value(a, obs)
+                    2 * a ** (x + 2) * pos
                     - (n - x + 1) * (n + 3) * a
                     + (n - x + 1) * (x + 1)
                 )

@@ -6,7 +6,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iterbayes.exact import ExactPoly, bisect_root
+from iterbayes.exact import ExactPoly, bisect_root, sign_at
 from iterbayes.triangle import (
     estimating_polynomial,
     posterior_mean_exact,
@@ -15,7 +15,7 @@ from iterbayes.triangle import (
 )
 from iterbayes.types import BinomialObs
 
-from helpers import reference_bisect_root, reference_estimating_coeffs
+from helpers import reference_bisect_root, reference_estimating_coeffs, weighted_posterior_mean
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=50)
 small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=20)
@@ -86,8 +86,25 @@ def test_solution_symmetry_and_bracket(n, data):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=1, max_value=10), unit_modes, st.data())
+@given(st.integers(min_value=1, max_value=60), unit_modes, st.data())
 def test_posterior_mean_stays_interior(n, mode, data):
     x = data.draw(st.integers(min_value=0, max_value=n))
     mean = posterior_mean_exact(mode, BinomialObs(n, x))
+    assert mean == weighted_posterior_mean(mode, n, x)
     assert 0 < mean < 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=300), st.data())
+def test_solver_bracket_certified_by_posterior_mean(n, data):
+    # The Bayesian definition certifies the solve: the posterior mean lies
+    # above the mode at the bracket's lower end and below it at the upper
+    # end, or equals the mode at an exact root.
+    obs = BinomialObs(n, data.draw(st.integers(min_value=0, max_value=n)))
+    est = solve_iterative_bayes(obs, tol=1e-12)
+    lo, hi = est.bracket
+    if sign_at(estimating_polynomial(obs).int_coeffs, est.value_exact) == 0:
+        assert posterior_mean_exact(est.value_exact, obs) == est.value_exact
+    else:
+        assert posterior_mean_exact(lo, obs) > lo
+        assert posterior_mean_exact(hi, obs) < hi

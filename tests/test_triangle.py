@@ -23,6 +23,8 @@ from iterbayes.triangle import (
 from iterbayes.types import BinomialObs, BracketFailure, NoConvergence
 
 from helpers import (
+    antiderivative,
+    poly_power,
     posterior_mean_one_success,
     quadrature_posterior_mean,
     reference_estimating_coeffs,
@@ -119,8 +121,9 @@ class TestBalanceIntegral:
         for n, x in [(1, 1), (3, 1), (5, 0), (6, 6), (9, 4)]:
             obs = BinomialObs(n, x)
             for a in (Fraction(1, 3), Fraction(7, 10)):
-                integrand = t ** (x + 1) * ExactPoly([1, -1]) * ExactPoly([1, -a]) ** (n - x)
-                anti = integrand.antiderivative()
+                integrand = (poly_power(t, x + 1) * ExactPoly([1, -1])
+                             * poly_power(ExactPoly([1, -a]), n - x))
+                anti = antiderivative(integrand)
                 want = a ** (x + 2) * (anti(Fraction(1)) - anti(Fraction(0)))
                 assert balance_polynomial(obs)(a) == want
 
