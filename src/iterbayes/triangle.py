@@ -22,9 +22,12 @@ exact rational sign tests, correct unconditionally on floating-point
 behaviour.  It returns the bracket plain bisection of that interval would,
 found by quadratic interval refinement on bisection's own grid of points
 (``exact.bisect_root``) with a dozen exact evaluations instead of forty or
-more.  Fixed-point iteration of the posterior-mean map is provided as a
-secondary, cross-checking path; the posterior mean it iterates is evaluated
-like the solver's signs, in big integers, from positive Bernstein weights.
+more.  Each evaluation is exact in big integers (``exact._homogeneous_value``):
+a Horner loop for n <= 61, and above that a balanced split whose large
+products run in Karatsuba time.  Fixed-point iteration of the posterior-mean
+map is provided as a secondary, cross-checking path; the posterior mean it
+iterates is evaluated like the solver's signs, in big integers, from positive
+Bernstein weights.
 
 For one success in one trial the estimating polynomial factors as
 2(a - 1)(a^2 + a - 1): the estimate is (sqrt(5) - 1)/2, the reciprocal of the
@@ -83,11 +86,23 @@ def _mean_pieces(n: int, x: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     applies, are left out.
     """
     r = n - x + 1
-    num = tuple(r * binomial(n + 3, j) if j <= x + 1 else (x + 2) * binomial(n + 3, j + 1)
-                for j in range(n + 3))
-    den = tuple(r * binomial(n + 2, j) if j <= x else (x + 1) * binomial(n + 2, j + 1)
-                for j in range(n + 2))
+    row2 = _binomial_row(n + 2)
+    row3 = [a + b for a, b in zip(row2 + [0], [0] + row2)]  # Pascal's rule
+    num = tuple(r * row3[j] if j <= x + 1 else (x + 2) * row3[j + 1] for j in range(n + 3))
+    den = tuple(r * row2[j] if j <= x else (x + 1) * row2[j + 1] for j in range(n + 2))
     return num, den
+
+
+def _binomial_row(big: int) -> list:
+    """C(big, 0), ..., C(big, big), each from the last by
+    C(N, k+1) = C(N, k) (N-k)/(k+1): one short product and exact division a
+    term instead of a factorial quotient; the second half by symmetry."""
+    row = [1] * (big + 1)
+    c = 1
+    for k in range(big // 2):
+        c = c * (big - k) // (k + 1)
+        row[k + 1] = row[big - k - 1] = c
+    return row
 
 
 def posterior_mean_exact(mode: Union[Fraction, float], obs: BinomialObs) -> Fraction:
@@ -155,9 +170,12 @@ def estimating_polynomial(obs: BinomialObs) -> EstimatingPolynomial:
     n, x = obs.n, obs.x
     m = n - x
     coeffs = [(m + 1) * (x + 1), -(m + 1) * (n + 3)] + [0] * x
+    c = 2 * binomial(n + 3, m)
     for r in range(m + 1):
-        c = 2 * binomial(n + 3, m - r) * binomial(x + r, r)
         coeffs.append(-c if r % 2 else c)
+        # Both binomials step by their ratios: C(n+3, m-r-1) = C(n+3, m-r)
+        # (m-r)/(x+r+4) and C(x+r+1, r+1) = C(x+r, r) (x+r+1)/(r+1).
+        c = c * (m - r) * (x + r + 1) // ((x + r + 4) * (r + 1))
     return EstimatingPolynomial(tuple(coeffs))
 
 

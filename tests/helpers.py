@@ -17,6 +17,10 @@ writes each coefficient in closed form, and must give the same integers.
 The power and antiderivative helpers integrate a polynomial in plain
 Fraction arithmetic: the independent route to the balance integral.
 
+The homogeneous-evaluation reference is the single Horner loop over all
+coefficients: the package splits long inputs into balanced halves and must
+give the same integer.
+
 The bisection reference is the plain halving loop of exact-sign bisection:
 the package's root isolation must return every field of its result, so it
 stays here as the definition the faster search is held to.
@@ -190,6 +194,17 @@ def poly_power(poly, exponent):
 def antiderivative(poly):
     """Antiderivative of an ExactPoly with zero constant term."""
     return ExactPoly([0] + [c / (i + 1) for i, c in enumerate(poly.coeffs)])
+
+
+def reference_homogeneous_value(coeffs, u, v):
+    """v**d * p(u/v) for integer coefficients by one Horner loop."""
+    d = len(coeffs) - 1
+    acc = coeffs[d]
+    vpow = 1
+    for i in range(d - 1, -1, -1):
+        vpow *= v
+        acc = acc * u + coeffs[i] * vpow
+    return acc
 
 
 def reference_bisect_root(coeffs, lo, hi, tol=Fraction(1, 10**12)):

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import iterbayes
-from iterbayes.cli import main
+from iterbayes.cli import MAX_TRIALS, main
 
 from reference_tables import PRINT_TOL, TABLE2, TABLE3
 
@@ -102,6 +102,34 @@ class TestEstimate:
             for tol in ("0", "-1e-12", "inf", "nan"):
                 code, out, err = run(capsys, *command, "--tol", tol)
                 assert code == 2 and "tol" in err and out == ""
+
+    # Each way of naming the trial count: --n, x + 1 and x + R.  A coarse
+    # --tol keeps the solve at the ceiling short.
+    @staticmethod
+    def _trials(n):
+        return [("--n", str(n), "--x", str(n)),
+                ("--geometric", "--x", str(n - 1)),
+                ("--neg-binomial", "3", "--x", str(n - 3))]
+
+    def test_ceiling_is_solved(self, capsys):
+        for flags in self._trials(MAX_TRIALS):
+            code, out, err = run(capsys, "estimate", *flags, "--tol", "0.1", "--format", "json")
+            assert code == 0 and err == ""
+            payload = json.loads(out)
+            lo, hi = payload["bracket"]
+            assert 0.999 < lo <= payload["value"] <= hi < 1
+
+    def test_above_ceiling_exits_2(self, capsys):
+        for flags in self._trials(MAX_TRIALS + 1):
+            code, out, err = run(capsys, "estimate", *flags)
+            assert code == 2 and out == ""
+            assert err == (f"error: {MAX_TRIALS + 1} trials is above the ceiling "
+                           f"of {MAX_TRIALS} that estimate solves\n")
+
+    def test_ceiling_in_help(self, capsys):
+        code, out, _ = run(capsys, "estimate", "--help")
+        assert code == 0
+        assert f"at most {MAX_TRIALS} trials" in " ".join(out.split())
 
 
 class TestTable:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from functools import lru_cache
 
@@ -21,7 +22,7 @@ from iterbayes.triangle import (
 )
 from iterbayes.types import BinomialObs
 
-from helpers import reference_bisect_root
+from helpers import reference_bisect_root, reference_homogeneous_value
 
 
 class TestBinomial:
@@ -94,6 +95,23 @@ class TestSignAndEval:
     def test_empty(self):
         assert sign_at((), Fraction(1, 2)) == 0
         assert eval_rational((), Fraction(1, 2)) == 0
+
+
+class TestHomogeneousValue:
+    """The balanced split above 64 coefficients equals one Horner loop."""
+
+    @pytest.mark.parametrize("length", [1, 2, 31, 32, 33, 63, 64, 65, 66, 97, 128, 129, 400])
+    @pytest.mark.parametrize("u, v", [(-(3**40), 7**30), (0, 5), (5**45, 1), (2**61 - 1, 2**61)])
+    def test_equals_horner(self, length, u, v):
+        rng = random.Random(length)
+        coeffs = [rng.randint(-(2**90), 2**90) for _ in range(length)]
+        for point in ((u, v), (u, v - u)):
+            assert exact._homogeneous_value(coeffs, *point) == reference_homogeneous_value(coeffs, *point)
+
+    def test_estimating_polynomial_at_a_solver_point(self):
+        coeffs = estimating_polynomial(BinomialObs(500, 166)).int_coeffs
+        u, v = 3 * 2**100 + 1, 2**102
+        assert exact._homogeneous_value(coeffs, u, v) == reference_homogeneous_value(coeffs, u, v)
 
 
 class TestBisectRoot:

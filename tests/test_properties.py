@@ -6,6 +6,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import iterbayes.exact as exact
 from iterbayes.exact import ExactPoly, bisect_root, sign_at
 from iterbayes.triangle import (
     estimating_polynomial,
@@ -15,7 +16,12 @@ from iterbayes.triangle import (
 )
 from iterbayes.types import BinomialObs
 
-from helpers import reference_bisect_root, reference_estimating_coeffs, weighted_posterior_mean
+from helpers import (
+    reference_bisect_root,
+    reference_estimating_coeffs,
+    reference_homogeneous_value,
+    weighted_posterior_mean,
+)
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=50)
 small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=20)
@@ -51,6 +57,23 @@ def test_poly_eval_commutes_with_ring_operations(p_coeffs, q_coeffs, a):
 def test_poly_compose_matches_pointwise(outer, inner, a):
     p, q = ExactPoly(outer), ExactPoly(inner)
     assert p.compose(q)(a) == p(q(a))
+
+
+# Lengths on both sides of the split threshold and of the leaf size, then any.
+_lengths = st.one_of(st.sampled_from([1, 32, 33, 64, 65, 66, 129, 400]),
+                     st.integers(min_value=1, max_value=400))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_lengths, st.data(), st.integers(min_value=-2**70, max_value=2**70),
+       st.integers(min_value=1, max_value=2**70))
+def test_homogeneous_value_equals_horner(length, data, u, v):
+    coeffs = data.draw(st.lists(st.integers(min_value=-2**80, max_value=2**80),
+                                min_size=length, max_size=length))
+    assert exact._homogeneous_value(coeffs, u, v) == reference_homogeneous_value(coeffs, u, v)
+    # The Bernstein call form of posterior_mean_exact and identities.
+    assert (exact._homogeneous_value(coeffs, u, v - u)
+            == reference_homogeneous_value(coeffs, u, v - u))
 
 
 @settings(max_examples=30, deadline=None)
