@@ -212,7 +212,10 @@ def cmd_compare(args) -> int:
         return _fail("--mc requires an explicit --seed (deterministic output)")
     if args.mc is not None and args.mc < 2:
         return _fail("--mc needs at least 2 samples")
-    table = risk.compare(args.n, args.grid)
+    try:
+        table = risk.compare(args.n, args.grid)
+    except ValueError as exc:
+        return _fail(str(exc))
     tags = list(table.columns)
     header = ["p"] + tags
     rows = [[p, *vals] for p, *vals in table.rows()]
@@ -306,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.set_defaults(func=cmd_verify)
 
     p_cmp = sub.add_parser("compare", help="exact mean-squared-error comparison")
-    p_cmp.add_argument("--n", type=int, required=True, help="number of trials")
+    p_cmp.add_argument("--n", type=int, required=True,
+                       help="number of trials (at most 1029: above it C(n, n/2) exceeds the largest float)")
     p_cmp.add_argument("--grid", type=int, default=101,
                        help="evenly spaced p values including endpoints (default: 101)")
     p_cmp.add_argument("--mc", type=int, metavar="SAMPLES",

@@ -13,15 +13,18 @@ estimate (x+1)/(n+2).
 
 The same replacement scheme drives four classical conjugate families (Poisson /
 gamma, exponential / inverse gamma, normal mean / normal, normal precision /
-gamma), where replacing the prior expectation converges to the MLE of each
-family.  One hyperparameter is solved per step so that the prior expectation
-equals the previous posterior mean; the other is held fixed, mirroring the
-beta-binomial convention of pinning beta at a known value.
+gamma).  Each family's posterior mean is a weighted average of prior and
+sample in pseudo-counts, (t0 + s) / (w0 + w1): a prior total t0 over prior
+weight w0 and a sample total s over sample weight w1, the linear form that
+characterises conjugate priors (Diaconis & Ylvisaker, 1979).  Replacing the
+prior expectation with the current estimate keeps w0 and sets t0 = w0 * est,
+so one step is est <- (w0 * est + s) / (w0 + w1): a contraction by
+c = w0 / (w0 + w1) towards its one fixed point s / w1, the family's MLE.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -200,25 +203,27 @@ class SampleStats:
             raise ValueError("SampleStats: sum_sq_dev must be >= 0")
 
 
-def conjugate_posterior_mean(model: ConjugateModel, stats: SampleStats):
-    """Posterior expectation of the parameter given the sample statistics."""
+def _pseudo_counts(model: ConjugateModel, stats: SampleStats):
+    """(t0, w0, s, w1) of the posterior mean (t0 + s) / (w0 + w1)."""
     f = model.family
-    if f is ConjugateFamily.POISSON:
-        if stats.sum_x < 0:
-            raise InvalidStats("Poisson: sum of observations must be >= 0")
-        return (model.beta + stats.sum_x) / (model.alpha + stats.n)
-    if f is ConjugateFamily.EXPONENTIAL:
-        if stats.sum_x < 0:
-            raise InvalidStats("exponential: sum of observations must be >= 0")
-        return (model.alpha + stats.sum_x) / (model.beta + stats.n - 1)
     if f is ConjugateFamily.NORMAL_MEAN:
         var = model.beta * model.beta
-        return (model.alpha * model.sigma0_sq + stats.sum_x * var) / (
-            model.sigma0_sq + stats.n * var
-        )
-    if stats.sum_sq_dev is None:
-        raise InvalidStats("normal-precision: sum_sq_dev is required")
-    return (2 * model.beta + stats.n) / (2 * model.alpha + stats.sum_sq_dev)
+        return model.alpha * model.sigma0_sq, model.sigma0_sq, stats.sum_x * var, stats.n * var
+    if f is ConjugateFamily.NORMAL_PRECISION:
+        if stats.sum_sq_dev is None:
+            raise InvalidStats("normal-precision: sum_sq_dev is required")
+        return 2 * model.beta, 2 * model.alpha, stats.n, stats.sum_sq_dev
+    if stats.sum_x < 0:
+        raise InvalidStats(f"{f.value}: sum of observations must be >= 0")
+    if f is ConjugateFamily.POISSON:
+        return model.beta, model.alpha, stats.sum_x, stats.n
+    return model.alpha, model.beta - 1, stats.sum_x, stats.n
+
+
+def conjugate_posterior_mean(model: ConjugateModel, stats: SampleStats):
+    """Posterior expectation of the parameter given the sample statistics."""
+    t0, w0, s, w1 = _pseudo_counts(model, stats)
+    return (t0 + s) / (w0 + w1)
 
 
 def conjugate_mle(model: ConjugateModel, stats: SampleStats):
@@ -231,49 +236,6 @@ def conjugate_mle(model: ConjugateModel, stats: SampleStats):
     return stats.sum_x / stats.n
 
 
-def _solve_prior_mean(model: ConjugateModel, target) -> ConjugateModel:
-    # One hyperparameter is free per family: the one whose solve is linear.
-    f = model.family
-    if f is ConjugateFamily.POISSON:
-        return dataclasses.replace(model, beta=model.alpha * target)
-    if f is ConjugateFamily.EXPONENTIAL:
-        return dataclasses.replace(model, alpha=target * (model.beta - 1))
-    if f is ConjugateFamily.NORMAL_MEAN:
-        return dataclasses.replace(model, alpha=target)
-    return dataclasses.replace(model, beta=model.alpha * target)
-
-
-def _contraction_weights(model: ConjugateModel, stats: SampleStats):
-    """Weights (w0, w1) of the error's contraction per step c = w0/(w0 + w1):
-    alpha/(alpha+n) (Poisson), (beta-1)/(beta+n-1) (exponential),
-    sigma0^2/(sigma0^2+n beta^2) (normal mean), 2 alpha/(2 alpha+S) (normal
-    precision).  c/(1 - c) = w0/w1 needs no 1 - c, which cancels near c = 1."""
-    f = model.family
-    if f is ConjugateFamily.POISSON:
-        return model.alpha, stats.n
-    if f is ConjugateFamily.EXPONENTIAL:
-        return model.beta - 1, stats.n
-    if f is ConjugateFamily.NORMAL_MEAN:
-        return model.sigma0_sq, stats.n * model.beta * model.beta
-    return 2 * model.alpha, stats.sum_sq_dev
-
-
-def _distance_left(model: ConjugateModel, stats: SampleStats, est) -> Fraction:
-    """Exact distance from ``est`` to the limit: the step from ``est`` redone
-    in rationals from the float state, times 1/(1 - c) = (w0 + w1)/w1."""
-
-    def exact(obj, *fields):
-        return dataclasses.replace(
-            obj, **{f: Fraction(getattr(obj, f)) for f in fields if getattr(obj, f) is not None})
-
-    model = exact(model, "alpha", "beta", "sigma0_sq")
-    stats = exact(stats, "sum_x", "sum_sq_dev")
-    start = Fraction(est)
-    step = abs(conjugate_posterior_mean(_solve_prior_mean(model, start), stats) - start)
-    prior_w, sample_w = _contraction_weights(model, stats)
-    return step * (prior_w + sample_w) / sample_w
-
-
 # Step limit of conjugate_iterative_limit.
 MAX_ITER = 10**6
 
@@ -283,38 +245,40 @@ def conjugate_iterative_limit(
 ) -> Estimate:
     """Iterate expectation replacement until the posterior mean stabilizes.
 
-    Each step re-solves the free hyperparameter so the prior expectation
-    equals the previous posterior mean, then recomputes the posterior mean.
-    Converges geometrically to the family's MLE whenever the contraction is
-    strict.  Configurations that freeze it away from the MLE are rejected up
-    front with InvalidStats: zero squared deviation, and a contraction c that
-    rounds to 1 in floats (the sample's weight vanishes, as at zero prior
-    variance).
+    Each step sets the prior expectation to the previous posterior mean and
+    recomputes the posterior mean: est <- (w0 * est + s) / (w0 + w1) in the
+    family's pseudo-counts, which converges geometrically to the MLE s / w1.
+    Configurations that cannot reach it are rejected up front with
+    InvalidStats: a non-finite hyperparameter or statistic, and a
+    contraction c = w0 / (w0 + w1) that is 1 in floats because the sample's
+    weight w1 is zero (zero squared deviation, zero prior variance) or
+    negligible beside the prior's.
 
-    The error shrinks by the family's known factor c each step, so a step
-    d_k leaves d_k * c / (1 - c) still to go; the iteration stops when that
-    is below ``tol`` and reports it as the residual.  A float step of exactly
-    0 is a stall, not arrival: it stops there and reports the exact distance
-    left, from that step redone in rationals.  ``tol`` must be positive and
-    finite (ValueError otherwise).
+    The error shrinks by c each step, so a step d_k leaves d_k * w0 / w1
+    still to go; the iteration stops when that is below ``tol`` and reports
+    it as the residual.  A float step of exactly 0 is a stall, not arrival:
+    it stops there and reports the exact rational distance to the MLE.
+    ``tol`` must be positive and finite (ValueError otherwise).
     """
     check_tol(tol, "conjugate_iterative_limit")
-    if model.family is ConjugateFamily.NORMAL_PRECISION and (
-        stats.sum_sq_dev is None or stats.sum_sq_dev <= 0
-    ):
-        raise InvalidStats("normal-precision: iterative limit needs sum_sq_dev > 0")
-    prior_w, sample_w = _contraction_weights(model, stats)
-    if not prior_w / (prior_w + sample_w) < 1:
-        raise InvalidStats(f"{model.family.value}: the contraction rounds to 1, so the "
-                           "sample's weight vanishes and the iteration cannot move")
+    t0, w0, s, w1 = _pseudo_counts(model, stats)
+    if not all(abs(v) < math.inf for v in (t0, w0, s, w1)):
+        raise InvalidStats(f"{model.family.value}: hyperparameters and statistics must be finite")
+    if not w0 / (w0 + w1) < 1:
+        raise InvalidStats(f"{model.family.value}: the sample's weight is zero or negligible "
+                           "beside the prior's, so the iteration cannot move")
 
-    odds = prior_w / sample_w
-    est = conjugate_posterior_mean(model, stats)
+    odds = w0 / w1
+    est = (t0 + s) / (w0 + w1)
     for step in range(1, MAX_ITER + 1):
-        model = _solve_prior_mean(model, est)
-        new = conjugate_posterior_mean(model, stats)
+        new = (w0 * est + s) / (w0 + w1)
         delta = abs(new - est)
-        remaining = delta * odds if delta else _distance_left(model, stats, est)
+        if delta:
+            remaining = delta * odds
+        else:  # the statistics the family's MLE reads passed the finiteness check
+            exact = (Fraction(v) if v is not None and abs(v) < math.inf else v
+                     for v in (stats.sum_x, stats.sum_sq_dev))
+            remaining = abs(conjugate_mle(model, SampleStats(stats.n, *exact)) - Fraction(est))
         est = new
         if remaining < tol or not delta:
             return Estimate(

@@ -104,11 +104,21 @@ class RiskTable:
 
 
 def compare(n: int, grid_size: int = 101) -> RiskTable:
-    """All four estimators on an evenly spaced grid including both endpoints."""
+    """All four estimators on an evenly spaced grid including both endpoints.
+
+    ``risk_at`` weighs each x by C(n, x) as a float, so n is at most 1029:
+    C(1030, 515) exceeds the largest float.  Larger n raises ValueError
+    before any estimate is solved.
+    """
     if n < 1:
         raise ValueError("compare: n must be >= 1")
     if grid_size < 2:
         raise ValueError("compare: grid_size must be >= 2")
+    try:
+        float(binomial(n, n // 2))
+    except OverflowError:
+        raise ValueError(f"compare: n = {n} is above 1029, where C(n, n/2) "
+                         "exceeds the largest float") from None
     grid = tuple(i / (grid_size - 1) for i in range(grid_size))
     columns: Dict[str, Tuple[float, ...]] = {}
     for spec in standard_estimators():

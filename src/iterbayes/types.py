@@ -6,6 +6,7 @@ instance that exists is well formed and safe to share between threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
@@ -102,8 +103,8 @@ class Characteristic:
     b: float
 
     def __post_init__(self):
-        if not 0 <= self.a <= self.b:
-            raise ValueError(f"Characteristic: need 0 <= a <= b, got {self}")
+        if not 0 <= self.a <= self.b < math.inf:
+            raise ValueError(f"Characteristic: need finite 0 <= a <= b, got {self}")
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,13 @@ for the package's iterations: the posterior mean for one success in one
 trial, and the step-m estimate of the beta-binomial characteristic
 replacement with its contraction ratio.
 
+The re-solve route is the exact reference for the conjugate families'
+expectation replacement: each step re-solves one hyperparameter so that the
+prior mean equals the current estimate, then takes the textbook posterior
+mean.  The package steps the pseudo-count form instead and must give the same
+rational at every state; its stall residual must equal the re-solved step
+times 1/(1 - c), the distance left to the limit.
+
 The estimating-polynomial reference builds it as a convolution in Fractions:
 the alternating core times 2 a^(x+2), plus the linear tail.  The package
 writes each coefficient in closed form, and must give the same integers.
@@ -32,9 +39,11 @@ integrates |f| for the scale before the tight pass runs.  A hard evaluation
 budget turns any would-be runaway recursion into a loud error.
 """
 
+import dataclasses
 from fractions import Fraction
 from math import comb
 
+from iterbayes.conjugate import ConjugateFamily
 from iterbayes.exact import MAX_ITER, ExactPoly, RootBracket, check_tol, eval_rational, sign_at
 
 _BUDGET = 2_000_000
@@ -162,6 +171,59 @@ def closed_form_step_estimate(prior, char, obs, m):
     num = (alpha + x) * (1 - c) * cm + (a + x) * (1 - cm)
     den = (alpha + x) * (1 - c) * cm - (a + x) * cm + n + b
     return num / den
+
+
+def reference_posterior_mean(model, stats):
+    """Each conjugate family's posterior mean in its textbook form."""
+    f = model.family
+    if f is ConjugateFamily.POISSON:
+        return (model.beta + stats.sum_x) / (model.alpha + stats.n)
+    if f is ConjugateFamily.EXPONENTIAL:
+        return (model.alpha + stats.sum_x) / (model.beta + stats.n - 1)
+    if f is ConjugateFamily.NORMAL_MEAN:
+        var = model.beta * model.beta
+        return (model.alpha * model.sigma0_sq + stats.sum_x * var) / (
+            model.sigma0_sq + stats.n * var)
+    return (2 * model.beta + stats.n) / (2 * model.alpha + stats.sum_sq_dev)
+
+
+def reference_resolve_step(model, stats, est):
+    """One expectation replacement by re-solving the hyperparameter whose
+    solve is linear, so that the prior mean equals ``est``: beta = alpha est
+    (Poisson, normal precision), alpha = est (beta - 1) (exponential) or
+    alpha = est (normal mean); then the posterior mean under that prior."""
+    f = model.family
+    if f is ConjugateFamily.EXPONENTIAL:
+        model = dataclasses.replace(model, alpha=est * (model.beta - 1))
+    elif f is ConjugateFamily.NORMAL_MEAN:
+        model = dataclasses.replace(model, alpha=est)
+    else:
+        model = dataclasses.replace(model, beta=model.alpha * est)
+    return reference_posterior_mean(model, stats)
+
+
+def reference_distance_left(model, stats, est):
+    """Exact distance from ``est`` to the limit of expectation replacement:
+    the re-solved step from ``est`` in rationals, times 1/(1 - c), with the
+    contraction c = w0/(w0 + w1) of each family's error per step."""
+
+    def exact(obj, *fields):
+        return dataclasses.replace(obj, **{
+            f: Fraction(getattr(obj, f)) for f in fields if getattr(obj, f) is not None})
+
+    model = exact(model, "alpha", "beta", "sigma0_sq")
+    stats = exact(stats, "sum_x", "sum_sq_dev")
+    est = Fraction(est)
+    f = model.family
+    if f is ConjugateFamily.POISSON:
+        w0, w1 = model.alpha, stats.n
+    elif f is ConjugateFamily.EXPONENTIAL:
+        w0, w1 = model.beta - 1, stats.n
+    elif f is ConjugateFamily.NORMAL_MEAN:
+        w0, w1 = model.sigma0_sq, stats.n * model.beta * model.beta
+    else:
+        w0, w1 = 2 * model.alpha, stats.sum_sq_dev
+    return abs(reference_resolve_step(model, stats, est) - est) * (w0 + w1) / w1
 
 
 def alternating_core(obs):

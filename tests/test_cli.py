@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import iterbayes
+import iterbayes.risk as risk
 from iterbayes.cli import MAX_TRIALS, main
 
 from reference_tables import PRINT_TOL, TABLE2, TABLE3
@@ -62,6 +63,13 @@ class TestEstimate:
         assert code == 0
         assert "value      0.666667" in out
         assert "method     closed-form" in out
+
+    @pytest.mark.parametrize("fmt", ["plain", "json"])
+    def test_non_finite_characteristic_exits_2(self, capsys, fmt):
+        code, out, err = run(capsys, "estimate", "--characteristic", "inf", "inf",
+                             "--n", "3", "--x", "1", "--format", fmt)
+        assert code == 2 and out == ""
+        assert "finite" in err
 
     def test_geometric_with_n_rejected(self, capsys):
         code, _, err = run(capsys, "estimate", "--geometric", "--n", "2", "--x", "1")
@@ -251,6 +259,19 @@ class TestCompare:
         assert first.splitlines()[0].endswith("IterativeBayesTriangle_mc")
         _, second, _ = run(capsys, *args)
         assert first == second
+
+    def test_n_above_limit_exits_2_without_solving(self, capsys, monkeypatch):
+        def no_solve(n, x):
+            raise AssertionError("compare solved an estimate")
+
+        monkeypatch.setattr(risk, "_triangle_value", no_solve)
+        code, out, err = run(capsys, "compare", "--n", "1030", "--grid", "2")
+        assert code == 2 and out == ""
+        assert "error:" in err and "1029" in err
+
+    def test_limit_in_help(self, capsys):
+        code, out, _ = run(capsys, "compare", "--help")
+        assert code == 0 and "1029" in out
 
     def test_json_round_trip(self, capsys):
         code, out, _ = run(capsys, "compare", "--n", "2", "--grid", "3", "--format", "json")

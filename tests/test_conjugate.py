@@ -4,7 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import adaptive_simpson, closed_form_step_estimate, contraction_ratio
+from helpers import (
+    adaptive_simpson,
+    closed_form_step_estimate,
+    contraction_ratio,
+    reference_distance_left,
+    reference_posterior_mean,
+    reference_resolve_step,
+)
 
 import iterbayes.conjugate as conjugate
 from iterbayes.conjugate import (
@@ -295,15 +302,25 @@ class TestConjugateIterativeLimit:
         est = conjugate_iterative_limit(model, SampleStats(n=1, sum_x=10.0), tol=1e-12)
         assert abs(est.value - 10.0) <= 1e-12 + est.residual
 
-    @pytest.mark.parametrize("prior_sd", [0.2, 0.3])
-    def test_zero_step_reports_the_exact_distance_left(self, prior_sd):
-        # At tol 1e-14 the float iteration stalls on a step of exactly 0,
-        # about 2e-14 from the MLE; that distance, exact, is the residual.
+    @pytest.mark.parametrize("prior_sd, tol, steps, residual", [
+        (0.2, 1e-14, 857, 2.1e-14),
+        (0.3, 1e-14, 399, 1.4e-14),
+        (0.01, 1e-12, 276_350, 1.33e-11),
+    ])
+    def test_zero_step_reports_the_exact_distance_left(self, prior_sd, tol, steps, residual):
+        # The float iteration stalls on a step of exactly 0 before the
+        # distance to go drops below tol; that distance, exact, is the
+        # residual.  At prior sd 0.01 (c = 1/1.0001) the stall is 1.33e-11
+        # from the MLE, over ten times tol.
         model = ConjugateModel(ConjugateFamily.NORMAL_MEAN, alpha=0.0, beta=prior_sd, sigma0_sq=1.0)
-        est = conjugate_iterative_limit(model, SampleStats(n=1, sum_x=10.0), tol=1e-14)
+        stats = SampleStats(n=1, sum_x=10.0)
+        est = conjugate_iterative_limit(model, stats, tol=tol)
         distance = abs(Fraction(est.value) - 10)
         assert distance > 0
         assert est.residual == float(distance)
+        assert est.residual == float(reference_distance_left(model, stats, est.value))
+        assert est.iterations == steps
+        assert est.residual == pytest.approx(residual, rel=0.01)
 
     @pytest.mark.parametrize("family, model_kw, stats", [
         (ConjugateFamily.NORMAL_MEAN, dict(alpha=0.7, beta=1e-10, sigma0_sq=1.0),
@@ -344,6 +361,28 @@ class TestConjugateIterativeLimit:
         assert excinfo.value.iterations == 2
         assert excinfo.value.residual > 0
 
+    def test_step_limit_reached_at_max_iter(self):
+        # c = 1/(1 + 9e-6): 10**6 steps close the gap to 10 only to 1.2e-3.
+        model = ConjugateModel(ConjugateFamily.NORMAL_MEAN, alpha=0.0, beta=0.003, sigma0_sq=1.0)
+        with pytest.raises(NoConvergence) as excinfo:
+            conjugate_iterative_limit(model, SampleStats(n=1, sum_x=10.0), tol=1e-12)
+        assert excinfo.value.iterations == conjugate.MAX_ITER
+        assert 1e-3 < 10 - excinfo.value.last_value < 2e-3
+        assert 0 < excinfo.value.residual < 1e-7
+
+    @pytest.mark.parametrize("family, model_kw, stats", [
+        (ConjugateFamily.NORMAL_MEAN, dict(alpha=math.inf, beta=1.0, sigma0_sq=1.0),
+         SampleStats(n=2, sum_x=3.0)),
+        (ConjugateFamily.EXPONENTIAL, dict(alpha=math.inf, beta=2.0), SampleStats(n=2, sum_x=3.0)),
+        (ConjugateFamily.POISSON, dict(alpha=1.0, beta=1.0), SampleStats(n=2, sum_x=math.inf)),
+        (ConjugateFamily.NORMAL_MEAN, dict(alpha=0.0, beta=1.0, sigma0_sq=1.0),
+         SampleStats(n=2, sum_x=math.nan)),
+    ], ids=["normal-mean-alpha-inf", "exponential-alpha-inf", "poisson-sum-inf",
+            "normal-mean-sum-nan"])
+    def test_non_finite_input_rejected_before_iterating(self, family, model_kw, stats):
+        with pytest.raises(InvalidStats, match="finite"):
+            conjugate_iterative_limit(ConjugateModel(family, **model_kw), stats)
+
     def test_randomized_agreement_with_mle(self):
         rng = random.Random(20240817)
         for _ in range(25):
@@ -368,3 +407,48 @@ class TestConjugateIterativeLimit:
                 stats = SampleStats(n=n, sum_sq_dev=rng.uniform(0.5, 30))
             est = conjugate_iterative_limit(model, stats)
             assert est.value == pytest.approx(conjugate_mle(model, stats), abs=1e-8)
+
+
+def _exact_cases():
+    return [
+        (ConjugateModel(ConjugateFamily.POISSON, alpha=Fraction(13, 10), beta=Fraction(4, 5)),
+         SampleStats(n=3, sum_x=Fraction(6))),
+        (ConjugateModel(ConjugateFamily.EXPONENTIAL, alpha=Fraction(3, 2), beta=Fraction(5, 2)),
+         SampleStats(n=4, sum_x=Fraction(17, 2))),
+        (ConjugateModel(ConjugateFamily.NORMAL_MEAN, alpha=Fraction(-2, 5), beta=Fraction(6, 5),
+                        sigma0_sq=Fraction(2)),
+         SampleStats(n=5, sum_x=Fraction(7))),
+        (ConjugateModel(ConjugateFamily.NORMAL_PRECISION, alpha=Fraction(11, 10),
+                        beta=Fraction(9, 10), mu0=0),
+         SampleStats(n=2, sum_sq_dev=Fraction(12, 5))),
+    ]
+
+
+class TestPseudoCountStep:
+    """The pseudo-count step against re-solving a hyperparameter, exactly."""
+
+    @pytest.mark.parametrize("model, stats", _exact_cases(),
+                             ids=[f.value for f in ConjugateFamily])
+    def test_one_resolve_step_is_the_pseudo_count_step(self, model, stats):
+        t0, w0, s, w1 = conjugate._pseudo_counts(model, stats)
+        start = conjugate_posterior_mean(model, stats)
+        assert start == reference_posterior_mean(model, stats)
+        mle = conjugate_mle(model, stats)
+        assert mle == s / w1
+        for est in (start, Fraction(1, 7), Fraction(5, 2), Fraction(9), mle):
+            assert reference_resolve_step(model, stats, est) == (w0 * est + s) / (w0 + w1)
+            assert reference_distance_left(model, stats, est) == abs(mle - est)
+
+    @pytest.mark.parametrize("model, stats", _exact_cases(),
+                             ids=[f.value for f in ConjugateFamily])
+    def test_iteration_follows_the_resolve_route(self, model, stats):
+        # Five steps re-solved in rationals are a stop after five steps of
+        # the package's iteration: the residual is the step times w0/w1.
+        t0, w0, s, w1 = conjugate._pseudo_counts(model, stats)
+        est = conjugate_posterior_mean(model, stats)
+        for _ in range(5):
+            prev, est = est, reference_resolve_step(model, stats, est)
+        step = abs(est - prev)
+        got = conjugate_iterative_limit(model, stats, tol=float(step * w0 / w1) * 1.0000001)
+        assert got.iterations == 5
+        assert got.value == float(est)

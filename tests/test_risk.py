@@ -113,6 +113,17 @@ class TestTables:
         with pytest.raises(ValueError):
             compare(2, 1)
 
+    def test_n_above_float_binomials_rejected_before_solving(self, monkeypatch):
+        # C(1030, 515) exceeds the largest float; C(1029, 514) does not.
+        def no_solve(n, x):
+            raise AssertionError("compare solved an estimate")
+
+        monkeypatch.setattr(risk, "_triangle_value", no_solve)
+        with pytest.raises(ValueError, match="1029"):
+            compare(1030, 2)
+        with pytest.raises(AssertionError, match="solved"):
+            compare(1029, 2)
+
 
 class TestMonteCarlo:
     def test_agrees_with_exact_within_three_standard_errors(self):

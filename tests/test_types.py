@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -37,6 +38,9 @@ def test_characteristic_value():
         Characteristic(2, 1)
     with pytest.raises(ValueError):
         Characteristic(-1, 0)
+    for a, b in ((math.inf, math.inf), (0, math.inf), (math.nan, 1)):
+        with pytest.raises(ValueError):
+            Characteristic(a, b)
 
 
 def test_estimate_validation():
