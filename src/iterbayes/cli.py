@@ -206,16 +206,15 @@ def cmd_compare(args) -> int:
     digits = args.digits
     if args.n < 1:
         return _fail("--n must be >= 1")
+    if args.n > 1029:
+        return _fail(f"--n {args.n} is above 1029, where C(n, n/2) exceeds the largest float")
     if args.grid < 2:
         return _fail("--grid must be >= 2")
     if args.mc is not None and args.seed is None:
         return _fail("--mc requires an explicit --seed (deterministic output)")
     if args.mc is not None and args.mc < 2:
         return _fail("--mc needs at least 2 samples")
-    try:
-        table = risk.compare(args.n, args.grid)
-    except ValueError as exc:
-        return _fail(str(exc))
+    table = risk.compare(args.n, args.grid)
     tags = list(table.columns)
     header = ["p"] + tags
     rows = [[p, *vals] for p, *vals in table.rows()]

@@ -114,11 +114,9 @@ def compare(n: int, grid_size: int = 101) -> RiskTable:
         raise ValueError("compare: n must be >= 1")
     if grid_size < 2:
         raise ValueError("compare: grid_size must be >= 2")
-    try:
-        float(binomial(n, n // 2))
-    except OverflowError:
+    if n > 1029:
         raise ValueError(f"compare: n = {n} is above 1029, where C(n, n/2) "
-                         "exceeds the largest float") from None
+                         "exceeds the largest float")
     grid = tuple(i / (grid_size - 1) for i in range(grid_size))
     columns: Dict[str, Tuple[float, ...]] = {}
     for spec in standard_estimators():

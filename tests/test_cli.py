@@ -265,9 +265,20 @@ class TestCompare:
             raise AssertionError("compare solved an estimate")
 
         monkeypatch.setattr(risk, "_triangle_value", no_solve)
-        code, out, err = run(capsys, "compare", "--n", "1030", "--grid", "2")
-        assert code == 2 and out == ""
-        assert "error:" in err and "1029" in err
+        for n in ("1030", "100000000"):
+            code, out, err = run(capsys, "compare", "--n", n, "--grid", "2")
+            assert code == 2 and out == ""
+            assert "error:" in err and "1029" in err
+
+    def test_library_fault_is_not_a_usage_error(self, capsys, monkeypatch):
+        # A ValueError from inside risk.compare (say, an estimate outside
+        # [0, 1]) is a fault of the program, not exit 2.
+        def fault(n, grid_size):
+            raise ValueError("estimate outside [0, 1]")
+
+        monkeypatch.setattr(risk, "compare", fault)
+        with pytest.raises(ValueError, match="outside"):
+            main(["compare", "--n", "2", "--grid", "3"])
 
     def test_limit_in_help(self, capsys):
         code, out, _ = run(capsys, "compare", "--help")

@@ -15,6 +15,7 @@ from iterbayes.risk import (
     risk_at,
     standard_estimators,
 )
+from iterbayes.exact import binomial
 from iterbayes.triangle import solve_iterative_bayes
 from iterbayes.types import BinomialObs
 
@@ -123,6 +124,13 @@ class TestTables:
             compare(1030, 2)
         with pytest.raises(AssertionError, match="solved"):
             compare(1029, 2)
+        with pytest.raises(ValueError, match="1029"):
+            compare(10**8, 2)
+
+    def test_limit_is_where_the_central_binomial_leaves_float(self):
+        float(binomial(1029, 514))
+        with pytest.raises(OverflowError):
+            float(binomial(1030, 515))
 
 
 class TestMonteCarlo:
