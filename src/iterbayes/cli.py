@@ -25,9 +25,11 @@ FORMATS = ("plain", "csv", "json")
 
 # Largest trial count that `estimate` solves: --n, or the x + 1 and x + R
 # trials that --geometric and --neg-binomial imply.  A solve costs about the
-# square of n: at x = n/3 and the default --tol it took 0.5 s at n = 6000 and
-# 1.5 s at n = 10000 on a 2-vCPU Linux host; smaller --tol costs more.
+# square of n (1.5 s at n = 10000, x = n/3 and the default --tol on a 2-vCPU
+# Linux host) and grows as --tol shrinks, so trials times log2(1/tol) is
+# bounded too, by its value at MAX_TRIALS and tol 1e-30 (3.4 s there).
 MAX_TRIALS = 10_000
+MAX_TRIAL_BITS = MAX_TRIALS * -math.log2(1e-30)
 
 
 def _fmt(value: float, digits: int) -> str:
@@ -42,10 +44,15 @@ def _fail(message: str) -> int:
 # ---------------------------------------------------------------- estimate
 
 
-def _check_trials(n: int) -> None:
-    """ValueError if ``estimate`` would solve for more than MAX_TRIALS trials."""
+def _check_trials(n: int, tol: float) -> None:
+    """ValueError if ``estimate`` would solve for more than MAX_TRIALS trials,
+    or for trials times log2(1/tol) above MAX_TRIAL_BITS; that is computed as
+    -log2(tol), since 1/5e-324 overflows to inf."""
     if n > MAX_TRIALS:
         raise ValueError(f"{n} trials is above the ceiling of {MAX_TRIALS} that estimate solves")
+    if n * -math.log2(tol) > MAX_TRIAL_BITS:
+        raise ValueError(f"{n} trials at --tol {tol} is above the ceiling of "
+                         f"{MAX_TRIAL_BITS:.0f} for trials x log2(1/tol) that estimate solves")
 
 
 def _estimate_payload(est: Estimate, digits: int) -> dict:
@@ -70,14 +77,14 @@ def cmd_estimate(args) -> int:
                 return _fail("--geometric takes only --x (the trial count is implied)")
             if args.x is None:
                 return _fail("--geometric requires --x")
-            _check_trials(args.x + 1)
+            _check_trials(args.x + 1, args.tol)
             est = triangle.geometric_estimate(args.x, tol=args.tol)
         elif args.neg_binomial is not None:
             if args.n is not None:
                 return _fail("--neg-binomial takes only --x (n = x + r is implied)")
             if args.x is None:
                 return _fail("--neg-binomial requires --x")
-            _check_trials(args.x + args.neg_binomial)
+            _check_trials(args.x + args.neg_binomial, args.tol)
             est = triangle.negative_binomial_estimate(args.neg_binomial, args.x, tol=args.tol)
         elif args.characteristic is not None:
             if args.n is None or args.x is None:
@@ -89,7 +96,7 @@ def cmd_estimate(args) -> int:
         else:
             if args.n is None or args.x is None:
                 return _fail("estimate requires --n and --x")
-            _check_trials(args.n)
+            _check_trials(args.n, args.tol)
             est = triangle.solve_iterative_bayes(BinomialObs(args.n, args.x), tol=args.tol)
     except (ValueError, EstimationError) as exc:
         return _fail(str(exc))
@@ -268,9 +275,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_est = sub.add_parser(
         "estimate", help="estimate from one observation",
         epilog=f"estimate solves for at most {MAX_TRIALS} trials (--n, or x + 1 with "
-               f"--geometric, x + R with --neg-binomial); more exits with code 2.  A "
-               f"solve's time grows about as the square of the trial count, and with "
-               f"smaller --tol: about 1.5 s at {MAX_TRIALS} trials and the default --tol.")
+               f"--geometric, x + R with --neg-binomial) and at most {MAX_TRIAL_BITS:.0f} "
+               f"trials x log2(1/tol), its value at {MAX_TRIALS} trials and --tol 1e-30; "
+               f"more exits with code 2.  Time grows about as the square of the trial "
+               f"count, and as --tol shrinks: 1.5 s at {MAX_TRIALS} trials, default --tol.")
     p_est.add_argument("--n", type=int, help=f"number of trials (at most {MAX_TRIALS})")
     p_est.add_argument("--x", type=int, help="number of successes")
     mode = p_est.add_mutually_exclusive_group()

@@ -256,9 +256,10 @@ def conjugate_iterative_limit(
 
     The error shrinks by c each step, so a step d_k leaves d_k * w0 / w1
     still to go; the iteration stops when that is below ``tol`` and reports
-    it as the residual.  A float step of exactly 0 is a stall, not arrival:
-    it stops there and reports the exact rational distance to the MLE.
-    ``tol`` must be positive and finite (ValueError otherwise).
+    it as the residual, as NoConvergence does after MAX_ITER steps.  A float
+    step of exactly 0 is a stall, not arrival: it stops there and reports the
+    exact rational distance to the MLE.  ``tol`` must be positive and finite
+    (ValueError otherwise).
     """
     check_tol(tol, "conjugate_iterative_limit")
     t0, w0, s, w1 = _pseudo_counts(model, stats)
@@ -290,6 +291,6 @@ def conjugate_iterative_limit(
     raise NoConvergence(
         f"no convergence after {MAX_ITER} iterations (last delta {delta:.3e})",
         last_value=float(est),
-        residual=float(delta),
+        residual=float(remaining),
         iterations=MAX_ITER,
     )

@@ -1,6 +1,6 @@
-"""Exact arithmetic foundation: big-integer binomial coefficients, the one
-evaluator of integer polynomials at rationals, dense polynomials over the
-rationals for the verifier's symbolic check, and exact root bracketing.
+"""Exact arithmetic foundation: the one evaluator of integer polynomials at
+rationals, dense polynomials over the rationals for the verifier's symbolic
+check, and exact root bracketing.
 
 That evaluator, ``_homogeneous_value``, runs a Horner loop on up to 64
 coefficients and splits longer polynomials into balanced halves, so that they
@@ -24,7 +24,6 @@ Rational = Union[int, Fraction]
 
 __all__ = [
     "Rational",
-    "binomial",
     "ExactPoly",
     "sign_at",
     "eval_rational",
@@ -33,19 +32,6 @@ __all__ = [
     "RootBracket",
     "bisect_root",
 ]
-
-
-def binomial(m: int, k: int) -> int:
-    """Binomial coefficient C(m, k) as an exact big integer.
-
-    Out-of-range ``k`` (negative or above ``m``) yields 0, which keeps
-    combinatorial sums free of explicit range guards.  ``m`` must be >= 0.
-    """
-    if m < 0:
-        raise ValueError(f"binomial: m must be >= 0, got {m}")
-    if k < 0 or k > m:
-        return 0
-    return math.comb(m, k)
 
 
 class ExactPoly:

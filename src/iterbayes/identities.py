@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Tuple
 
-from .exact import ExactPoly, _homogeneous_value, binomial, sign_at
+from .exact import ExactPoly, _homogeneous_value, sign_at
 from .triangle import balance_polynomial, estimating_polynomial
 from .types import BinomialObs
 
@@ -81,16 +81,16 @@ def gould_141_sides(m: int, x: int) -> Tuple[Fraction, Fraction]:
         raise ValueError("gould_141_sides: x must be >= 0")
     lhs = Fraction(0)
     for r in range(x + 1):
-        term = Fraction(binomial(x, r) * m, m + r)
+        term = Fraction(math.comb(x, r) * m, m + r)
         lhs += -term if r % 2 else term
-    return lhs, Fraction(1, binomial(m + x, x))
+    return lhs, Fraction(1, math.comb(m + x, x))
 
 
 def gould_183_holds(x: int) -> bool:
     """Half-row binomial sum (Gould 1.83): sum_{k<=x} C(2x+1, k) == 4^x."""
     if x < 0:
         raise ValueError("gould_183_holds: x must be >= 0")
-    return sum(binomial(2 * x + 1, k) for k in range(x + 1)) == 4**x
+    return sum(math.comb(2 * x + 1, k) for k in range(x + 1)) == 4**x
 
 
 def positive_core_value(a: Fraction, obs: BinomialObs) -> int:
@@ -102,7 +102,7 @@ def positive_core_value(a: Fraction, obs: BinomialObs) -> int:
     v^(n-x) pos(a): the weights C(n+3, n-x-i) C(i+2, 2) of u^i (v-u)^(n-x-i).
     """
     n, x = obs.n, obs.x
-    weights = [binomial(n + 3, n - x - i) * binomial(i + 2, 2) for i in range(n - x + 1)]
+    weights = [math.comb(n + 3, n - x - i) * math.comb(i + 2, 2) for i in range(n - x + 1)]
     u, v = a.numerator, a.denominator
     return _homogeneous_value(weights, u, v - u)
 

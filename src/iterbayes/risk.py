@@ -13,10 +13,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from math import sqrt
+from math import comb, sqrt
 from typing import Callable, Dict, Sequence, Tuple
 
-from .exact import binomial
 from .triangle import solve_iterative_bayes
 from .types import BinomialObs
 
@@ -84,7 +83,7 @@ def risk_at(p, estimates: Sequence) -> object:
     total = 0
     q = 1 - p
     for x in range(n + 1):
-        total += binomial(n, x) * p**x * q ** (n - x) * (estimates[x] - p) ** 2
+        total += comb(n, x) * p**x * q ** (n - x) * (estimates[x] - p) ** 2
     return total
 
 

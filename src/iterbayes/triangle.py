@@ -32,6 +32,10 @@ Bernstein weights.
 For one success in one trial the estimating polynomial factors as
 2(a - 1)(a^2 + a - 1): the estimate is (sqrt(5) - 1)/2, the reciprocal of the
 Golden Ratio.
+
+The geometric model (x successes before the first failure) is the binomial
+one at n = x + 1: its estimate solves that estimating polynomial divided by
+-2, (x+1) a^(x+3) - (x+4) a^(x+2) + (x+4) a - (x+1), and reports its residual.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Tuple, Union
 
-from .exact import ExactPoly, _homogeneous_value, binomial, bisect_root, check_tol
+from .exact import ExactPoly, _homogeneous_value, bisect_root, check_tol
 from .types import (
     METHOD_BISECTION,
     METHOD_FIXED_POINT,
@@ -63,7 +67,6 @@ __all__ = [
     "FIXED_POINT_TOL",
     "FIXED_POINT_MAX_ITER",
     "fixed_point_iterate",
-    "geometric_polynomial",
     "geometric_estimate",
     "negative_binomial_estimate",
 ]
@@ -139,7 +142,7 @@ def balance_polynomial(obs: BinomialObs) -> ExactPoly:
     n, x = obs.n, obs.x
     coeffs = [Fraction(0)] * (x + 2)
     for r in range(n - x + 1):
-        c = Fraction(binomial(n - x, r), (x + r + 2) * (x + r + 3))
+        c = Fraction(math.comb(n - x, r), (x + r + 2) * (x + r + 3))
         coeffs.append(-c if r % 2 else c)
     return ExactPoly(coeffs)
 
@@ -170,7 +173,7 @@ def estimating_polynomial(obs: BinomialObs) -> EstimatingPolynomial:
     n, x = obs.n, obs.x
     m = n - x
     coeffs = [(m + 1) * (x + 1), -(m + 1) * (n + 3)] + [0] * x
-    c = 2 * binomial(n + 3, m)
+    c = 2 * math.comb(n + 3, m)
     for r in range(m + 1):
         coeffs.append(-c if r % 2 else c)
         # Both binomials step by their ratios: C(n+3, m-r-1) = C(n+3, m-r)
@@ -210,9 +213,9 @@ def solve_iterative_bayes(obs: BinomialObs, tol: Union[float, Fraction] = 1e-12)
 
     The bracket is never widened; an absent sign change would contradict the
     uniqueness of the root and raises BracketFailure.  ``tol`` (positive and
-    finite, else ValueError) bounds the final bracket width, and with it the
-    residual: the reported point is the bracket's midpoint, and the exact
-    value of the estimating polynomial there is returned as the residual.
+    finite, else ValueError) bounds the final bracket width, not the
+    residual: that is |J| at the bracket's midpoint, the reported point, as a
+    float, and at most (tol/2) max |J'| over the bracket.
     """
     tol = check_tol(tol, str(obs))
     coeffs = estimating_polynomial(obs).int_coeffs
@@ -257,40 +260,23 @@ def fixed_point_iterate(obs: BinomialObs, mode0: float = 0.5) -> Estimate:
     )
 
 
-def geometric_polynomial(x: int) -> Tuple[int, ...]:
-    """Estimating polynomial for the geometric model (x successes before the
-    first failure), valid for x >= 1, as integer coefficients lowest degree
-    first:
-
-        (x+1) a^(x+3) - (x+4) a^(x+2) + (x+4) a - (x+1).
-
-    Equal to -1/2 times the binomial estimating polynomial for (n, x) = (x+1, x).
-    """
-    if x < 1:
-        raise ValueError("geometric_polynomial: defined for x >= 1")
-    coeffs = [0] * (x + 4)
-    coeffs[0] = -(x + 1)
-    coeffs[1] = x + 4
-    coeffs[x + 2] = -(x + 4)
-    coeffs[x + 3] = x + 1
-    return tuple(coeffs)
-
-
 def geometric_estimate(x: int, tol: Union[float, Fraction] = 1e-12) -> Estimate:
-    """Iterative Bayes estimate for the geometric model.
+    """Iterative Bayes estimate for the geometric model: x >= 0 successes
+    before the first failure, the binomial likelihood of x + 1 trials.
 
-    For x >= 1 the dedicated polynomial is solved on the binomial bracket with
-    n = x + 1; x = 0 goes through the negative-binomial reduction (r = 1),
-    whose polynomial form starts at x = 1.  Either way the value equals the
-    binomial solve for observation x from n = x + 1 trials.
+    That estimating polynomial J = 2(x+1) - 2(x+4) a + 2(x+4) a^(x+2) -
+    2(x+1) a^(x+3) is solved divided by -2, exactly: the geometric polynomial
+    (x+1) a^(x+3) - (x+4) a^(x+2) + (x+4) a - (x+1), with J's root, bracket
+    and iterations.  The division stays because the geometric estimate
+    prints the residual on this scale, half of J's.
     """
     if x < 0:
         raise ValueError("geometric_estimate: x must be >= 0")
-    if x == 0:
-        return negative_binomial_estimate(1, 0, tol=tol)
     label = f"geometric x={x}"
     tol = check_tol(tol, label)
-    return _bisect_estimate(geometric_polynomial(x), BinomialObs(x + 1, x), tol, label)
+    obs = BinomialObs(x + 1, x)
+    coeffs = tuple(c // -2 for c in estimating_polynomial(obs).int_coeffs)
+    return _bisect_estimate(coeffs, obs, tol, label)
 
 
 def negative_binomial_estimate(r: int, x: int, tol: Union[float, Fraction] = 1e-12) -> Estimate:

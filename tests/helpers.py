@@ -21,6 +21,12 @@ The estimating-polynomial reference builds it as a convolution in Fractions:
 the alternating core times 2 a^(x+2), plus the linear tail.  The package
 writes each coefficient in closed form, and must give the same integers.
 
+The geometric polynomial is the closed form for x successes before the
+first failure, (x+1) a^(x+3) - (x+4) a^(x+2) + (x+4) a - (x+1), written term
+by term.  The package divides the binomial estimating polynomial for
+(n, x) = (x+1, x) by -2 instead, and must give the same integers and the same
+solve.
+
 The power and antiderivative helpers integrate a polynomial in plain
 Fraction arithmetic: the independent route to the balance integral.
 
@@ -243,6 +249,17 @@ def reference_estimating_coeffs(obs):
     poly = head + tail
     assert all(c.denominator == 1 for c in poly.coeffs)
     return tuple(int(c) for c in poly.coeffs)
+
+
+def geometric_polynomial(x):
+    """(x+1) a^(x+3) - (x+4) a^(x+2) + (x+4) a - (x+1) for x >= 0, as
+    integer coefficients lowest degree first."""
+    coeffs = [0] * (x + 4)
+    coeffs[0] = -(x + 1)
+    coeffs[1] = x + 4
+    coeffs[x + 2] = -(x + 4)
+    coeffs[x + 3] = x + 1
+    return tuple(coeffs)
 
 
 def poly_power(poly, exponent):

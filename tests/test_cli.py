@@ -11,7 +11,8 @@ import pytest
 
 import iterbayes
 import iterbayes.risk as risk
-from iterbayes.cli import MAX_TRIALS, main
+import iterbayes.triangle as triangle
+from iterbayes.cli import MAX_TRIAL_BITS, MAX_TRIALS, _check_trials, main
 
 from reference_tables import PRINT_TOL, TABLE2, TABLE3
 
@@ -50,6 +51,19 @@ class TestEstimate:
         assert code == 0
         value = float(out.splitlines()[0].split()[1])
         assert value == pytest.approx(0.639, abs=PRINT_TOL)
+
+    def test_geometric_x0_residual_on_the_geometric_scale(self, capsys):
+        # Half the residual of the binomial solve for 0 successes in 1 trial.
+        _, geo, _ = run(capsys, "estimate", "--geometric", "--x", "0")
+        _, nb, _ = run(capsys, "estimate", "--neg-binomial", "1", "--x", "0")
+        assert "residual   2.627e-13" in geo
+        assert "residual   5.255e-13" in nb
+
+    def test_residual_is_not_bounded_by_tol(self, capsys):
+        # tol bounds the bracket width; the residual |J(midpoint)| can be
+        # far above it for a large n.
+        code, out, _ = run(capsys, "estimate", "--n", "1000", "--x", "400")
+        assert code == 0 and "residual   2.343e-07" in out
 
     def test_negative_binomial(self, capsys):
         code, out, _ = run(capsys, "estimate", "--neg-binomial", "2", "--x", "0")
@@ -134,10 +148,31 @@ class TestEstimate:
             assert err == (f"error: {MAX_TRIALS + 1} trials is above the ceiling "
                            f"of {MAX_TRIALS} that estimate solves\n")
 
+    @pytest.mark.parametrize("form", range(3), ids=["n", "geometric", "neg-binomial"])
+    def test_tol_ceiling_exits_2_without_solving(self, capsys, monkeypatch, form):
+        # 1000 trials at tol 5e-324 is 1000 x 1074 bits, 8% above
+        # MAX_TRIALS x log2(1e30).
+        def no_solve(*args, **kwargs):
+            raise AssertionError("estimate built a polynomial")
+
+        monkeypatch.setattr(triangle, "solve_iterative_bayes", no_solve)
+        monkeypatch.setattr(triangle, "estimating_polynomial", no_solve)
+        code, out, err = run(capsys, "estimate", *self._trials(1000)[form], "--tol", "5e-324")
+        assert code == 2 and out == ""
+        assert err == (f"error: 1000 trials at --tol 5e-324 is above the ceiling of "
+                       f"{MAX_TRIAL_BITS:.0f} for trials x log2(1/tol) that estimate solves\n")
+
+    def test_tol_ceiling_admits_max_trials_at_1e30(self):
+        _check_trials(MAX_TRIALS, 1e-30)
+        _check_trials(1, 5e-324)
+        with pytest.raises(ValueError, match="log2"):
+            _check_trials(MAX_TRIALS, 1e-31)
+
     def test_ceiling_in_help(self, capsys):
         code, out, _ = run(capsys, "estimate", "--help")
         assert code == 0
         assert f"at most {MAX_TRIALS} trials" in " ".join(out.split())
+        assert f"at most {MAX_TRIAL_BITS:.0f} trials x log2(1/tol)" in " ".join(out.split())
 
 
 class TestTable:

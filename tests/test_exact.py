@@ -9,39 +9,14 @@ from iterbayes.exact import (
     MAX_ITER,
     ExactPoly,
     RootBracket,
-    binomial,
     bisect_root,
     eval_rational,
     sign_at,
 )
-from iterbayes.triangle import (
-    estimating_polynomial,
-    geometric_polynomial,
-    solve_iterative_bayes,
-    solver_bracket,
-)
+from iterbayes.triangle import estimating_polynomial, solve_iterative_bayes, solver_bracket
 from iterbayes.types import BinomialObs
 
-from helpers import reference_bisect_root, reference_homogeneous_value
-
-
-class TestBinomial:
-    @pytest.mark.parametrize(
-        "m, k, want",
-        [(5, 2, 10), (3, 2, 3), (7, 9, 0), (7, -1, 0), (0, 0, 1), (60, 30, 118264581564861424)],
-    )
-    def test_values(self, m, k, want):
-        assert binomial(m, k) == want
-
-    def test_negative_m_rejected(self):
-        with pytest.raises(ValueError):
-            binomial(-1, 0)
-
-    def test_pascal_recurrence(self):
-        # independent oracle for the whole triangle used by the solvers
-        for m in range(1, 60):
-            for k in range(m + 1):
-                assert binomial(m, k) == binomial(m - 1, k - 1) + binomial(m - 1, k)
+from helpers import geometric_polynomial, reference_bisect_root, reference_homogeneous_value
 
 
 class TestExactPoly:

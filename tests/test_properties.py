@@ -10,6 +10,7 @@ import iterbayes.exact as exact
 from iterbayes.exact import ExactPoly, bisect_root, sign_at
 from iterbayes.triangle import (
     estimating_polynomial,
+    geometric_estimate,
     posterior_mean_exact,
     solve_iterative_bayes,
     solver_bracket,
@@ -17,6 +18,7 @@ from iterbayes.triangle import (
 from iterbayes.types import BinomialObs
 
 from helpers import (
+    geometric_polynomial,
     reference_bisect_root,
     reference_estimating_coeffs,
     reference_homogeneous_value,
@@ -95,17 +97,32 @@ def test_estimating_polynomial_matches_fraction_reference(n, data):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=1, max_value=60), st.data())
-def test_solution_symmetry_and_bracket(n, data):
+@given(st.integers(min_value=1, max_value=300), st.data(), st.sampled_from([1e-12, 1e-30]))
+def test_solution_symmetry_and_bracket(n, data, tol):
     # (n, n - x) is the mirror image of (n, x) about 1/2, bracket and grid
-    # included, so the solve reflects exactly.
+    # included, so the solve reflects exactly.  Strict brackets make the
+    # estimate strictly increasing in x.
     x = data.draw(st.integers(min_value=0, max_value=n))
-    est = solve_iterative_bayes(BinomialObs(n, x), tol=1e-12)
-    mirror = solve_iterative_bayes(BinomialObs(n, n - x), tol=1e-12)
+    est = solve_iterative_bayes(BinomialObs(n, x), tol=tol)
+    mirror = solve_iterative_bayes(BinomialObs(n, n - x), tol=tol)
     assert mirror.value_exact == 1 - est.value_exact
     assert mirror.bracket == (1 - est.bracket[1], 1 - est.bracket[0])
     assert mirror.iterations == est.iterations
     assert Fraction(x + 1, n + 3) < est.value_exact < Fraction(x + 2, n + 3)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([1e-12, 1e-30, 5e-324]), st.data())
+def test_geometric_estimate_solves_the_geometric_polynomial(tol, data):
+    # The package divides J(x + 1, x) by -2; the closed form must give the
+    # same solve, residual included, for x = 0 as for every other x.
+    x = data.draw(st.integers(min_value=0, max_value=60 if tol == 5e-324 else 300))
+    est = geometric_estimate(x, tol)
+    ref = bisect_root(geometric_polynomial(x), *solver_bracket(BinomialObs(x + 1, x)), tol)
+    assert est.value_exact == ref.value
+    assert est.bracket == (ref.lo, ref.hi)
+    assert est.iterations == ref.iterations
+    assert est.residual == float(ref.residual)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,6 @@ from iterbayes.risk import (
     risk_at,
     standard_estimators,
 )
-from iterbayes.exact import binomial
 from iterbayes.triangle import solve_iterative_bayes
 from iterbayes.types import BinomialObs
 
@@ -128,9 +128,9 @@ class TestTables:
             compare(10**8, 2)
 
     def test_limit_is_where_the_central_binomial_leaves_float(self):
-        float(binomial(1029, 514))
+        float(math.comb(1029, 514))
         with pytest.raises(OverflowError):
-            float(binomial(1030, 515))
+            float(math.comb(1030, 515))
 
 
 class TestMonteCarlo:

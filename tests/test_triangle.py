@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import iterbayes.triangle as triangle
-from iterbayes.exact import ExactPoly, binomial, bisect_root, eval_rational, sign_at
+from iterbayes.exact import ExactPoly, bisect_root, eval_rational, sign_at
 from iterbayes.identities import factorization_sides
 from iterbayes.conjugate import ConjugateFamily, ConjugateModel, SampleStats, conjugate_iterative_limit
 from iterbayes.triangle import (
@@ -13,7 +13,6 @@ from iterbayes.triangle import (
     estimating_polynomial,
     fixed_point_iterate,
     geometric_estimate,
-    geometric_polynomial,
     negative_binomial_estimate,
     posterior_mean_exact,
     solve_iterative_bayes,
@@ -24,6 +23,7 @@ from iterbayes.types import BinomialObs, BracketFailure, NoConvergence
 
 from helpers import (
     antiderivative,
+    geometric_polynomial,
     poly_power,
     posterior_mean_one_success,
     quadrature_posterior_mean,
@@ -111,7 +111,7 @@ class TestBalanceIntegral:
         assert balance_polynomial(BinomialObs(1, 1))(Fraction(1)) == Fraction(1, 12)
         for n in range(1, 13):
             for x in range(n + 1):
-                want = Fraction(1, (n + 3) * binomial(n + 2, x + 1))
+                want = Fraction(1, (n + 3) * math.comb(n + 2, x + 1))
                 assert balance_polynomial(BinomialObs(n, x))(Fraction(1)) == want
 
     def test_matches_defining_integral(self):
@@ -305,9 +305,19 @@ class TestGeometricAndNegativeBinomial:
             assert abs(geo.value - nb.value) < 1e-10
 
     def test_geometric_polynomial_is_scaled_estimating_polynomial(self):
-        for x in range(1, 8):
+        for x in range(0, 8):
             jn = estimating_polynomial(BinomialObs(x + 1, x)).int_coeffs
             assert tuple(-2 * c for c in geometric_polynomial(x)) == jn
+
+    def test_geometric_x0_residual_is_half_the_binomial_one(self):
+        # x = 0 is solved like every other x: J(1, 0) / -2, so its residual
+        # is half of the binomial solve's, with every other field equal.
+        geo = geometric_estimate(0, tol=1e-12)
+        nb = negative_binomial_estimate(1, 0, tol=1e-12)
+        assert geo.residual > 0
+        assert geo.residual == nb.residual / 2
+        assert geo.value_exact == nb.value_exact and geo.bracket == nb.bracket
+        assert geo.iterations == nb.iterations
 
     @pytest.mark.parametrize(
         "r, x, want",
@@ -319,8 +329,6 @@ class TestGeometricAndNegativeBinomial:
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             geometric_estimate(-1)
-        with pytest.raises(ValueError):
-            geometric_polynomial(0)
         with pytest.raises(ValueError):
             negative_binomial_estimate(0, 1)
         with pytest.raises(ValueError):
