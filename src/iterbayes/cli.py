@@ -23,11 +23,12 @@ from .conjugate import characteristic_limit
 
 FORMATS = ("plain", "csv", "json")
 
-# Largest trial count that `estimate` solves: --n, or the x + 1 and x + R
-# trials that --geometric and --neg-binomial imply.  A solve costs about the
+# Largest trial count that one command solves: --n, or the x + 1 and x + R
+# trials that --geometric and --neg-binomial imply, or a table's sum over its
+# solves.  A solve costs about the
 # square of n (1.5 s at n = 10000, x = n/3 and the default --tol on a 2-vCPU
 # Linux host) and grows as --tol shrinks, so trials times log2(1/tol) is
-# bounded too, by its value at MAX_TRIALS and tol 1e-30 (3.4 s there).
+# bounded too, by its value at MAX_TRIALS and tol 1e-30 (3.2-3.6 s there).
 MAX_TRIALS = 10_000
 MAX_TRIAL_BITS = MAX_TRIALS * -math.log2(1e-30)
 
@@ -45,14 +46,15 @@ def _fail(message: str) -> int:
 
 
 def _check_trials(n: int, tol: float) -> None:
-    """ValueError if ``estimate`` would solve for more than MAX_TRIALS trials,
+    """ValueError if one command would solve for more than MAX_TRIALS trials,
     or for trials times log2(1/tol) above MAX_TRIAL_BITS; that is computed as
     -log2(tol), since 1/5e-324 overflows to inf."""
     if n > MAX_TRIALS:
-        raise ValueError(f"{n} trials is above the ceiling of {MAX_TRIALS} that estimate solves")
+        raise ValueError(f"{n} trials is above the ceiling of {MAX_TRIALS} "
+                         "that one estimate or table command solves")
     if n * -math.log2(tol) > MAX_TRIAL_BITS:
-        raise ValueError(f"{n} trials at --tol {tol} is above the ceiling of "
-                         f"{MAX_TRIAL_BITS:.0f} for trials x log2(1/tol) that estimate solves")
+        raise ValueError(f"{n} trials at --tol {tol} is above the ceiling of {MAX_TRIAL_BITS:.0f} "
+                         "for trials x log2(1/tol) that one estimate or table command solves")
 
 
 def _estimate_payload(est: Estimate, digits: int) -> dict:
@@ -134,10 +136,18 @@ def _binomial_table(n_max: int, tol: float) -> List[tuple]:
 
 def cmd_table(args) -> int:
     digits = args.digits
-    if args.which == "table2":
-        if args.n_max < 1:
-            return _fail("--n-max must be >= 1")
-        rows = _binomial_table(args.n_max, args.tol)
+    table2, n_max, x_max = args.which == "table2", args.n_max, args.x_max
+    if table2 and n_max < 1:
+        return _fail("--n-max must be >= 1")
+    if not table2 and x_max < 0:
+        return _fail("--x-max must be >= 0")
+    try:  # n trials for each x at every n <= n_max, or x + 1 for each x <= x_max
+        _check_trials(n_max * (n_max + 1) * (n_max + 2) // 3 if table2
+                      else (x_max + 1) * (x_max + 2) // 2, args.tol)
+    except ValueError as exc:
+        return _fail(str(exc))
+    if table2:
+        rows = _binomial_table(n_max, args.tol)
         if args.format == "json":
             print(json.dumps([{"n": n, "x": x, "estimate": round(v, digits)}
                               for n, x, v in rows]))
@@ -147,14 +157,12 @@ def cmd_table(args) -> int:
             for n, x, v in rows:
                 writer.writerow([n, x, _fmt(v, digits)])
         else:
-            for n in range(1, args.n_max + 1):
+            for n in range(1, n_max + 1):
                 values = " ".join(_fmt(v, digits) for nn, _, v in rows if nn == n)
                 print(f"n={n:<2} {values}")
     else:
-        if args.x_max < 0:
-            return _fail("--x-max must be >= 0")
         values = [(x, triangle.geometric_estimate(x, tol=args.tol).value)
-                  for x in range(args.x_max + 1)]
+                  for x in range(x_max + 1)]
         if args.format == "json":
             print(json.dumps([{"x": x, "estimate": round(v, digits)} for x, v in values]))
         elif args.format == "csv":
@@ -293,7 +301,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_est)
     p_est.set_defaults(func=cmd_estimate)
 
-    p_tab = sub.add_parser("table", help="reference tables of estimates")
+    p_tab = sub.add_parser(
+        "table", help="reference tables of estimates",
+        epilog=f"table solves at most {MAX_TRIALS} trials in all and {MAX_TRIAL_BITS:.0f} trials "
+               f"x log2(1/tol), as estimate does; more exits with code 2.  table2 --n-max N "
+               f"solves N(N+1)(N+2)/3 trials, so N <= 30; table3 --x-max X (X+1)(X+2)/2, so X <= 139.")
     p_tab.add_argument("which", choices=("table2", "table3"),
                        help="table2: binomial grid; table3: geometric row")
     p_tab.add_argument("--n-max", type=int, default=10, help="largest n (table2, default: 10)")

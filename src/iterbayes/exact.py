@@ -6,19 +6,20 @@ That evaluator, ``_homogeneous_value``, runs a Horner loop on up to 64
 coefficients and splits longer polynomials into balanced halves, so that they
 cost a few large balanced products instead of d growing ones.
 
-Everything in this module is computed without rounding.  Scalars are
+Everything in this module is computed without rounding but the float residual
+of ``bisect_root``, rounded once from an exact integer quotient.  Scalars are
 ``fractions.Fraction`` (arbitrary precision, always in lowest terms with a
 positive denominator), so identity checks elsewhere in the package can assert
-equality instead of closeness.  The only approximations in the whole package
-happen when a caller converts a final result to ``float``.
+equality instead of closeness.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
+
+from .types import METHOD_BISECTION, Estimate
 
 Rational = Union[int, Fraction]
 
@@ -29,7 +30,6 @@ __all__ = [
     "eval_rational",
     "MAX_ITER",
     "check_tol",
-    "RootBracket",
     "bisect_root",
 ]
 
@@ -209,35 +209,24 @@ def check_tol(tol: Union[Rational, float], where: str) -> Fraction:
     return Fraction(tol)
 
 
-@dataclass(frozen=True)
-class RootBracket:
-    """Result of exact bisection: the reported point, its enclosing interval
-    with opposite polynomial signs at the ends, and the exact residual there
-    (zero when the point is an exact rational root)."""
-
-    value: Fraction
-    lo: Fraction
-    hi: Fraction
-    iterations: int
-    residual: Fraction
-
-
 def bisect_root(
     coeffs: Sequence[int],
     lo: Rational,
     hi: Rational,
     tol: Union[Rational, float] = Fraction(1, 10**12),
-) -> RootBracket:
+) -> Estimate:
     """Isolate the sign change of an integer-coefficient polynomial in (lo, hi).
 
     The endpoints must evaluate to nonzero values of opposite sign (ValueError
     otherwise).  The result is what bisection with exact rational midpoints
     gives when it halves the interval until it is narrower than ``tol``:
     after K halvings, the cell of width (hi - lo) / 2**K that holds the
-    root, its midpoint with the exact residual there, and ``iterations``
-    K + 1.  A grid point that is an exact root comes back as bisection meets
-    it: with zero residual, and with the strict-sign interval bisection holds
-    at that step as the bracket.
+    root as the Estimate's ``bracket``, its midpoint p/q as ``value_exact``,
+    ``iterations`` K + 1 and the ``residual`` |J(p/q)|: the integer
+    |q**degree J(p/q)| over q**degree, rounded once by int true division,
+    with no gcd to reduce the fraction.  A grid point that is an exact root
+    comes back as bisection meets it: with zero residual, and with the
+    strict-sign interval bisection holds at that step as the bracket.
 
     The cell is found by quadratic interval refinement (Abbott, 2006) on
     the same grid instead of by K halvings.  A bracket [a, b] of grid
@@ -305,11 +294,12 @@ def bisect_root(
                 a, fa = i, fi
         return False
 
-    def exact_root(m: int) -> RootBracket:
+    def exact_root(m: int) -> Estimate:
         # Bisection meets m after K - v halvings, v = 2-adic order of m.
-        half = m & -m
-        return RootBracket(point(m), point(m - half), point(m + half),
-                           levels - half.bit_length() + 1, Fraction(0))
+        half, root = m & -m, point(m)
+        return Estimate(value=float(root), method=METHOD_BISECTION,
+                        iterations=levels - half.bit_length() + 1,
+                        bracket=(point(m - half), point(m + half)), value_exact=root)
 
     e = 2
     while b - a > 1:
@@ -330,5 +320,7 @@ def bisect_root(
         if cut(mid):
             return exact_root(mid)
     mid = (point(a) + point(b)) / 2
-    return RootBracket(mid, point(a), point(b), levels + 1,
-                       abs(eval_rational(coeffs, mid)))
+    p, q = mid.numerator, mid.denominator
+    return Estimate(value=float(mid), method=METHOD_BISECTION, iterations=levels + 1,
+                    residual=abs(_homogeneous_value(coeffs, p, q)) / q**degree,
+                    bracket=(point(a), point(b)), value_exact=mid)

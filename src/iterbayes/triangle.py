@@ -48,7 +48,6 @@ from typing import Tuple, Union
 
 from .exact import ExactPoly, _homogeneous_value, bisect_root, check_tol
 from .types import (
-    METHOD_BISECTION,
     METHOD_FIXED_POINT,
     BinomialObs,
     BracketFailure,
@@ -194,17 +193,9 @@ def _bisect_estimate(
     change raises BracketFailure naming ``label``."""
     lo, hi = solver_bracket(obs)
     try:
-        result = bisect_root(coeffs, lo, hi, tol=tol)
+        return bisect_root(coeffs, lo, hi, tol=tol)
     except ValueError as exc:
         raise BracketFailure(f"no sign change over {lo}..{hi} for {label}: {exc}") from exc
-    return Estimate(
-        value=float(result.value),
-        method=METHOD_BISECTION,
-        iterations=result.iterations,
-        residual=float(result.residual),
-        bracket=(result.lo, result.hi),
-        value_exact=result.value,
-    )
 
 
 def solve_iterative_bayes(obs: BinomialObs, tol: Union[float, Fraction] = 1e-12) -> Estimate:

@@ -50,7 +50,8 @@ from fractions import Fraction
 from math import comb
 
 from iterbayes.conjugate import ConjugateFamily
-from iterbayes.exact import MAX_ITER, ExactPoly, RootBracket, check_tol, eval_rational, sign_at
+from iterbayes.exact import MAX_ITER, ExactPoly, check_tol, eval_rational, sign_at
+from iterbayes.types import METHOD_BISECTION, Estimate
 
 _BUDGET = 2_000_000
 
@@ -288,8 +289,9 @@ def reference_homogeneous_value(coeffs, u, v):
 
 def reference_bisect_root(coeffs, lo, hi, tol=Fraction(1, 10**12)):
     """Exact-sign bisection of (lo, hi) until it is narrower than ``tol``:
-    the midpoint of the last interval with its exact residual, or a midpoint
-    that is an exact root with zero residual and the interval it halved."""
+    the midpoint of the last interval with its residual, the reduced exact
+    fraction rounded to a float, or a midpoint that is an exact root with
+    zero residual and the interval it halved."""
     tol = check_tol(tol, "bisect_root")
     lo, hi = Fraction(lo), Fraction(hi)
     if not lo < hi:
@@ -310,10 +312,11 @@ def reference_bisect_root(coeffs, lo, hi, tol=Fraction(1, 10**12)):
         mid = (lo + hi) / 2
         s = sign_at(coeffs, mid)
         if s == 0:
-            return RootBracket(mid, lo, hi, iterations, Fraction(0))
+            return Estimate(float(mid), METHOD_BISECTION, iterations, 0.0, (lo, hi), mid)
         if s == s_lo:
             lo = mid
         else:
             hi = mid
     mid = (lo + hi) / 2
-    return RootBracket(mid, lo, hi, iterations + 1, abs(eval_rational(coeffs, mid)))
+    return Estimate(float(mid), METHOD_BISECTION, iterations + 1,
+                    float(abs(eval_rational(coeffs, mid))), (lo, hi), mid)

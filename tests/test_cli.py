@@ -146,7 +146,7 @@ class TestEstimate:
             code, out, err = run(capsys, "estimate", *flags)
             assert code == 2 and out == ""
             assert err == (f"error: {MAX_TRIALS + 1} trials is above the ceiling "
-                           f"of {MAX_TRIALS} that estimate solves\n")
+                           f"of {MAX_TRIALS} that one estimate or table command solves\n")
 
     @pytest.mark.parametrize("form", range(3), ids=["n", "geometric", "neg-binomial"])
     def test_tol_ceiling_exits_2_without_solving(self, capsys, monkeypatch, form):
@@ -160,7 +160,8 @@ class TestEstimate:
         code, out, err = run(capsys, "estimate", *self._trials(1000)[form], "--tol", "5e-324")
         assert code == 2 and out == ""
         assert err == (f"error: 1000 trials at --tol 5e-324 is above the ceiling of "
-                       f"{MAX_TRIAL_BITS:.0f} for trials x log2(1/tol) that estimate solves\n")
+                       f"{MAX_TRIAL_BITS:.0f} for trials x log2(1/tol) that one estimate or "
+                       f"table command solves\n")
 
     def test_tol_ceiling_admits_max_trials_at_1e30(self):
         _check_trials(MAX_TRIALS, 1e-30)
@@ -217,6 +218,40 @@ class TestTable:
     def test_n_max_validated(self, capsys):
         code, _, err = run(capsys, "table", "table2", "--n-max", "0")
         assert code == 2 and "error:" in err
+
+    # The largest tables under MAX_TRIALS: table2 --n-max 30 solves
+    # 30 * 31 * 32 / 3 = 9920 trials, table3 --x-max 139 solves 140 * 141 / 2 = 9870.
+    @pytest.mark.parametrize("args, rows", [(("table2", "--n-max", "30"), 31 * 32 // 2 - 1),
+                                            (("table3", "--x-max", "139"), 140)],
+                             ids=["table2", "table3"])
+    def test_ceiling_is_solved(self, capsys, args, rows):
+        code, out, err = run(capsys, "table", *args, "--format", "json")
+        assert code == 0 and err == ""
+        assert len(json.loads(out)) == rows
+
+    @pytest.mark.parametrize("args, message", [
+        (("table2", "--n-max", "31"), f"10912 trials is above the ceiling of {MAX_TRIALS}"),
+        (("table3", "--x-max", "140"), f"10011 trials is above the ceiling of {MAX_TRIALS}"),
+        (("table2", "--n-max", "30", "--tol", "1e-31"), "9920 trials at --tol 1e-31 is above"),
+        (("table3", "--x-max", "139", "--tol", "1e-31"), "9870 trials at --tol 1e-31 is above"),
+    ], ids=["table2", "table3", "table2-tol", "table3-tol"])
+    def test_above_ceiling_exits_2_without_solving(self, capsys, monkeypatch, args, message):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("table solved")
+
+        monkeypatch.setattr(triangle, "solve_iterative_bayes", no_solve)
+        monkeypatch.setattr(triangle, "geometric_estimate", no_solve)
+        code, out, err = run(capsys, "table", *args)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {message}")
+        assert err.endswith("that one estimate or table command solves\n")
+
+    def test_ceiling_in_help(self, capsys):
+        code, out, _ = run(capsys, "table", "--help")
+        assert code == 0
+        text = " ".join(out.split())
+        assert f"at most {MAX_TRIALS} trials in all" in text
+        assert "so N <= 30" in text and "so X <= 139" in text
 
 
 class TestVerify:

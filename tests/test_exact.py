@@ -8,13 +8,12 @@ import iterbayes.exact as exact
 from iterbayes.exact import (
     MAX_ITER,
     ExactPoly,
-    RootBracket,
     bisect_root,
     eval_rational,
     sign_at,
 )
 from iterbayes.triangle import estimating_polynomial, solve_iterative_bayes, solver_bracket
-from iterbayes.types import BinomialObs
+from iterbayes.types import METHOD_BISECTION, BinomialObs, Estimate
 
 from helpers import geometric_polynomial, reference_bisect_root, reference_homogeneous_value
 
@@ -93,17 +92,18 @@ class TestBisectRoot:
     def test_golden_section_root(self):
         # a^2 + a - 1: unique root (sqrt(5)-1)/2 in (0, 1)
         result = bisect_root((-1, 1, 1), 0, 1, tol=Fraction(1, 10**15))
-        assert isinstance(result, RootBracket)
+        assert isinstance(result, Estimate) and result.method == METHOD_BISECTION
         golden = Fraction(6180339887498948, 10**16)
-        assert abs(result.value - golden) < Fraction(1, 10**12)
-        assert result.lo < result.value < result.hi
-        assert result.hi - result.lo < Fraction(1, 10**15)
-        assert sign_at((-1, 1, 1), result.lo) == -sign_at((-1, 1, 1), result.hi)
+        assert abs(result.value_exact - golden) < Fraction(1, 10**12)
+        lo, hi = result.bracket
+        assert lo < result.value_exact < hi
+        assert hi - lo < Fraction(1, 10**15)
+        assert sign_at((-1, 1, 1), lo) == -sign_at((-1, 1, 1), hi)
 
     def test_exact_root_detected(self):
         # 2a - 1 hits the first midpoint of (0, 1) exactly
         result = bisect_root((-1, 2), 0, 1)
-        assert result.value == Fraction(1, 2)
+        assert result.value_exact == Fraction(1, 2)
         assert result.residual == 0
 
     def test_orientation_agnostic(self):
@@ -170,10 +170,28 @@ class TestBisectRootEqualsBisection:
     def test_exact_root_keeps_bisection_bracket_and_count(self):
         # 3/8 is bisection's third midpoint: bracket (1/4, 1/2), 3 steps.
         result = bisect_root((-3, 8), 0, 1)
-        assert result == RootBracket(Fraction(3, 8), Fraction(1, 4), Fraction(1, 2), 3, Fraction(0))
+        assert result == Estimate(0.375, METHOD_BISECTION, 3, 0.0,
+                                  (Fraction(1, 4), Fraction(1, 2)), Fraction(3, 8))
         # At tol 1/4 the grid is eighths, and 5/16 is the last cell's midpoint.
         result = bisect_root((-5, 16), 0, 1, tol=Fraction(1, 4))
-        assert result == RootBracket(Fraction(5, 16), Fraction(1, 4), Fraction(3, 8), 4, Fraction(0))
+        assert result == Estimate(0.3125, METHOD_BISECTION, 4, 0.0,
+                                  (Fraction(1, 4), Fraction(3, 8)), Fraction(5, 16))
+
+    def test_subnormal_residuals_round_as_the_reduced_fraction(self):
+        # Every n <= 4 at the smallest tol: 9 of the 14 residuals are
+        # subnormal, where a rounding slip would show first.
+        for n in range(1, 5):
+            for x in range(n + 1):
+                coeffs, lo, hi = _solver_case(n, x)
+                assert bisect_root(coeffs, lo, hi, 5e-324) == reference_bisect_root(coeffs, lo, hi, 5e-324), (n, x)
+
+    def test_residual_needs_no_fraction(self, monkeypatch):
+        def no_fraction(*args):
+            raise AssertionError("eval_rational called")
+
+        monkeypatch.setattr(exact, "eval_rational", no_fraction)
+        est = solve_iterative_bayes(BinomialObs(40, 13))
+        assert 0 < est.residual < 1e-9
 
 
 def _count_evaluations(monkeypatch):
@@ -223,5 +241,6 @@ class TestEvaluationCount:
         # K = MAX_ITER halvings fit the limit, as they did for bisection.
         result = bisect_root((-1, 3), 0, 1, tol=Fraction(1, 2 ** (MAX_ITER - 1)))
         assert result.iterations == MAX_ITER + 1
-        assert result.lo < Fraction(1, 3) < result.hi
-        assert result.hi - result.lo == Fraction(1, 2**MAX_ITER)
+        lo, hi = result.bracket
+        assert lo < Fraction(1, 3) < hi
+        assert hi - lo == Fraction(1, 2**MAX_ITER)

@@ -119,10 +119,7 @@ def test_geometric_estimate_solves_the_geometric_polynomial(tol, data):
     x = data.draw(st.integers(min_value=0, max_value=60 if tol == 5e-324 else 300))
     est = geometric_estimate(x, tol)
     ref = bisect_root(geometric_polynomial(x), *solver_bracket(BinomialObs(x + 1, x)), tol)
-    assert est.value_exact == ref.value
-    assert est.bracket == (ref.lo, ref.hi)
-    assert est.iterations == ref.iterations
-    assert est.residual == float(ref.residual)
+    assert est == ref
 
 
 @settings(max_examples=40, deadline=None)
