@@ -25,10 +25,10 @@ FORMATS = ("plain", "csv", "json")
 
 # Largest trial count that one command solves: --n, or the x + 1 and x + R
 # trials that --geometric and --neg-binomial imply, or a table's sum over its
-# solves.  A solve costs about the
-# square of n (1.5 s at n = 10000, x = n/3 and the default --tol on a 2-vCPU
-# Linux host) and grows as --tol shrinks, so trials times log2(1/tol) is
-# bounded too, by its value at MAX_TRIALS and tol 1e-30 (3.2-3.6 s there).
+# solves.  A solve costs about the square of n (1.5 s at n = 10000, x = n/3
+# and the default --tol on a 2-vCPU Linux host) and grows as --tol shrinks,
+# so trials times log2(1/tol) is bounded too, by its value at MAX_TRIALS and
+# tol 1e-30 (3.2-3.6 s there).
 MAX_TRIALS = 10_000
 MAX_TRIAL_BITS = MAX_TRIALS * -math.log2(1e-30)
 

@@ -222,9 +222,9 @@ def bisect_root(
     gives when it halves the interval until it is narrower than ``tol``:
     after K halvings, the cell of width (hi - lo) / 2**K that holds the
     root as the Estimate's ``bracket``, its midpoint p/q as ``value_exact``,
-    ``iterations`` K + 1 and the ``residual`` |J(p/q)|: the integer
-    |q**degree J(p/q)| over q**degree, rounded once by int true division,
-    with no gcd to reduce the fraction.  A grid point that is an exact root
+    ``iterations`` K + 1 and the ``residual`` |P(p/q)| of the polynomial P:
+    the integer |q**degree P(p/q)| over q**degree, rounded once by int true
+    division, with no gcd to reduce the fraction.  A grid point that is an exact root
     comes back as bisection meets it: with zero residual, and with the
     strict-sign interval bisection holds at that step as the bracket.
 

@@ -114,8 +114,8 @@ class Estimate:
     ``bracket`` (when present) is an exact rational interval over which the
     defining function changes sign, strictly containing the estimate;
     ``value_exact`` is the exact rational point the float ``value`` rounds.
-    ``residual`` is, by solver: bisection, |J(value_exact)| of the
-    estimating polynomial J as a float; the triangle fixed point, the last
+    ``residual`` is, by solver: bisection, |J(value_exact)| of the solved
+    polynomial J as a float; the triangle fixed point, the last
     step; the conjugate limit (also tagged fixed-point), the distance left
     to the MLE.
     """
