@@ -397,3 +397,100 @@ def test_golden_output(name, argv, want_code):
         code = main(list(argv))
     assert code == want_code
     assert out.getvalue().encode() == workloads.golden_stdout(name)
+
+
+# Every CSV and JSON writer, byte for byte: each command and format, the
+# --mc columns, verify's failing counterexample and estimate without a bracket.
+MACHINE_OUTPUT = [
+    ("table2-csv", ("table", "table2", "--n-max", "3", "--format", "csv"), 0,
+     'n,x,estimate\r\n'
+     '1,0,0.381966\r\n'
+     '1,1,0.618034\r\n'
+     '2,0,0.308586\r\n'
+     '2,1,0.500000\r\n'
+     '2,2,0.691414\r\n'
+     '3,0,0.258729\r\n'
+     '3,1,0.419308\r\n'
+     '3,2,0.580692\r\n'
+     '3,3,0.741271\r\n'),
+    ("table2-json", ("table", "table2", "--n-max", "3", "--format", "json"), 0,
+     '[{"n": 1, "x": 0, "estimate": 0.381966}, '
+     '{"n": 1, "x": 1, "estimate": 0.618034}, '
+     '{"n": 2, "x": 0, "estimate": 0.308586}, '
+     '{"n": 2, "x": 1, "estimate": 0.5}, '
+     '{"n": 2, "x": 2, "estimate": 0.691414}, '
+     '{"n": 3, "x": 0, "estimate": 0.258729}, '
+     '{"n": 3, "x": 1, "estimate": 0.419308}, '
+     '{"n": 3, "x": 2, "estimate": 0.580692}, '
+     '{"n": 3, "x": 3, "estimate": 0.741271}]\n'),
+    ("table3-csv", ("table", "table3", "--x-max", "3", "--format", "csv"), 0,
+     'x,estimate\r\n'
+     '0,0.381966\r\n'
+     '1,0.500000\r\n'
+     '2,0.580692\r\n'
+     '3,0.639122\r\n'),
+    ("table3-json", ("table", "table3", "--x-max", "3", "--format", "json"), 0,
+     '[{"x": 0, "estimate": 0.381966}, '
+     '{"x": 1, "estimate": 0.5}, '
+     '{"x": 2, "estimate": 0.580692}, '
+     '{"x": 3, "estimate": 0.639122}]\n'),
+    ("verify-csv", TestVerify.ARGS + ("--format", "csv"), 0,
+     'identity,params,cases,passed,counterexample\r\n'
+     'gould-1.41,"m<=(4), x<=(4)",20,True,\r\n'
+     'gould-1.83,x<=(4),5,True,\r\n'
+     'estimating-polynomial-factorization,"n<=(3), all x",9,True,\r\n'
+     'core-positivity,"n<=(4), all x, 9-point grid",126,True,\r\n'
+     'endpoint-signs,"n<=(4), all x",42,True,\r\n'),
+    ("verify-json", TestVerify.ARGS + ("--format", "json"), 0,
+     '[{"identity": "gould-1.41", "params": "m<=(4), x<=(4)", "cases": 20, "passed": true, "counterexample": null}, '
+     '{"identity": "gould-1.83", "params": "x<=(4)", "cases": 5, "passed": true, "counterexample": null}, '
+     '{"identity": "estimating-polynomial-factorization", "params": "n<=(3), all x", "cases": 9, "passed": true, "counterexample": null}, '
+     '{"identity": "core-positivity", "params": "n<=(4), all x, 9-point grid", "cases": 126, "passed": true, "counterexample": null}, '
+     '{"identity": "endpoint-signs", "params": "n<=(4), all x", "cases": 42, "passed": true, "counterexample": null}]\n'),
+    ("verify-self-test-csv", TestVerify.ARGS + ("--self-test", "--format", "csv"), 1,
+     'identity,params,cases,passed,counterexample\r\n'
+     'gould-1.41,"m<=(4), x<=(4)",20,True,\r\n'
+     'gould-1.83,x<=(4),5,True,\r\n'
+     'estimating-polynomial-factorization,"n<=(3), all x",2,False,"n=1, x=1: coefficient of a^3 differs (3 vs 2)"\r\n'
+     'core-positivity,"n<=(4), all x, 9-point grid",126,True,\r\n'
+     'endpoint-signs,"n<=(4), all x",42,True,\r\n'),
+    ("verify-self-test-json", TestVerify.ARGS + ("--self-test", "--format", "json"), 1,
+     '[{"identity": "gould-1.41", "params": "m<=(4), x<=(4)", "cases": 20, "passed": true, "counterexample": null}, '
+     '{"identity": "gould-1.83", "params": "x<=(4)", "cases": 5, "passed": true, "counterexample": null}, '
+     '{"identity": "estimating-polynomial-factorization", "params": "n<=(3), all x", "cases": 2, "passed": false, "counterexample": "n=1, x=1: coefficient of a^3 differs (3 vs 2)"}, '
+     '{"identity": "core-positivity", "params": "n<=(4), all x, 9-point grid", "cases": 126, "passed": true, "counterexample": null}, '
+     '{"identity": "endpoint-signs", "params": "n<=(4), all x", "cases": 42, "passed": true, "counterexample": null}]\n'),
+    ("compare-csv", ("compare", "--n", "2", "--grid", "3", "--format", "csv"), 0,
+     'p,MLE,UniformBayes,JeffreysBayes,IterativeBayesTriangle\r\n'
+     '0.000000,0.000000,0.062500,0.027778,0.095225\r\n'
+     '0.500000,0.125000,0.031250,0.055556,0.018320\r\n'
+     '1.000000,0.000000,0.062500,0.027778,0.095225\r\n'),
+    ("compare-json", ("compare", "--n", "2", "--grid", "3", "--format", "json"), 0,
+     '[{"p": 0.0, "MLE": 0.0, "UniformBayes": 0.0625, "JeffreysBayes": 0.027778, "IterativeBayesTriangle": 0.095225}, '
+     '{"p": 0.5, "MLE": 0.125, "UniformBayes": 0.03125, "JeffreysBayes": 0.055556, "IterativeBayesTriangle": 0.01832}, '
+     '{"p": 1.0, "MLE": 0.0, "UniformBayes": 0.0625, "JeffreysBayes": 0.027778, "IterativeBayesTriangle": 0.095225}]\n'),
+    ("compare-mc-csv", ("compare", "--n", "2", "--grid", "3", "--mc", "50", "--seed", "1", "--format", "csv"), 0,
+     'p,MLE,UniformBayes,JeffreysBayes,IterativeBayesTriangle,MLE_mc,UniformBayes_mc,JeffreysBayes_mc,IterativeBayesTriangle_mc\r\n'
+     '0.000000,0.000000,0.062500,0.027778,0.095225,0.000000,0.062500,0.027778,0.095225\r\n'
+     '0.500000,0.125000,0.031250,0.055556,0.018320,0.145000,0.033750,0.046667,0.020518\r\n'
+     '1.000000,0.000000,0.062500,0.027778,0.095225,0.000000,0.062500,0.027778,0.095225\r\n'),
+    ("compare-mc-json", ("compare", "--n", "2", "--grid", "3", "--mc", "50", "--seed", "1", "--format", "json"), 0,
+     '[{"p": 0.0, "MLE": 0.0, "UniformBayes": 0.0625, "JeffreysBayes": 0.027778, "IterativeBayesTriangle": 0.095225, "MLE_mc": 0.0, "UniformBayes_mc": 0.0625, "JeffreysBayes_mc": 0.027778, "IterativeBayesTriangle_mc": 0.095225}, '
+     '{"p": 0.5, "MLE": 0.125, "UniformBayes": 0.03125, "JeffreysBayes": 0.055556, "IterativeBayesTriangle": 0.01832, "MLE_mc": 0.145, "UniformBayes_mc": 0.03375, "JeffreysBayes_mc": 0.046667, "IterativeBayesTriangle_mc": 0.020518}, '
+     '{"p": 1.0, "MLE": 0.0, "UniformBayes": 0.0625, "JeffreysBayes": 0.027778, "IterativeBayesTriangle": 0.095225, "MLE_mc": 0.0, "UniformBayes_mc": 0.0625, "JeffreysBayes_mc": 0.027778, "IterativeBayesTriangle_mc": 0.095225}]\n'),
+    ("estimate-characteristic-csv", ("estimate", "--characteristic", "1", "2", "--n", "3", "--x", "1", "--format", "csv"), 0,
+     'value,method,iterations,residual,bracket_lo,bracket_hi\r\n'
+     '0.400000,closed-form,0,0.000e+00,,\r\n'),
+    ("estimate-characteristic-json", ("estimate", "--characteristic", "1", "2", "--n", "3", "--x", "1", "--format", "json"), 0,
+     '{"value": 0.4, "method": "closed-form", "iterations": 0, "residual": 0.0, "bracket": null}\n'),
+    ("estimate-exact-root-json", ("estimate", "--n", "2", "--x", "1", "--format", "json"), 0,
+     '{"value": 0.5, "method": "bisection", "iterations": 1, "residual": 0.0, "bracket": [0.4, 0.6]}\n'),
+]
+
+
+@pytest.mark.parametrize("name, argv, want_code, want_out", MACHINE_OUTPUT,
+                         ids=[case[0] for case in MACHINE_OUTPUT])
+def test_machine_readable_output(capsys, name, argv, want_code, want_out):
+    code, out, _ = run(capsys, *argv)
+    assert code == want_code
+    assert out == want_out
