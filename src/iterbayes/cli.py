@@ -15,7 +15,7 @@ import csv
 import json
 import math
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import identities, risk, triangle
 from .types import METHOD_CLOSED_FORM, BinomialObs, Characteristic, Estimate, EstimationError
@@ -37,6 +37,19 @@ def _fmt(value: float, digits: int) -> str:
     return f"{value:.{digits}f}"
 
 
+def _emit(fmt: str, digits: int, header: Sequence[str], rows) -> None:
+    """Print rows as a JSON list of objects keyed by header, each float
+    rounded to digits, or as CSV with each float fixed to digits."""
+    if fmt == "json":
+        print(json.dumps([{key: round(v, digits) if isinstance(v, float) else v
+                           for key, v in zip(header, row)} for row in rows]))
+    else:
+        writer = csv.writer(sys.stdout)
+        writer.writerow(header)
+        writer.writerows([_fmt(v, digits) if isinstance(v, float) else v for v in row]
+                         for row in rows)
+
+
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
@@ -55,20 +68,6 @@ def _check_trials(n: int, tol: float) -> None:
     if n * -math.log2(tol) > MAX_TRIAL_BITS:
         raise ValueError(f"{n} trials at --tol {tol} is above the ceiling of {MAX_TRIAL_BITS:.0f} "
                          "for trials x log2(1/tol) that one estimate or table command solves")
-
-
-def _estimate_payload(est: Estimate, digits: int) -> dict:
-    payload = {
-        "value": round(est.value, digits),
-        "method": est.method,
-        "iterations": est.iterations,
-        "residual": est.residual,
-        "bracket": None,
-    }
-    if est.bracket is not None:
-        payload["bracket"] = [round(float(est.bracket[0]), digits),
-                              round(float(est.bracket[1]), digits)]
-    return payload
 
 
 def cmd_estimate(args) -> int:
@@ -104,14 +103,15 @@ def cmd_estimate(args) -> int:
         return _fail(str(exc))
 
     if args.format == "json":
-        print(json.dumps(_estimate_payload(est, digits)))
+        print(json.dumps({"value": round(est.value, digits), "method": est.method,
+                          "iterations": est.iterations, "residual": est.residual,
+                          "bracket": None if est.bracket is None
+                          else [round(float(end), digits) for end in est.bracket]}))
     elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["value", "method", "iterations", "residual", "bracket_lo", "bracket_hi"])
-        lo, hi = ("", "") if est.bracket is None else (
-            _fmt(float(est.bracket[0]), digits), _fmt(float(est.bracket[1]), digits))
-        writer.writerow([_fmt(est.value, digits), est.method, est.iterations,
-                         f"{est.residual:.3e}", lo, hi])
+        lo, hi = ("", "") if est.bracket is None else map(float, est.bracket)
+        _emit("csv", digits,
+              ["value", "method", "iterations", "residual", "bracket_lo", "bracket_hi"],
+              [[est.value, est.method, est.iterations, f"{est.residual:.3e}", lo, hi]])
     else:
         print(f"value      {_fmt(est.value, digits)}")
         print(f"method     {est.method}")
@@ -124,14 +124,6 @@ def cmd_estimate(args) -> int:
 
 
 # ------------------------------------------------------------------- table
-
-
-def _binomial_table(n_max: int, tol: float) -> List[tuple]:
-    rows = []
-    for n in range(1, n_max + 1):
-        for x in range(n + 1):
-            rows.append((n, x, triangle.solve_iterative_bayes(BinomialObs(n, x), tol=tol).value))
-    return rows
 
 
 def cmd_table(args) -> int:
@@ -147,31 +139,20 @@ def cmd_table(args) -> int:
     except ValueError as exc:
         return _fail(str(exc))
     if table2:
-        rows = _binomial_table(n_max, args.tol)
-        if args.format == "json":
-            print(json.dumps([{"n": n, "x": x, "estimate": round(v, digits)}
-                              for n, x, v in rows]))
-        elif args.format == "csv":
-            writer = csv.writer(sys.stdout)
-            writer.writerow(["n", "x", "estimate"])
-            for n, x, v in rows:
-                writer.writerow([n, x, _fmt(v, digits)])
-        else:
-            for n in range(1, n_max + 1):
-                values = " ".join(_fmt(v, digits) for nn, _, v in rows if nn == n)
-                print(f"n={n:<2} {values}")
+        header = ["n", "x", "estimate"]
+        rows = [(n, x, triangle.solve_iterative_bayes(BinomialObs(n, x), tol=args.tol).value)
+                for n in range(1, n_max + 1) for x in range(n + 1)]
     else:
-        values = [(x, triangle.geometric_estimate(x, tol=args.tol).value)
-                  for x in range(x_max + 1)]
-        if args.format == "json":
-            print(json.dumps([{"x": x, "estimate": round(v, digits)} for x, v in values]))
-        elif args.format == "csv":
-            writer = csv.writer(sys.stdout)
-            writer.writerow(["x", "estimate"])
-            for x, v in values:
-                writer.writerow([x, _fmt(v, digits)])
-        else:
-            print(" ".join(_fmt(v, digits) for _, v in values))
+        header = ["x", "estimate"]
+        rows = [(x, triangle.geometric_estimate(x, tol=args.tol).value) for x in range(x_max + 1)]
+    if args.format != "plain":
+        _emit(args.format, digits, header, rows)
+    elif table2:
+        for n in range(1, n_max + 1):
+            values = " ".join(_fmt(v, digits) for nn, _, v in rows if nn == n)
+            print(f"n={n:<2} {values}")
+    else:
+        print(" ".join(_fmt(v, digits) for _, v in rows))
     return 0
 
 
@@ -192,19 +173,9 @@ def cmd_verify(args) -> int:
         gould_max=args.gould_max,
         perturb=perturb,
     )
-    if args.format == "json":
-        print(json.dumps([{
-            "identity": r.name,
-            "params": r.params,
-            "cases": r.cases,
-            "passed": r.passed,
-            "counterexample": r.counterexample,
-        } for r in reports]))
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["identity", "params", "cases", "passed", "counterexample"])
-        for r in reports:
-            writer.writerow([r.name, r.params, r.cases, r.passed, r.counterexample or ""])
+    if args.format != "plain":
+        _emit(args.format, args.digits, ["identity", "params", "cases", "passed", "counterexample"],
+              [(r.name, r.params, r.cases, r.passed, r.counterexample) for r in reports])
     else:
         for r in reports:
             if r.passed:
@@ -244,16 +215,8 @@ def cmd_compare(args) -> int:
                                                seed=args.seed + k)
                 row.append(mean)
 
-    if args.format == "json":
-        print(json.dumps([
-            {key: round(val, digits) for key, val in zip(header, row)}
-            for row in rows
-        ]))
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v, digits) for v in row])
+    if args.format != "plain":
+        _emit(args.format, digits, header, rows)
     else:
         widths = [max(len(h), digits + 2) for h in header]
         print("  ".join(f"{h:>{w}}" for h, w in zip(header, widths)))
