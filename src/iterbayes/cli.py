@@ -32,6 +32,12 @@ FORMATS = ("plain", "csv", "json")
 MAX_TRIALS = 10_000
 MAX_TRIAL_BITS = MAX_TRIALS * -math.log2(1e-30)
 
+# compare sums --grid x (--n + 1) risk terms for each of its four columns
+# before it prints; the default --grid at --n 1029 is the most it admits.
+# --mc draws --grid x SAMPLES x --n variates for each column.
+MAX_RISK_TERMS = 101 * 1030
+MAX_MC_DRAWS = 10**7
+
 
 def _fmt(value: float, digits: int) -> str:
     return f"{value:.{digits}f}"
@@ -196,10 +202,17 @@ def cmd_compare(args) -> int:
         return _fail(f"--n {args.n} is above 1029, where C(n, n/2) exceeds the largest float")
     if args.grid < 2:
         return _fail("--grid must be >= 2")
+    if args.grid * (args.n + 1) > MAX_RISK_TERMS:
+        return _fail(f"--grid {args.grid} at --n {args.n} is {args.grid * (args.n + 1)} risk terms "
+                     f"per column, above the ceiling of {MAX_RISK_TERMS}")
     if args.mc is not None and args.seed is None:
         return _fail("--mc requires an explicit --seed (deterministic output)")
     if args.mc is not None and args.mc < 2:
         return _fail("--mc needs at least 2 samples")
+    if args.mc is not None and args.grid * args.mc * args.n > MAX_MC_DRAWS:
+        return _fail(f"--mc {args.mc} at --grid {args.grid} and --n {args.n} is "
+                     f"{args.grid * args.mc * args.n} draws per column, "
+                     f"above the ceiling of {MAX_MC_DRAWS}")
     table = risk.compare(args.n, args.grid)
     tags = list(table.columns)
     header = ["p"] + tags
@@ -290,7 +303,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_ver)
     p_ver.set_defaults(func=cmd_verify)
 
-    p_cmp = sub.add_parser("compare", help="exact mean-squared-error comparison")
+    p_cmp = sub.add_parser(
+        "compare", help="exact mean-squared-error comparison",
+        epilog=f"compare sums at most {MAX_RISK_TERMS} risk terms per column, --grid x (--n + 1), "
+               f"the default --grid at --n 1029, and --mc draws at most {MAX_MC_DRAWS} variates "
+               f"per column, --grid x SAMPLES x --n; more exits with code 2.")
     p_cmp.add_argument("--n", type=int, required=True,
                        help="number of trials (at most 1029: above it C(n, n/2) exceeds the largest float)")
     p_cmp.add_argument("--grid", type=int, default=101,

@@ -12,7 +12,8 @@ import pytest
 import iterbayes
 import iterbayes.risk as risk
 import iterbayes.triangle as triangle
-from iterbayes.cli import MAX_TRIAL_BITS, MAX_TRIALS, _check_trials, main
+from iterbayes.cli import (MAX_MC_DRAWS, MAX_RISK_TERMS, MAX_TRIAL_BITS, MAX_TRIALS,
+                           _check_trials, main)
 
 from reference_tables import PRINT_TOL, TABLE2, TABLE3
 
@@ -340,6 +341,37 @@ class TestCompare:
             assert code == 2 and out == ""
             assert "error:" in err and "1029" in err
 
+    # Work per column: --grid x (--n + 1) risk terms, --grid x --mc x --n draws.
+    @pytest.mark.parametrize("args, message", [
+        (("--n", "5", "--grid", "100000000"), "is 600000000 risk terms per column"),
+        (("--n", "1029", "--grid", "102"), "is 105060 risk terms per column"),
+        (("--n", "1", "--grid", "52016"), "is 104032 risk terms per column"),
+        (("--n", "5", "--grid", "11", "--mc", "1000000000"), "is 55000000000 draws per column"),
+        (("--n", "10", "--grid", "10", "--mc", "100001"), "is 10000100 draws per column"),
+    ], ids=["grid", "grid-n-max", "grid-n-1", "mc", "mc-edge"])
+    def test_above_ceiling_exits_2_without_solving(self, capsys, monkeypatch, args, message):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("compare solved")
+
+        monkeypatch.setattr(risk, "_triangle_value", no_solve)
+        monkeypatch.setattr(risk, "compare", no_solve)
+        code, out, err = run(capsys, "compare", *args, "--seed", "1")
+        assert code == 2 and out == ""
+        assert message in err
+        assert f"above the ceiling of {MAX_MC_DRAWS if '--mc' in args else MAX_RISK_TERMS}" in err
+
+    @pytest.mark.parametrize("args", [("--n", "1029", "--grid", "101"),
+                                      ("--n", "1", "--grid", "52015"),
+                                      ("--n", "10", "--grid", "10", "--mc", "100000")],
+                             ids=["grid-n-max", "grid-n-1", "mc"])
+    def test_ceiling_is_admitted(self, capsys, monkeypatch, args):
+        # The checks alone: a small table stands in for the solves and draws.
+        small = risk.compare(1, 2)
+        monkeypatch.setattr(risk, "compare", lambda n, grid_size: small)
+        monkeypatch.setattr(risk, "monte_carlo_mse", lambda *args, **kwargs: (0.0, 0.0))
+        code, _, err = run(capsys, "compare", *args, "--seed", "1")
+        assert code == 0 and err == ""
+
     def test_library_fault_is_not_a_usage_error(self, capsys, monkeypatch):
         # A ValueError from inside risk.compare (say, an estimate outside
         # [0, 1]) is a fault of the program, not exit 2.
@@ -353,6 +385,9 @@ class TestCompare:
     def test_limit_in_help(self, capsys):
         code, out, _ = run(capsys, "compare", "--help")
         assert code == 0 and "1029" in out
+        text = " ".join(out.split())
+        assert f"at most {MAX_RISK_TERMS} risk terms per column" in text
+        assert f"at most {MAX_MC_DRAWS} variates per column" in text
 
     def test_json_round_trip(self, capsys):
         code, out, _ = run(capsys, "compare", "--n", "2", "--grid", "3", "--format", "json")
