@@ -79,3 +79,25 @@ def test_no_runtime_dependencies():
                         if name.partition(".")[0] not in sys.stdlib_module_names]
     assert outside == []
     assert re.search(r"^dependencies = \[\]$", PYPROJECT.read_text(encoding="utf-8"), re.M)
+
+
+def test_no_unused_imports():
+    # Every name a module imports is read in that module or listed in its
+    # __all__, so a deletion cannot leave an import behind.
+    unused = []
+    for path in sorted((ROOT / "src" / "iterbayes").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(target, ast.Name) and target.id == "__all__"
+                    for target in node.targets):
+                read |= set(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                unused += [f"{path.name}:{node.lineno}: {name}" for name in
+                           (alias.asname or alias.name.partition(".")[0] for alias in node.names)
+                           if name not in read]
+    assert unused == []
