@@ -10,7 +10,6 @@ bracket signs, combinatorial lemmas) is checked in exact rational arithmetic.
 """
 
 from .types import BetaPrior, BinomialObs, Characteristic, Estimate, EstimationError
-from .conjugate import characteristic_limit, iterate_binomial_characteristic
 from .triangle import fixed_point_iterate, solve_iterative_bayes, triangle_posterior_mean
 
 __version__ = "0.1.0"
@@ -28,3 +27,12 @@ __all__ = [
     "solve_iterative_bayes",
     "triangle_posterior_mean",
 ]
+
+
+def __getattr__(name: str):
+    # The conjugate families load on first use (PEP 562), so that a process
+    # that never reaches them, such as most CLI commands, does not import them.
+    if name in ("characteristic_limit", "iterate_binomial_characteristic"):
+        from . import conjugate
+        return getattr(conjugate, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

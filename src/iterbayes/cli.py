@@ -6,20 +6,20 @@ Subcommands: ``estimate`` (point estimates from an observation), ``table``
 Data goes to stdout, diagnostics to stderr; exit codes are 0 for success,
 1 for a verification failure, 2 for a usage error.  Output is deterministic:
 the only randomized path (Monte Carlo risk) demands an explicit --seed.
+Each command imports only the modules it runs (the verifier, the risk
+harness, the conjugate families, json and csv), so a process pays for no
+other command's imports.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import math
 import sys
 from typing import Optional, Sequence
 
-from . import identities, risk, triangle
+from . import triangle
 from .types import METHOD_CLOSED_FORM, BinomialObs, Characteristic, Estimate, EstimationError
-from .conjugate import characteristic_limit
 
 FORMATS = ("plain", "csv", "json")
 
@@ -38,6 +38,14 @@ MAX_TRIAL_BITS = MAX_TRIALS * -math.log2(1e-30)
 MAX_RISK_TERMS = 101 * 1030
 MAX_MC_DRAWS = 10**7
 
+# Largest --n-max-symbolic, --n-max-pointwise and --gould-max that verify
+# runs.  At each ceiling its checks take about 9-11 s on a 2-vCPU Linux host:
+# factorization grows about as n^4, the pointwise checks as n^3 and
+# gould-1.41 as its bound cubed (29 s at --gould-max 200).
+MAX_N_SYMBOLIC = 45
+MAX_N_POINTWISE = 150
+MAX_GOULD = 150
+
 
 def _fmt(value: float, digits: int) -> str:
     return f"{value:.{digits}f}"
@@ -47,9 +55,11 @@ def _emit(fmt: str, digits: int, header: Sequence[str], rows) -> None:
     """Print rows as a JSON list of objects keyed by header, each float
     rounded to digits, or as CSV with each float fixed to digits."""
     if fmt == "json":
+        import json
         print(json.dumps([{key: round(v, digits) if isinstance(v, float) else v
                            for key, v in zip(header, row)} for row in rows]))
     else:
+        import csv
         writer = csv.writer(sys.stdout)
         writer.writerow(header)
         writer.writerows([_fmt(v, digits) if isinstance(v, float) else v for v in row]
@@ -96,6 +106,7 @@ def cmd_estimate(args) -> int:
         elif args.characteristic is not None:
             if args.n is None or args.x is None:
                 return _fail("--characteristic requires --n and --x")
+            from .conjugate import characteristic_limit
             a, b = args.characteristic
             obs = BinomialObs(args.n, args.x)
             value = characteristic_limit(Characteristic(a, b), obs)
@@ -109,6 +120,7 @@ def cmd_estimate(args) -> int:
         return _fail(str(exc))
 
     if args.format == "json":
+        import json
         print(json.dumps({"value": round(est.value, digits), "method": est.method,
                           "iterations": est.iterations, "residual": est.residual,
                           "bracket": None if est.bracket is None
@@ -146,8 +158,8 @@ def cmd_table(args) -> int:
         return _fail(str(exc))
     if table2:
         header = ["n", "x", "estimate"]
-        rows = [(n, x, triangle.solve_iterative_bayes(BinomialObs(n, x), tol=args.tol).value)
-                for n in range(1, n_max + 1) for x in range(n + 1)]
+        rows = [(n, x, value) for n in range(1, n_max + 1) for x, value in
+                enumerate(triangle.mirrored_values(triangle.solve_iterative_bayes, n, args.tol))]
     else:
         header = ["x", "estimate"]
         rows = [(x, triangle.geometric_estimate(x, tol=args.tol).value) for x in range(x_max + 1)]
@@ -166,9 +178,11 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    for flag in ("n_max_symbolic", "n_max_pointwise", "gould_max"):
-        if getattr(args, flag) < 1:
-            return _fail(f"--{flag.replace('_', '-')} must be >= 1")
+    for flag, ceiling in (("n_max_symbolic", MAX_N_SYMBOLIC),
+                          ("n_max_pointwise", MAX_N_POINTWISE), ("gould_max", MAX_GOULD)):
+        if not 1 <= getattr(args, flag) <= ceiling:
+            return _fail(f"--{flag.replace('_', '-')} must be between 1 and {ceiling}")
+    from . import identities
     perturb = (1, 1, 3, 1) if args.self_test else None
     if args.self_test:
         print("self-test: perturbing one estimating-polynomial coefficient "
@@ -213,6 +227,7 @@ def cmd_compare(args) -> int:
         return _fail(f"--mc {args.mc} at --grid {args.grid} and --n {args.n} is "
                      f"{args.grid * args.mc * args.n} draws per column, "
                      f"above the ceiling of {MAX_MC_DRAWS}")
+    from . import risk
     table = risk.compare(args.n, args.grid)
     tags = list(table.columns)
     header = ["p"] + tags
@@ -291,13 +306,22 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_tab)
     p_tab.set_defaults(func=cmd_table)
 
-    p_ver = sub.add_parser("verify", help="run the exact identity suite")
+    p_ver = sub.add_parser(
+        "verify", help="run the exact identity suite",
+        epilog=f"verify admits --n-max-symbolic up to {MAX_N_SYMBOLIC}, --n-max-pointwise "
+               f"up to {MAX_N_POINTWISE} and --gould-max up to {MAX_GOULD}; more exits with "
+               f"code 2.  At each ceiling its checks take about 10 s: the factorization "
+               f"check grows about as n^4, the pointwise checks as n^3 and gould-1.41 as "
+               f"its bound cubed.")
     p_ver.add_argument("--n-max-symbolic", type=int, default=12,
-                       help="largest n for coefficient-exact checks (default: 12)")
+                       help="largest n for coefficient-exact checks "
+                            f"(default: 12, at most {MAX_N_SYMBOLIC})")
     p_ver.add_argument("--n-max-pointwise", type=int, default=40,
-                       help="largest n for pointwise exact checks (default: 40)")
+                       help="largest n for pointwise exact checks "
+                            f"(default: 40, at most {MAX_N_POINTWISE})")
     p_ver.add_argument("--gould-max", type=int, default=30,
-                       help="range bound for the combinatorial identities (default: 30)")
+                       help="range bound for the combinatorial identities "
+                            f"(default: 30, at most {MAX_GOULD})")
     p_ver.add_argument("--self-test", action="store_true",
                        help="inject a known coefficient error and require the suite to fail")
     _add_common(p_ver)

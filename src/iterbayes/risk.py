@@ -10,13 +10,12 @@ within sampling error.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, sqrt
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from .triangle import solve_iterative_bayes
+from .triangle import mirrored_values, solve_iterative_bayes
 from .types import BinomialObs
 
 __all__ = [
@@ -48,10 +47,16 @@ class EstimatorSpec:
 
 
 # One entry per (n, x); bounded so that a long session keeps a fixed
-# footprint.  A risk table at n needs n + 1 entries.
+# footprint.  A risk table at n needs n + 1 entries, read from one row.
 @lru_cache(maxsize=1024)
 def _triangle_value(n: int, x: int) -> float:
-    return solve_iterative_bayes(BinomialObs(n, x), tol=1e-13).value
+    return _triangle_row(n)[x]
+
+
+# The last row only: a table reads one n, and a row solves only x <= n/2.
+@lru_cache(maxsize=1)
+def _triangle_row(n: int) -> Tuple[float, ...]:
+    return mirrored_values(solve_iterative_bayes, n, 1e-13)
 
 
 def standard_estimators() -> Tuple[EstimatorSpec, ...]:
@@ -73,17 +78,23 @@ def estimates_by_x(spec: EstimatorSpec, n: int) -> Tuple[float, ...]:
     return values
 
 
-def risk_at(p, estimates: Sequence) -> object:
+def risk_at(p, estimates: Sequence, weights: Optional[Sequence] = None) -> object:
     """Mean squared error sum_x C(n,x) p^x (1-p)^(n-x) (est[x] - p)^2.
 
     Generic arithmetic: float inputs give a float, Fraction inputs an exact
-    rational (used by tests to pin the float path).
+    rational (used by tests to pin the float path).  ``weights`` is the
+    binomial row C(n, 0), ..., C(n, n), computed here in integers when not
+    given; :func:`compare` builds it once, as floats, for a whole table.  A
+    float weight gives the same sum as its integer, which Python rounds to
+    the same float before multiplying.
     """
     n = len(estimates) - 1
+    if weights is None:
+        weights = [comb(n, x) for x in range(n + 1)]
     total = 0
     q = 1 - p
     for x in range(n + 1):
-        total += comb(n, x) * p**x * q ** (n - x) * (estimates[x] - p) ** 2
+        total += weights[x] * p**x * q ** (n - x) * (estimates[x] - p) ** 2
     return total
 
 
@@ -117,10 +128,11 @@ def compare(n: int, grid_size: int = 101) -> RiskTable:
         raise ValueError(f"compare: n = {n} is above 1029, where C(n, n/2) "
                          "exceeds the largest float")
     grid = tuple(i / (grid_size - 1) for i in range(grid_size))
+    weights = tuple(float(comb(n, x)) for x in range(n + 1))
     columns: Dict[str, Tuple[float, ...]] = {}
     for spec in standard_estimators():
         values = estimates_by_x(spec, n)
-        columns[spec.tag] = tuple(float(risk_at(p, values)) for p in grid)
+        columns[spec.tag] = tuple(float(risk_at(p, values, weights)) for p in grid)
     return RiskTable(n=n, p_grid=grid, columns=columns)
 
 
@@ -134,6 +146,7 @@ def monte_carlo_mse(
     """
     if samples < 2:
         raise ValueError("monte_carlo_mse: need at least 2 samples")
+    import random
     rng = random.Random(seed)
     values = estimates_by_x(spec, n)
     total = 0.0

@@ -12,8 +12,9 @@ import pytest
 import iterbayes
 import iterbayes.risk as risk
 import iterbayes.triangle as triangle
-from iterbayes.cli import (MAX_MC_DRAWS, MAX_RISK_TERMS, MAX_TRIAL_BITS, MAX_TRIALS,
-                           _check_trials, main)
+import iterbayes.identities as identities
+from iterbayes.cli import (MAX_GOULD, MAX_MC_DRAWS, MAX_N_POINTWISE, MAX_N_SYMBOLIC,
+                           MAX_RISK_TERMS, MAX_TRIAL_BITS, MAX_TRIALS, _check_trials, main)
 
 from reference_tables import PRINT_TOL, TABLE2, TABLE3
 
@@ -247,6 +248,20 @@ class TestTable:
         assert err.startswith(f"error: {message}")
         assert err.endswith("that one estimate or table command solves\n")
 
+    def test_table2_solves_only_the_lower_half(self, capsys, monkeypatch):
+        # Rows x > n/2 are reflected from x < n/2: 120 of table2's 230 solves.
+        solved = []
+        solve = triangle.solve_iterative_bayes
+
+        def counted(obs, tol):
+            solved.append(obs)
+            return solve(obs, tol=tol)
+
+        monkeypatch.setattr(triangle, "solve_iterative_bayes", counted)
+        code, out, _ = run(capsys, "table", "table2", "--n-max", "20", "--format", "json")
+        assert code == 0 and len(json.loads(out)) == 230
+        assert len(solved) == 120 and all(2 * obs.x <= obs.n for obs in solved)
+
     def test_ceiling_in_help(self, capsys):
         code, out, _ = run(capsys, "table", "--help")
         assert code == 0
@@ -291,6 +306,35 @@ class TestVerify:
         for bound in ("0", "-3"):
             code, out, err = run(capsys, *self.ARGS, flag, bound)
             assert code == 2 and flag in err and out == ""
+
+
+    @pytest.mark.parametrize("flag, ceiling", [("--n-max-symbolic", MAX_N_SYMBOLIC),
+                                               ("--n-max-pointwise", MAX_N_POINTWISE),
+                                               ("--gould-max", MAX_GOULD)])
+    def test_above_ceiling_exits_2_before_any_identity(self, capsys, monkeypatch, flag, ceiling):
+        def no_run(*args, **kwargs):
+            raise AssertionError("verify ran an identity")
+
+        monkeypatch.setattr(identities, "run_all", no_run)
+        code, out, err = run(capsys, *self.ARGS, flag, str(ceiling + 1))
+        assert code == 2 and out == ""
+        assert err == f"error: {flag} must be between 1 and {ceiling}\n"
+
+    @pytest.mark.parametrize("flag, ceiling", [("--n-max-symbolic", MAX_N_SYMBOLIC),
+                                               ("--n-max-pointwise", MAX_N_POINTWISE),
+                                               ("--gould-max", MAX_GOULD)])
+    def test_ceiling_is_admitted(self, capsys, monkeypatch, flag, ceiling):
+        # The check alone: an empty suite stands in for the identities.
+        monkeypatch.setattr(identities, "run_all", lambda **kwargs: [])
+        code, _, err = run(capsys, *self.ARGS, flag, str(ceiling))
+        assert code == 0 and err == ""
+
+    def test_ceilings_in_help(self, capsys):
+        code, out, _ = run(capsys, "verify", "--help")
+        assert code == 0
+        text = " ".join(out.split())
+        assert (f"--n-max-symbolic up to {MAX_N_SYMBOLIC}, --n-max-pointwise up to "
+                f"{MAX_N_POINTWISE} and --gould-max up to {MAX_GOULD}; more exits with code 2") in text
 
 
 class TestCompare:
@@ -421,6 +465,48 @@ class TestUsage:
         )
         assert proc.returncode == 0
         assert "0.618034" in proc.stdout
+
+
+# A child process runs one command through cli.main and prints its exit
+# code and every iterbayes module it loaded.
+LOADED_BY = """
+import contextlib, io, sys
+from iterbayes.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, *sorted(name for name in sys.modules if name.startswith("iterbayes.")))
+"""
+HEAVY = {"iterbayes.identities", "iterbayes.risk", "iterbayes.conjugate"}
+
+
+def _child(*argv):
+    src = str(Path(iterbayes.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env=env, timeout=60).stdout.split()
+
+
+@pytest.mark.parametrize("argv, code, loads", [
+    (("estimate", "--n", "1", "--x", "1"), "0", set()),
+    (("table", "table2"), "0", set()),
+    (("estimate", "--n", "3"), "2", set()),
+    (("estimate", "--characteristic", "1", "2", "--n", "1", "--x", "1"), "0",
+     {"iterbayes.conjugate"}),
+], ids=["estimate", "table2", "usage-error", "characteristic"])
+def test_each_command_loads_only_what_it_runs(argv, code, loads):
+    got_code, *modules = _child("-c", LOADED_BY, *argv)
+    assert got_code == code
+    assert HEAVY & set(modules) == loads
+
+
+def test_lazy_top_level_names_resolve():
+    assert _child("-c", "import sys, iterbayes\n"
+                        "print('iterbayes.conjugate' in sys.modules)\n"
+                        "from iterbayes import characteristic_limit\n"
+                        "print(characteristic_limit.__module__,"
+                        " iterbayes.iterate_binomial_characteristic.__module__)") == [
+        "False", "iterbayes.conjugate", "iterbayes.conjugate"]
 
 
 @pytest.mark.parametrize("name, argv, want_code", workloads.CLI_COMMANDS,

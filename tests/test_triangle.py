@@ -13,6 +13,7 @@ from iterbayes.triangle import (
     estimating_polynomial,
     fixed_point_iterate,
     geometric_estimate,
+    mirrored_values,
     negative_binomial_estimate,
     posterior_mean_exact,
     solve_iterative_bayes,
@@ -241,6 +242,21 @@ class TestSolveIterativeBayes:
             for x in range(n + 1):
                 assert values[x] + values[n - x] == pytest.approx(1.0, abs=1e-10)
             assert all(u < v for u, v in zip(values, values[1:]))  # increasing in x
+
+    def test_mirrored_values_equal_direct_solves(self):
+        # x > n/2 is 1 - the exact value at (n, n - x), rounded once; it must
+        # be the direct solve's float bit for bit.  x = n/2 is solved directly.
+        for n in range(1, 61):
+            solved = []
+
+            def solve(obs, tol):
+                solved.append(obs.x)
+                return solve_iterative_bayes(obs, tol=tol)
+
+            direct = tuple(solve_iterative_bayes(BinomialObs(n, x), tol=1e-12).value
+                           for x in range(n + 1))
+            assert mirrored_values(solve, n, 1e-12) == direct, n
+            assert solved == list(range(n // 2 + 1))
 
     def test_refined_bounds_small(self):
         for n in range(1, 13):
