@@ -272,6 +272,8 @@ class TestTable:
 
 class TestVerify:
     ARGS = ("verify", "--n-max-symbolic", "3", "--n-max-pointwise", "4", "--gould-max", "4")
+    CEILINGS = [("--n-max-symbolic", MAX_N_SYMBOLIC), ("--n-max-pointwise", MAX_N_POINTWISE),
+                ("--gould-max", MAX_GOULD)]
 
     def test_passes_with_exit_zero(self, capsys):
         code, out, _ = run(capsys, *self.ARGS)
@@ -307,10 +309,7 @@ class TestVerify:
             code, out, err = run(capsys, *self.ARGS, flag, bound)
             assert code == 2 and flag in err and out == ""
 
-
-    @pytest.mark.parametrize("flag, ceiling", [("--n-max-symbolic", MAX_N_SYMBOLIC),
-                                               ("--n-max-pointwise", MAX_N_POINTWISE),
-                                               ("--gould-max", MAX_GOULD)])
+    @pytest.mark.parametrize("flag, ceiling", CEILINGS)
     def test_above_ceiling_exits_2_before_any_identity(self, capsys, monkeypatch, flag, ceiling):
         def no_run(*args, **kwargs):
             raise AssertionError("verify ran an identity")
@@ -320,9 +319,7 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err == f"error: {flag} must be between 1 and {ceiling}\n"
 
-    @pytest.mark.parametrize("flag, ceiling", [("--n-max-symbolic", MAX_N_SYMBOLIC),
-                                               ("--n-max-pointwise", MAX_N_POINTWISE),
-                                               ("--gould-max", MAX_GOULD)])
+    @pytest.mark.parametrize("flag, ceiling", CEILINGS)
     def test_ceiling_is_admitted(self, capsys, monkeypatch, flag, ceiling):
         # The check alone: an empty suite stands in for the identities.
         monkeypatch.setattr(identities, "run_all", lambda **kwargs: [])
