@@ -39,7 +39,8 @@ MAX_RISK_TERMS = 101 * 1030
 MAX_MC_DRAWS = 10**7
 
 # Largest --n-max-symbolic, --n-max-pointwise and --gould-max that verify
-# runs.  At each ceiling its checks take about 9-11 s on a 2-vCPU Linux host:
+# runs.  At its ceiling each flag's checks take about 9-11 s on a 2-vCPU
+# Linux host (8.6 s, 11.1 s and 8.5 s, so about 28 s for all three):
 # factorization grows about as n^4, the pointwise checks as n^3 and
 # gould-1.41 as its bound cubed (29 s at --gould-max 200).
 MAX_N_SYMBOLIC = 45
@@ -159,7 +160,7 @@ def cmd_table(args) -> int:
     if table2:
         header = ["n", "x", "estimate"]
         rows = [(n, x, value) for n in range(1, n_max + 1) for x, value in
-                enumerate(triangle.mirrored_values(triangle.solve_iterative_bayes, n, args.tol))]
+                enumerate(triangle.mirrored_values(n, args.tol))]
     else:
         header = ["x", "estimate"]
         rows = [(x, triangle.geometric_estimate(x, tol=args.tol).value) for x in range(x_max + 1)]
@@ -310,9 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="run the exact identity suite",
         epilog=f"verify admits --n-max-symbolic up to {MAX_N_SYMBOLIC}, --n-max-pointwise "
                f"up to {MAX_N_POINTWISE} and --gould-max up to {MAX_GOULD}; more exits with "
-               f"code 2.  At each ceiling its checks take about 10 s: the factorization "
-               f"check grows about as n^4, the pointwise checks as n^3 and gould-1.41 as "
-               f"its bound cubed.")
+               f"code 2.  Each flag's checks take about 10 s at its ceiling, so all three "
+               f"at their ceilings take about 28 s: the factorization check grows about "
+               f"as n^4, the pointwise checks as n^3 and gould-1.41 as its bound cubed.")
     p_ver.add_argument("--n-max-symbolic", type=int, default=12,
                        help="largest n for coefficient-exact checks "
                             f"(default: 12, at most {MAX_N_SYMBOLIC})")

@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, sqrt
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
-from .triangle import mirrored_values, solve_iterative_bayes
+from . import triangle
 from .types import BinomialObs
 
 __all__ = [
@@ -46,6 +46,12 @@ class EstimatorSpec:
     fn: Callable[[BinomialObs], float]
 
 
+# Risk solves only through triangle.mirrored_values.  The benchmark tracer
+# (bench/tracing.py) wraps risk.solve_iterative_bayes by name and reads
+# _triangle_value's cache_info(), so both names stay until it stops.
+solve_iterative_bayes = triangle.solve_iterative_bayes
+
+
 # One entry per (n, x); bounded so that a long session keeps a fixed
 # footprint.  A risk table at n needs n + 1 entries, read from one row.
 @lru_cache(maxsize=1024)
@@ -56,11 +62,23 @@ def _triangle_value(n: int, x: int) -> float:
 # The last row only: a table reads one n, and a row solves only x <= n/2.
 @lru_cache(maxsize=1)
 def _triangle_row(n: int) -> Tuple[float, ...]:
-    return mirrored_values(solve_iterative_bayes, n, 1e-13)
+    return triangle.mirrored_values(n, 1e-13)
+
+
+# The last binomial row C(n, 0), ..., C(n, n): risk_at reads one n per table.
+@lru_cache(maxsize=1)
+def _binomial_row(n: int) -> Tuple[int, ...]:
+    return tuple(comb(n, x) for x in range(n + 1))
 
 
 def standard_estimators() -> Tuple[EstimatorSpec, ...]:
-    """The four estimators under comparison, in canonical column order."""
+    """The four estimators under comparison, in canonical column order.
+
+    The triangle estimator's ``fn`` solves a whole row: its first call at an
+    n solves x = 0..n/2 and reflects the rest, and only the last n's row is
+    kept, so a lone call costs about n/2 solves.  Reading x = 0..n in turn,
+    as :func:`estimates_by_x` does, costs the same half row once.
+    """
     return (
         EstimatorSpec(MLE, lambda obs: obs.x / obs.n),
         EstimatorSpec(UNIFORM_BAYES, lambda obs: (obs.x + 1) / (obs.n + 2)),
@@ -78,23 +96,18 @@ def estimates_by_x(spec: EstimatorSpec, n: int) -> Tuple[float, ...]:
     return values
 
 
-def risk_at(p, estimates: Sequence, weights: Optional[Sequence] = None) -> object:
+def risk_at(p, estimates: Sequence) -> object:
     """Mean squared error sum_x C(n,x) p^x (1-p)^(n-x) (est[x] - p)^2.
 
     Generic arithmetic: float inputs give a float, Fraction inputs an exact
-    rational (used by tests to pin the float path).  ``weights`` is the
-    binomial row C(n, 0), ..., C(n, n), computed here in integers when not
-    given; :func:`compare` builds it once, as floats, for a whole table.  A
-    float weight gives the same sum as its integer, which Python rounds to
-    the same float before multiplying.
+    rational (used by tests to pin the float path).
     """
     n = len(estimates) - 1
-    if weights is None:
-        weights = [comb(n, x) for x in range(n + 1)]
+    row = _binomial_row(n)
     total = 0
     q = 1 - p
     for x in range(n + 1):
-        total += weights[x] * p**x * q ** (n - x) * (estimates[x] - p) ** 2
+        total += row[x] * p**x * q ** (n - x) * (estimates[x] - p) ** 2
     return total
 
 
@@ -128,11 +141,10 @@ def compare(n: int, grid_size: int = 101) -> RiskTable:
         raise ValueError(f"compare: n = {n} is above 1029, where C(n, n/2) "
                          "exceeds the largest float")
     grid = tuple(i / (grid_size - 1) for i in range(grid_size))
-    weights = tuple(float(comb(n, x)) for x in range(n + 1))
     columns: Dict[str, Tuple[float, ...]] = {}
     for spec in standard_estimators():
         values = estimates_by_x(spec, n)
-        columns[spec.tag] = tuple(float(risk_at(p, values, weights)) for p in grid)
+        columns[spec.tag] = tuple(float(risk_at(p, values)) for p in grid)
     return RiskTable(n=n, p_grid=grid, columns=columns)
 
 

@@ -44,7 +44,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Tuple, Union
+from typing import Tuple, Union
 
 from .exact import ExactPoly, _homogeneous_value, bisect_root, check_tol
 from .types import (
@@ -214,21 +214,17 @@ def solve_iterative_bayes(obs: BinomialObs, tol: Union[float, Fraction] = 1e-12)
     return _bisect_estimate(coeffs, obs, tol, str(obs))
 
 
-def mirrored_values(
-    solve: Callable[..., Estimate], n: int, tol: Union[float, Fraction]
-) -> Tuple[float, ...]:
-    """The floats ``solve(BinomialObs(n, x), tol=tol).value`` for x = 0..n,
-    solving only x <= n/2.
+def mirrored_values(n: int, tol: Union[float, Fraction]) -> Tuple[float, ...]:
+    """The floats ``solve_iterative_bayes(BinomialObs(n, x), tol=tol).value``
+    for x = 0..n, solving only x <= n/2.
 
-    ``solve`` is :func:`solve_iterative_bayes`, passed by the caller so that
-    a hook on the caller's module attribute sees every solve.  The estimate
-    reflects: the triangle prior and the solver bracket are symmetric about
-    1/2, and bisection's cells reflect with them, so the exact value at
-    (n, n - x) is 1 minus the one at (n, x).  That difference, rounded once,
-    is the float a direct solve at (n, n - x) returns.  x = n/2, whose exact
-    root 1/2 is a bisection grid point, is solved directly.
+    The estimate reflects: the triangle prior and the solver bracket are
+    symmetric about 1/2, and bisection's cells reflect with them, so the exact
+    value at (n, n - x) is 1 minus the one at (n, x).  That difference, rounded
+    once, is the float a direct solve at (n, n - x) returns.  x = n/2, whose
+    exact root 1/2 is a bisection grid point, is solved directly.
     """
-    lower = [solve(BinomialObs(n, x), tol=tol) for x in range(n // 2 + 1)]
+    lower = [solve_iterative_bayes(BinomialObs(n, x), tol=tol) for x in range(n // 2 + 1)]
     upper = [float(1 - est.value_exact) for est in reversed(lower[: (n + 1) // 2])]
     return tuple(est.value for est in lower) + tuple(upper)
 

@@ -49,15 +49,6 @@ class TestRiskAt:
             floats = risk_at(0.37, values)
             assert floats == pytest.approx(float(exact), abs=1e-12)
 
-    @pytest.mark.parametrize("n", [1, 30, 300, 1029])
-    def test_float_weights_give_the_integer_row_sum(self, n):
-        # compare passes the binomial row as floats; each product must round
-        # as the integer row's does, so the sums agree bit for bit.
-        values = tuple((x * 0.7 + 0.3) / (n + 1) for x in range(n + 1))
-        weights = tuple(float(math.comb(n, x)) for x in range(n + 1))
-        for p in (0.0, 0.013, 0.37, 0.5, 0.81, 1.0):
-            assert risk_at(p, values, weights) == risk_at(p, values)
-
     def test_mle_risk_vanishes_at_endpoints(self):
         values = estimates_by_x(_spec(MLE), 4)
         assert risk_at(0.0, values) == 0.0
