@@ -34,9 +34,11 @@ MAX_TRIAL_BITS = MAX_TRIALS * -math.log2(1e-30)
 
 # compare sums --grid x (--n + 1) risk terms for each of its four columns
 # before it prints; the default --grid at --n 1029 is the most it admits.
-# --mc draws --grid x SAMPLES x --n variates for each column.
+# --mc draws --grid x SAMPLES x --n variates for each column, and each sample
+# also costs about seven draws of fixed work, so SAMPLES x (--n + 7) is counted.
 MAX_RISK_TERMS = 101 * 1030
 MAX_MC_DRAWS = 10**7
+MC_SAMPLE_DRAWS = 7
 
 # Largest --n-max-symbolic, --n-max-pointwise and --gould-max that verify
 # runs.  At its ceiling each flag's checks take about 9-11 s on a 2-vCPU
@@ -224,9 +226,9 @@ def cmd_compare(args) -> int:
         return _fail("--mc requires an explicit --seed (deterministic output)")
     if args.mc is not None and args.mc < 2:
         return _fail("--mc needs at least 2 samples")
-    if args.mc is not None and args.grid * args.mc * args.n > MAX_MC_DRAWS:
+    if args.mc is not None and args.grid * args.mc * (args.n + MC_SAMPLE_DRAWS) > MAX_MC_DRAWS:
         return _fail(f"--mc {args.mc} at --grid {args.grid} and --n {args.n} is "
-                     f"{args.grid * args.mc * args.n} draws per column, "
+                     f"{args.grid * args.mc * (args.n + MC_SAMPLE_DRAWS)} draws per column, "
                      f"above the ceiling of {MAX_MC_DRAWS}")
     from . import risk
     table = risk.compare(args.n, args.grid)
@@ -332,7 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
         "compare", help="exact mean-squared-error comparison",
         epilog=f"compare sums at most {MAX_RISK_TERMS} risk terms per column, --grid x (--n + 1), "
                f"the default --grid at --n 1029, and --mc draws at most {MAX_MC_DRAWS} variates "
-               f"per column, --grid x SAMPLES x --n; more exits with code 2.")
+               f"per column, --grid x SAMPLES x (--n + {MC_SAMPLE_DRAWS}), counting each "
+               f"sample's fixed work as {MC_SAMPLE_DRAWS} draws; more exits with code 2.")
     p_cmp.add_argument("--n", type=int, required=True,
                        help="number of trials (at most 1029: above it C(n, n/2) exceeds the largest float)")
     p_cmp.add_argument("--grid", type=int, default=101,

@@ -4,7 +4,12 @@ check, and exact root bracketing.
 
 That evaluator, ``_homogeneous_value``, runs a Horner loop on up to 64
 coefficients and splits longer polynomials into balanced halves, so that they
-cost a few large balanced products instead of d growing ones.
+cost a few large balanced products instead of d growing ones.  The split
+applies the power of two in v by shifts: on ``bisect_root``'s grid for
+n <= 800, v is (n+3)·2**k with k up to 32-39 at tol 1e-12 and 92-99 at
+1e-30, so most of each power of v is a power of two.
+``bisect_root`` works on bisection's grid refined once, so its residual is a
+value the search has already computed.
 
 Everything in this module is computed without rounding but the float residual
 of ``bisect_root``, rounded once from an exact integer quotient.  Scalars are
@@ -133,8 +138,12 @@ def _homogeneous_value(coeffs: Sequence[int], u: int, v: int) -> int:
 
     recursively, so the large products are few, of balanced operands, and
     run in CPython's Karatsuba multiplication (Brent & Zimmermann, *Modern
-    Computer Arithmetic*, 2010, ch. 1).  Each power of u and v is computed
-    once per call.
+    Computer Arithmetic*, 2010, ch. 1).  There v = w * 2**k with w odd (k = 0
+    at v = 0), and v**len(c_hi) is applied as w**len(c_hi) and a shift by
+    k * len(c_hi), so a grid point's power of two costs no multiplication.
+    The leaves and the short loop keep plain powers of v: their products
+    are small, and a shift there only adds interpreter work.  Each power of
+    u and w is computed once per call.
     """
     d = len(coeffs) - 1
     if d < _SPLIT_ABOVE:
@@ -147,30 +156,31 @@ def _homogeneous_value(coeffs: Sequence[int], u: int, v: int) -> int:
     leaf_vpows = [1]
     for _ in range(_LEAF):
         leaf_vpows.append(leaf_vpows[-1] * v)
-    return _split_value(coeffs, 0, d + 1, u, v, leaf_vpows, {}, {})
+    k = (v & -v).bit_length() - 1 if v else 0
+    return _split_value(coeffs, 0, d + 1, u, v >> k, k, leaf_vpows, {}, {})
 
 
-def _split_value(coeffs: Sequence[int], start: int, stop: int, u: int, v: int,
-                 leaf_vpows: list, upows: dict, vpows: dict) -> int:
-    """H(coeffs[start:stop]) of :func:`_homogeneous_value`, given v**0 ..
-    v**_LEAF in ``leaf_vpows``; ``upows`` and ``vpows`` hold the powers of u
-    and v made so far.  It recurses here, not through the module attribute,
-    so that an evaluation is one call of _homogeneous_value."""
+def _split_value(coeffs: Sequence[int], start: int, stop: int, u: int, w: int, k: int,
+                 leaf_vpows: list, upows: dict, wpows: dict) -> int:
+    """H(coeffs[start:stop]) of :func:`_homogeneous_value` at v = w * 2**k,
+    given v**0 .. v**_LEAF in ``leaf_vpows``; ``upows`` and ``wpows`` hold the
+    powers of u and w made so far.  It recurses here, not through the module
+    attribute, so that an evaluation is one call of _homogeneous_value."""
     length = stop - start
     if length <= _LEAF:
         acc = coeffs[stop - 1]
-        for k, i in enumerate(range(stop - 2, start - 1, -1), 1):
-            acc = acc * u + coeffs[i] * leaf_vpows[k]
+        for j, i in enumerate(range(stop - 2, start - 1, -1), 1):
+            acc = acc * u + coeffs[i] * leaf_vpows[j]
         return acc
     half = length // 2
     rest = length - half
     if half not in upows:
         upows[half] = u ** half
-    if rest not in vpows:
-        vpows[rest] = v ** rest
-    low = _split_value(coeffs, start, start + half, u, v, leaf_vpows, upows, vpows)
-    high = _split_value(coeffs, start + half, stop, u, v, leaf_vpows, upows, vpows)
-    return low * vpows[rest] + upows[half] * high
+    if rest not in wpows:
+        wpows[rest] = w ** rest
+    low = _split_value(coeffs, start, start + half, u, w, k, leaf_vpows, upows, wpows)
+    high = _split_value(coeffs, start + half, stop, u, w, k, leaf_vpows, upows, wpows)
+    return (low * wpows[rest] << k * rest) + upows[half] * high
 
 
 def sign_at(coeffs: Sequence[int], point: Rational) -> int:
@@ -229,8 +239,9 @@ def bisect_root(
     strict-sign interval bisection holds at that step as the bracket.
 
     The cell is found by quadratic interval refinement (Abbott, 2006) on
-    the same grid instead of by K halvings.  A bracket [a, b] of grid
-    indices is kept with the exact values of the polynomial at both ends.
+    bisection's grid refined once, with K + 1 halvings, instead of by K
+    halvings.  A bracket [a, b] of grid indices is kept with the exact
+    values of the polynomial at both ends.
     With span the largest power of two at most (b - a) / 2**e, the multiple
     of span nearest the zero of the secant through those values is probed,
     then its neighbour on the root's side; their exact signs narrow the
@@ -238,13 +249,16 @@ def bisect_root(
     otherwise e halves and the bracket is halved once.  The secant only
     chooses where to look, so every bracket is certified by exact signs; with
     one root in (lo, hi) the final cell, and so every field, is bisection's.
-    For n <= 120 a solve of the package takes at most 15 exact evaluations
-    (about 12 at tol 1e-12, 14 at 1e-30) where bisection takes K + 3, K
-    being about 40 and 100 there; early probes, on multiples of a large
-    span, are evaluated on a coarse grid with short integers.  Each exact
-    evaluation is one ``_homogeneous_value`` call: a Horner loop up to 64
-    coefficients, a balanced split above: at n = 800 and a 45-bit point,
-    1.7 ms where one Horner loop takes 18 ms (Python 3.11, 2-vCPU Linux).
+    The search ends in a unit cell of the refined grid; its odd end is the
+    midpoint of bisection's cell, whose value it already holds, so the
+    residual costs no evaluation.  For n <= 120 a solve of the package takes
+    at most 12 exact evaluations at tol 1e-12 and 14 at 1e-30 where
+    bisection takes K + 3, K being about 40 and 100 there; early probes, on
+    multiples of a large span, are evaluated on a coarse grid with short
+    integers.  Each exact evaluation is one ``_homogeneous_value`` call: a
+    Horner loop up to 64 coefficients, a balanced split above: at n = 800
+    and a 46-bit point, 1.5-3.0 ms where one Horner loop takes 15-22 ms
+    (Python 3.11, 2-vCPU Linux).
     """
     tol = check_tol(tol, "bisect_root")
     lo, hi = Fraction(lo), Fraction(hi)
@@ -254,24 +268,27 @@ def bisect_root(
     if levels > MAX_ITER:
         raise RuntimeError("bisect_root: iteration limit exceeded")
 
-    # Grid point i is (base + i * step) / den.  Values are the polynomial
-    # times den**degree, one positive factor for all, so secants are exact;
-    # each is computed on the coarsest grid that holds the point.
-    den = math.lcm(lo.denominator, hi.denominator)
-    base = lo.numerator * (den // lo.denominator) << levels
-    step = hi.numerator * (den // hi.denominator) - (base >> levels)
-    den <<= levels
+    # Grid point i is (base + i * step) / den, on bisection's grid of K =
+    # levels halvings refined once, so the midpoint of its last cell is a grid
+    # point.  Values are the polynomial times den**degree, one positive factor
+    # for all, so secants are exact; each is computed on the coarsest grid
+    # that holds the point.
+    fine = levels + 1
+    lcm = math.lcm(lo.denominator, hi.denominator)
+    base = lo.numerator * (lcm // lo.denominator) << fine
+    step = hi.numerator * (lcm // hi.denominator) - (base >> fine)
+    den = lcm << fine
     degree = len(coeffs) - 1
 
     def value(i: int) -> int:
         u = base + i * step
-        shift = min((u & -u).bit_length() - 1, levels) if u else levels
+        shift = min((u & -u).bit_length() - 1, fine) if u else fine
         return _homogeneous_value(coeffs, u >> shift, den >> shift) << shift * degree
 
     def point(i: int) -> Fraction:
         return Fraction(base + i * step, den)
 
-    a, b = 0, 1 << levels
+    a, b = 0, 1 << fine
     fa, fb = (value(a), value(b)) if coeffs else (0, 0)
     if fa == 0 or fb == 0 or (fa > 0) == (fb > 0):
         raise ValueError(
@@ -294,12 +311,13 @@ def bisect_root(
                 a, fa = i, fi
         return False
 
-    def exact_root(m: int) -> Estimate:
-        # Bisection meets m after K - v halvings, v = 2-adic order of m.
-        half, root = m & -m, point(m)
-        return Estimate(value=float(root), method=METHOD_BISECTION,
-                        iterations=levels - half.bit_length() + 1,
-                        bracket=(point(m - half), point(m + half)), value_exact=root)
+    def estimate(m: int, residual: float = 0.0) -> Estimate:
+        # Bisection meets m at step fine - v, v the 2-adic order of m; an odd
+        # m is the midpoint of its last cell, met at step K + 1.
+        half, mid = m & -m, point(m)
+        return Estimate(value=float(mid), method=METHOD_BISECTION,
+                        iterations=fine - half.bit_length() + 1, residual=residual,
+                        bracket=(point(m - half), point(m + half)), value_exact=mid)
 
     e = 2
     while b - a > 1:
@@ -308,19 +326,19 @@ def bisect_root(
         guess = a + fa * width // (fa - fb)
         p = (guess + span // 2) // span * span
         if cut(p):
-            return exact_root(p)
+            return estimate(p)
         q = p - span if p >= b else p + span
         if cut(q):
-            return exact_root(q)
+            return estimate(q)
         if b - a <= span:
             e *= 2
             continue
         e = max(1, e // 2)
         mid = (a + b) // 2
         if cut(mid):
-            return exact_root(mid)
-    mid = (point(a) + point(b)) / 2
-    p, q = mid.numerator, mid.denominator
-    return Estimate(value=float(mid), method=METHOD_BISECTION, iterations=levels + 1,
-                    residual=abs(_homogeneous_value(coeffs, p, q)) / q**degree,
-                    bracket=(point(a), point(b)), value_exact=mid)
+            return estimate(mid)
+    # The odd end of the unit cell [a, b] is the midpoint of bisection's last
+    # cell, and its value is already known.  den**degree is lcm**degree
+    # shifted: a power of den itself would square its zero bits too.
+    m, fm = (a, fa) if a & 1 else (b, fb)
+    return estimate(m, abs(fm) / (lcm**degree << fine * degree))

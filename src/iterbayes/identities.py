@@ -211,7 +211,12 @@ def check_core_positivity_at(obs: BinomialObs) -> IdentityReport:
     coefficients are written from the alternating form, equals
     2 a^(x+2) pos(a) - (m+1)(n+3) a + (m+1)(x+1) exactly.  Since J is built
     from the alternating form, the second check is the two forms agreeing.
-    Both sides are compared times v^(n+2), in integers."""
+    Both sides are compared times v^(n+2), in integers.
+
+    The check samples: it compares the two forms at the 9 points of GRID
+    only.  Their difference is 2 a^(x+2) times a polynomial of degree at most
+    n - x, so agreement there proves them equal only when n - x <= 8, and
+    positivity is shown at those points, not on all of (0, 1)."""
     name = "core-positivity"
     params = f"n={obs.n}, x={obs.x}"
     n, x = obs.n, obs.x

@@ -20,14 +20,15 @@ agree.  The root always lies in the open interval
 ((x+1)/(n+3), (x+2)/(n+3)), so the authoritative solver isolates it there with
 exact rational sign tests, correct unconditionally on floating-point
 behaviour.  It returns the bracket plain bisection of that interval would,
-found by quadratic interval refinement on bisection's own grid of points
-(``exact.bisect_root``) with a dozen exact evaluations instead of forty or
-more.  Each evaluation is exact in big integers (``exact._homogeneous_value``):
-a Horner loop for n <= 61, and above that a balanced split whose large
-products run in Karatsuba time.  Fixed-point iteration of the posterior-mean
-map is provided as a secondary, cross-checking path; the posterior mean it
-iterates is evaluated like the solver's signs, in big integers, from positive
-Bernstein weights.
+found by quadratic interval refinement on bisection's grid refined once
+(``exact.bisect_root``) with at most 12 exact evaluations at tol 1e-12 (14 at
+1e-30, n <= 120), residual included, instead of forty or more.  Each
+evaluation is exact in big integers (``exact._homogeneous_value``): a Horner
+loop for n <= 61, and above that a balanced split whose large products run
+in Karatsuba time, with the grid's power of two applied by shifts.
+Fixed-point iteration of the posterior-mean map is provided as a secondary,
+cross-checking path; the posterior mean it iterates is evaluated like the
+solver's signs, in big integers, from positive Bernstein weights.
 
 For one success in one trial the estimating polynomial factors as
 2(a - 1)(a^2 + a - 1): the estimate is (sqrt(5) - 1)/2, the reciprocal of the

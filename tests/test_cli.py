@@ -382,14 +382,16 @@ class TestCompare:
             assert code == 2 and out == ""
             assert "error:" in err and "1029" in err
 
-    # Work per column: --grid x (--n + 1) risk terms, --grid x --mc x --n draws.
+    # Work per column: --grid x (--n + 1) risk terms, --grid x --mc x (--n + 7)
+    # draws, seven for each sample's fixed work.
     @pytest.mark.parametrize("args, message", [
         (("--n", "5", "--grid", "100000000"), "is 600000000 risk terms per column"),
         (("--n", "1029", "--grid", "102"), "is 105060 risk terms per column"),
         (("--n", "1", "--grid", "52016"), "is 104032 risk terms per column"),
-        (("--n", "5", "--grid", "11", "--mc", "1000000000"), "is 55000000000 draws per column"),
-        (("--n", "10", "--grid", "10", "--mc", "100001"), "is 10000100 draws per column"),
-    ], ids=["grid", "grid-n-max", "grid-n-1", "mc", "mc-edge"])
+        (("--n", "5", "--grid", "11", "--mc", "1000000000"), "is 132000000000 draws per column"),
+        (("--n", "10", "--grid", "10", "--mc", "58824"), "is 10000080 draws per column"),
+        (("--n", "1", "--grid", "2", "--mc", "625001"), "is 10000016 draws per column"),
+    ], ids=["grid", "grid-n-max", "grid-n-1", "mc", "mc-edge", "mc-n-1"])
     def test_above_ceiling_exits_2_without_solving(self, capsys, monkeypatch, args, message):
         def no_solve(*args, **kwargs):
             raise AssertionError("compare solved")
@@ -403,8 +405,9 @@ class TestCompare:
 
     @pytest.mark.parametrize("args", [("--n", "1029", "--grid", "101"),
                                       ("--n", "1", "--grid", "52015"),
-                                      ("--n", "10", "--grid", "10", "--mc", "100000")],
-                             ids=["grid-n-max", "grid-n-1", "mc"])
+                                      ("--n", "10", "--grid", "10", "--mc", "58823"),
+                                      ("--n", "1", "--grid", "2", "--mc", "625000")],
+                             ids=["grid-n-max", "grid-n-1", "mc", "mc-n-1"])
     def test_ceiling_is_admitted(self, capsys, monkeypatch, args):
         # The checks alone: a small table stands in for the solves and draws.
         small = risk.compare(1, 2)
@@ -428,7 +431,7 @@ class TestCompare:
         assert code == 0 and "1029" in out
         text = " ".join(out.split())
         assert f"at most {MAX_RISK_TERMS} risk terms per column" in text
-        assert f"at most {MAX_MC_DRAWS} variates per column" in text
+        assert f"at most {MAX_MC_DRAWS} variates per column, --grid x SAMPLES x (--n + 7)" in text
 
     def test_json_round_trip(self, capsys):
         code, out, _ = run(capsys, "compare", "--n", "2", "--grid", "3", "--format", "json")

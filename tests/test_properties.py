@@ -3,7 +3,7 @@ tolerances except where a float boundary is part of the contract)."""
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import iterbayes.exact as exact
@@ -66,9 +66,16 @@ _lengths = st.one_of(st.sampled_from([1, 32, 33, 64, 65, 66, 129, 400]),
                      st.integers(min_value=1, max_value=400))
 
 
+# v as any integer, or as w << k, the form of the solver's grid points, whose
+# power of two the split applies by shifts (w = 0 and w < 0 included).
+_denominators = st.one_of(
+    st.integers(min_value=1, max_value=2**70),
+    st.builds(lambda w, k: w << k, st.integers(min_value=-2**40, max_value=2**40),
+              st.integers(min_value=0, max_value=200)))
+
+
 @settings(max_examples=60, deadline=None)
-@given(_lengths, st.data(), st.integers(min_value=-2**70, max_value=2**70),
-       st.integers(min_value=1, max_value=2**70))
+@given(_lengths, st.data(), st.integers(min_value=-2**70, max_value=2**70), _denominators)
 def test_homogeneous_value_equals_horner(length, data, u, v):
     coeffs = data.draw(st.lists(st.integers(min_value=-2**80, max_value=2**80),
                                 min_size=length, max_size=length))
@@ -86,6 +93,29 @@ def test_root_isolation_equals_bisection(n, data, tol):
     obs = BinomialObs(n, x)
     coeffs = estimating_polynomial(obs).int_coeffs
     lo, hi = solver_bracket(obs)
+    assert bisect_root(coeffs, lo, hi, tol) == reference_bisect_root(coeffs, lo, hi, tol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.fractions(min_value=-50, max_value=50, max_denominator=40),
+       st.fractions(min_value=Fraction(1, 40), max_value=200, max_denominator=40),
+       st.one_of(st.fractions(min_value=Fraction(1, 10**20), max_value=10, max_denominator=10**20),
+                 st.sampled_from([1e-12, 0.3])),
+       st.booleans(), st.integers(min_value=-1, max_value=4), st.data())
+def test_exact_root_on_the_refined_grid_equals_bisection(lo, width, tol, odd, extra, data):
+    # A linear factor whose root is an even point of the refined grid (one
+    # of bisection's own points) or an odd one (the midpoint of a last
+    # cell), times a factor with no root when extra >= 0: a^2 + extra + 1.
+    hi = lo + width
+    fine = (width // Fraction(tol)).bit_length() + 1
+    assume(odd or fine > 1)  # with no halving the only inner point is odd
+    j = 2 * data.draw(st.integers(min_value=0, max_value=2 ** (fine - 1) - 1)) + 1 if odd else \
+        2 * data.draw(st.integers(min_value=1, max_value=2 ** (fine - 1) - 1))
+    root = lo + width * Fraction(j, 2**fine)
+    coeffs = (-root.numerator, root.denominator)
+    if extra >= 0:
+        coeffs = (ExactPoly(coeffs) * ExactPoly([extra + 1, 0, 1])).coeffs
+    coeffs = tuple(int(c) for c in coeffs)
     assert bisect_root(coeffs, lo, hi, tol) == reference_bisect_root(coeffs, lo, hi, tol)
 
 
