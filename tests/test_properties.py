@@ -109,9 +109,8 @@ def test_exact_root_on_the_refined_grid_equals_bisection(lo, width, tol, odd, ex
     hi = lo + width
     fine = (width // Fraction(tol)).bit_length() + 1
     assume(odd or fine > 1)  # with no halving the only inner point is odd
-    j = 2 * data.draw(st.integers(min_value=0, max_value=2 ** (fine - 1) - 1)) + 1 if odd else \
-        2 * data.draw(st.integers(min_value=1, max_value=2 ** (fine - 1) - 1))
-    root = lo + width * Fraction(j, 2**fine)
+    i = data.draw(st.integers(min_value=0 if odd else 1, max_value=2 ** (fine - 1) - 1))
+    root = lo + width * Fraction(2 * i + odd, 2**fine)
     coeffs = (-root.numerator, root.denominator)
     if extra >= 0:
         coeffs = (ExactPoly(coeffs) * ExactPoly([extra + 1, 0, 1])).coeffs
