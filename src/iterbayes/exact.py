@@ -9,7 +9,10 @@ applies the power of two in v by shifts: on ``bisect_root``'s grid for
 n <= 800, v is (n+3)·2**k with k up to 32-39 at tol 1e-12 and 92-99 at
 1e-30, so most of each power of v is a power of two.
 ``bisect_root`` works on bisection's grid refined once, so its residual is a
-value the search has already computed.
+value the search has already computed.  It takes the polynomial as a
+homogeneous evaluator, value(u, v) = v**degree * P(u/v), so that a caller
+can evaluate a sparse or mirrored form of it; ``sign_at`` and
+``eval_rational`` take the dense coefficient tuple.
 
 Everything in this module is computed without rounding but the float residual
 of ``bisect_root``, rounded once from an exact integer quotient.  Scalars are
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .types import METHOD_BISECTION, Estimate
 
@@ -220,12 +223,15 @@ def check_tol(tol: Union[Rational, float], where: str) -> Fraction:
 
 
 def bisect_root(
-    coeffs: Sequence[int],
+    value: Callable[[int, int], int],
+    degree: int,
     lo: Rational,
     hi: Rational,
     tol: Union[Rational, float] = Fraction(1, 10**12),
 ) -> Estimate:
-    """Isolate the sign change of an integer-coefficient polynomial in (lo, hi).
+    """Isolate the sign change of a polynomial P of degree ``degree`` in
+    (lo, hi), given as its homogeneous evaluator: ``value(u, v)`` is the
+    integer v**degree * P(u/v) for integers u and v > 0.
 
     The endpoints must evaluate to nonzero values of opposite sign (ValueError
     otherwise).  The result is what bisection with exact rational midpoints
@@ -255,10 +261,7 @@ def bisect_root(
     at most 12 exact evaluations at tol 1e-12 and 14 at 1e-30 where
     bisection takes K + 3, K being about 40 and 100 there; early probes, on
     multiples of a large span, are evaluated on a coarse grid with short
-    integers.  Each exact evaluation is one ``_homogeneous_value`` call: a
-    Horner loop up to 64 coefficients, a balanced split above: at n = 800
-    and a 46-bit point, 1.5-3.0 ms where one Horner loop takes 15-22 ms
-    (Python 3.11, 2-vCPU Linux).
+    integers.  Each exact evaluation is one call of ``value``.
     """
     tol = check_tol(tol, "bisect_root")
     lo, hi = Fraction(lo), Fraction(hi)
@@ -278,18 +281,17 @@ def bisect_root(
     base = lo.numerator * (lcm // lo.denominator) << fine
     step = hi.numerator * (lcm // hi.denominator) - (base >> fine)
     den = lcm << fine
-    degree = len(coeffs) - 1
 
-    def value(i: int) -> int:
+    def grid_value(i: int) -> int:
         u = base + i * step
         shift = min((u & -u).bit_length() - 1, fine) if u else fine
-        return _homogeneous_value(coeffs, u >> shift, den >> shift) << shift * degree
+        return value(u >> shift, den >> shift) << shift * degree
 
     def point(i: int) -> Fraction:
         return Fraction(base + i * step, den)
 
     a, b = 0, 1 << fine
-    fa, fb = (value(a), value(b)) if coeffs else (0, 0)
+    fa, fb = grid_value(a), grid_value(b)
     if fa == 0 or fb == 0 or (fa > 0) == (fb > 0):
         raise ValueError(
             f"bisect_root: no strict sign change over ({lo}, {hi}): "
@@ -302,7 +304,7 @@ def bisect_root(
         True if the polynomial vanishes at i."""
         nonlocal a, b, fa, fb
         if a < i < b:
-            fi = value(i)
+            fi = grid_value(i)
             if fi == 0:
                 return True
             if (fi > 0) == rising:

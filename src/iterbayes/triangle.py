@@ -23,9 +23,12 @@ behaviour.  It returns the bracket plain bisection of that interval would,
 found by quadratic interval refinement on bisection's grid refined once
 (``exact.bisect_root``) with at most 12 exact evaluations at tol 1e-12 (14 at
 1e-30, n <= 120), residual included, instead of forty or more.  Each
-evaluation is exact in big integers (``exact._homogeneous_value``): a Horner
-loop for n <= 61, and above that a balanced split whose large products run
-in Karatsuba time, with the grid's power of two applied by shifts.
+evaluation is exact in big integers and reads only the polynomial's short
+side: the core of (n, max(x, n - x)), min(x, n - x) + 1 coefficients, for
+x < n/2 through the mirror identity a J_{n,x}(a) = -(1-a) J_{n,n-x}(1-a).
+The core goes through ``exact._homogeneous_value``: a Horner loop up to 64
+coefficients, and above that a balanced split whose large products run in
+Karatsuba time, with the grid's power of two applied by shifts.
 Fixed-point iteration of the posterior-mean map is provided as a secondary,
 cross-checking path; the posterior mean it iterates is evaluated like the
 solver's signs, in big integers, from positive Bernstein weights.
@@ -45,7 +48,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Tuple, Union
+from typing import Callable, Tuple, Union
 
 from .exact import ExactPoly, _homogeneous_value, bisect_root, check_tol
 from .types import (
@@ -188,14 +191,51 @@ def solver_bracket(obs: BinomialObs) -> Tuple[Fraction, Fraction]:
     return Fraction(obs.x + 1, obs.n + 3), Fraction(obs.x + 2, obs.n + 3)
 
 
+def _estimating_value(obs: BinomialObs) -> Callable[[int, int], int]:
+    """The homogeneous evaluator (u, v) -> v**(n+2) J(u/v) of the estimating
+    polynomial J of ``obs``, exact for integers u and v > 0, with u != 0
+    when x < n/2.
+
+    J(a) = c0 + c1 a + a^(x+2) core(a), and the core has n - x + 1
+    coefficients, so
+
+        v**(n+2) J(u/v) = (c0 v + c1 u) v**(n+1) + u**(x+2) H_core(u, v),
+
+    H_core the core's own homogeneous value.  Below x = n/2 that core is the
+    longer part of J, and the mirror identity a J_{n,x}(a) = -(1-a) J_{n,n-x}(1-a)
+    (from the factorization ``identities`` checks, whose scale is symmetric
+    in x and n - x) gives J from the polynomial of (n, n - x) at 1 - a:
+
+        v**(n+2) J(u/v) = -(v - u) H_{n,n-x}(v - u, v) / u,
+
+    an exact division.  Either way one evaluation runs ``_homogeneous_value``
+    once, on min(x, n - x) + 1 coefficients instead of n + 3.  As in that
+    evaluator's split, v's power of two is applied to v**(n+1) by a shift.
+    """
+    n, x = obs.n, obs.x
+    big = max(x, n - x)
+    coeffs = estimating_polynomial(BinomialObs(n, big)).int_coeffs
+    c0, c1, core = coeffs[0], coeffs[1], coeffs[big + 2:]
+
+    def value(u: int, v: int) -> int:
+        k = (v & -v).bit_length() - 1
+        head = (c0 * v + c1 * u) * (v >> k) ** (n + 1) << k * (n + 1)
+        return head + u ** (big + 2) * _homogeneous_value(core, u, v)
+
+    if big == x:
+        return value
+    return lambda u, v: -(v - u) * value(v - u, v) // u
+
+
 def _bisect_estimate(
-    coeffs: Tuple[int, ...], obs: BinomialObs, tol: Fraction, label: str
+    value: Callable[[int, int], int], obs: BinomialObs, tol: Fraction, label: str
 ) -> Estimate:
-    """Bisect ``coeffs`` on the solver bracket of ``obs``; an absent sign
-    change raises BracketFailure naming ``label``."""
+    """Bisect the degree-(n+2) polynomial whose homogeneous evaluator is
+    ``value`` on the solver bracket of ``obs``; an absent sign change raises
+    BracketFailure naming ``label``."""
     lo, hi = solver_bracket(obs)
     try:
-        return bisect_root(coeffs, lo, hi, tol=tol)
+        return bisect_root(value, obs.n + 2, lo, hi, tol=tol)
     except ValueError as exc:
         raise BracketFailure(f"no sign change over {lo}..{hi} for {label}: {exc}") from exc
 
@@ -211,8 +251,7 @@ def solve_iterative_bayes(obs: BinomialObs, tol: Union[float, Fraction] = 1e-12)
     float, and at most (tol/2) max |J'| over the bracket.
     """
     tol = check_tol(tol, str(obs))
-    coeffs = estimating_polynomial(obs).int_coeffs
-    return _bisect_estimate(coeffs, obs, tol, str(obs))
+    return _bisect_estimate(_estimating_value(obs), obs, tol, str(obs))
 
 
 def mirrored_values(n: int, tol: Union[float, Fraction]) -> Tuple[float, ...]:
@@ -283,8 +322,8 @@ def geometric_estimate(x: int, tol: Union[float, Fraction] = 1e-12) -> Estimate:
     label = f"geometric x={x}"
     tol = check_tol(tol, label)
     obs = BinomialObs(x + 1, x)
-    coeffs = tuple(c // -2 for c in estimating_polynomial(obs).int_coeffs)
-    return _bisect_estimate(coeffs, obs, tol, label)
+    value = _estimating_value(obs)
+    return _bisect_estimate(lambda u, v: value(u, v) // -2, obs, tol, label)
 
 
 def negative_binomial_estimate(r: int, x: int, tol: Union[float, Fraction] = 1e-12) -> Estimate:

@@ -36,7 +36,10 @@ give the same integer.
 
 The bisection reference is the plain halving loop of exact-sign bisection:
 the package's root isolation must return every field of its result, so it
-stays here as the definition the faster search is held to.
+stays here as the definition the faster search is held to.  The package's
+root isolation takes a homogeneous evaluator; ``dense_bisect_root`` hands it
+one over a dense coefficient tuple, so that tests can compare the two on the
+same polynomial.
 
 The quadrature error target is relative, which needs a realistic estimate
 of the integral's magnitude up front: sharply peaked integrands can make a
@@ -49,8 +52,9 @@ import dataclasses
 from fractions import Fraction
 from math import comb
 
+import iterbayes.exact as exact
 from iterbayes.conjugate import ConjugateFamily
-from iterbayes.exact import MAX_ITER, ExactPoly, check_tol, eval_rational, sign_at
+from iterbayes.exact import MAX_ITER, ExactPoly, bisect_root, check_tol, eval_rational, sign_at
 from iterbayes.types import METHOD_BISECTION, Estimate
 
 _BUDGET = 2_000_000
@@ -285,6 +289,12 @@ def reference_homogeneous_value(coeffs, u, v):
         vpow *= v
         acc = acc * u + coeffs[i] * vpow
     return acc
+
+
+def dense_bisect_root(coeffs, lo, hi, tol=Fraction(1, 10**12)):
+    """``bisect_root`` on an integer coefficient tuple: each evaluation is one
+    ``exact._homogeneous_value`` call, looked up on the module."""
+    return bisect_root(lambda u, v: exact._homogeneous_value(coeffs, u, v), len(coeffs) - 1, lo, hi, tol)
 
 
 def reference_bisect_root(coeffs, lo, hi, tol=Fraction(1, 10**12)):

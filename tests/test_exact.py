@@ -5,17 +5,22 @@ from functools import lru_cache
 import pytest
 
 import iterbayes.exact as exact
+import iterbayes.triangle as triangle
 from iterbayes.exact import (
     MAX_ITER,
     ExactPoly,
-    bisect_root,
     eval_rational,
     sign_at,
 )
 from iterbayes.triangle import estimating_polynomial, solve_iterative_bayes, solver_bracket
 from iterbayes.types import METHOD_BISECTION, BinomialObs, Estimate
 
-from helpers import geometric_polynomial, reference_bisect_root, reference_homogeneous_value
+from helpers import (
+    dense_bisect_root,
+    geometric_polynomial,
+    reference_bisect_root,
+    reference_homogeneous_value,
+)
 
 
 class TestExactPoly:
@@ -96,7 +101,7 @@ class TestHomogeneousValue:
 class TestBisectRoot:
     def test_golden_section_root(self):
         # a^2 + a - 1: unique root (sqrt(5)-1)/2 in (0, 1)
-        result = bisect_root((-1, 1, 1), 0, 1, tol=Fraction(1, 10**15))
+        result = dense_bisect_root((-1, 1, 1), 0, 1, tol=Fraction(1, 10**15))
         assert isinstance(result, Estimate) and result.method == METHOD_BISECTION
         golden = Fraction(6180339887498948, 10**16)
         assert abs(result.value_exact - golden) < Fraction(1, 10**12)
@@ -107,25 +112,25 @@ class TestBisectRoot:
 
     def test_exact_root_detected(self):
         # 2a - 1 hits the first midpoint of (0, 1) exactly
-        result = bisect_root((-1, 2), 0, 1)
+        result = dense_bisect_root((-1, 2), 0, 1)
         assert result.value_exact == Fraction(1, 2)
         assert result.residual == 0
 
     def test_orientation_agnostic(self):
         # falling and rising sign changes both bisect to the same root
-        falling = bisect_root((1, -1, -1), 0, 1, tol=Fraction(1, 10**12))
-        rising = bisect_root((-1, 1, 1), 0, 1, tol=Fraction(1, 10**12))
+        falling = dense_bisect_root((1, -1, -1), 0, 1, tol=Fraction(1, 10**12))
+        rising = dense_bisect_root((-1, 1, 1), 0, 1, tol=Fraction(1, 10**12))
         assert falling.value == rising.value
 
     def test_no_sign_change_rejected(self):
         with pytest.raises(ValueError, match="sign change"):
-            bisect_root((1, 0, 1), 0, 1)
+            dense_bisect_root((1, 0, 1), 0, 1)
 
     def test_bad_interval_rejected(self):
         with pytest.raises(ValueError):
-            bisect_root((-1, 1, 1), 1, 0)
+            dense_bisect_root((-1, 1, 1), 1, 0)
         with pytest.raises(ValueError):
-            bisect_root((-1, 1, 1), 0, 1, tol=0)
+            dense_bisect_root((-1, 1, 1), 0, 1, tol=0)
 
 
 # Tolerances the refinement is held to bisection at: decimal, binary-unfriendly
@@ -164,21 +169,21 @@ class TestBisectRootEqualsBisection:
         for n in range(1, 41):
             for x in range(n + 1):
                 coeffs, lo, hi = _solver_case(n, x)
-                assert bisect_root(coeffs, lo, hi, tol) == reference_bisect_root(coeffs, lo, hi, tol), (n, x)
+                assert dense_bisect_root(coeffs, lo, hi, tol) == reference_bisect_root(coeffs, lo, hi, tol), (n, x)
 
     @pytest.mark.parametrize("tol", TOLS + [Fraction(1, 4), Fraction(1, 8), 0.3, 2],
                              ids=TOL_IDS + ["1/4", "1/8", "0.3", "2"])
     @pytest.mark.parametrize("coeffs, lo, hi", GENERIC_CASES)
     def test_generic_polynomials(self, coeffs, lo, hi, tol):
-        assert bisect_root(coeffs, lo, hi, tol) == reference_bisect_root(coeffs, lo, hi, tol)
+        assert dense_bisect_root(coeffs, lo, hi, tol) == reference_bisect_root(coeffs, lo, hi, tol)
 
     def test_exact_root_keeps_bisection_bracket_and_count(self):
         # 3/8 is bisection's third midpoint: bracket (1/4, 1/2), 3 steps.
-        result = bisect_root((-3, 8), 0, 1)
+        result = dense_bisect_root((-3, 8), 0, 1)
         assert result == Estimate(0.375, METHOD_BISECTION, 3, 0.0,
                                   (Fraction(1, 4), Fraction(1, 2)), Fraction(3, 8))
         # At tol 1/4 the grid is eighths, and 5/16 is the last cell's midpoint.
-        result = bisect_root((-5, 16), 0, 1, tol=Fraction(1, 4))
+        result = dense_bisect_root((-5, 16), 0, 1, tol=Fraction(1, 4))
         assert result == Estimate(0.3125, METHOD_BISECTION, 4, 0.0,
                                   (Fraction(1, 4), Fraction(3, 8)), Fraction(5, 16))
 
@@ -188,7 +193,7 @@ class TestBisectRootEqualsBisection:
         for n in range(1, 5):
             for x in range(n + 1):
                 coeffs, lo, hi = _solver_case(n, x)
-                assert bisect_root(coeffs, lo, hi, 5e-324) == reference_bisect_root(coeffs, lo, hi, 5e-324), (n, x)
+                assert dense_bisect_root(coeffs, lo, hi, 5e-324) == reference_bisect_root(coeffs, lo, hi, 5e-324), (n, x)
 
     def test_residual_needs_no_fraction(self, monkeypatch):
         def no_fraction(*args):
@@ -200,6 +205,9 @@ class TestBisectRootEqualsBisection:
 
 
 def _count_evaluations(monkeypatch):
+    """Count _homogeneous_value calls made through either module's name for
+    it: ``exact``'s (the dense adapter, the reference) and ``triangle``'s
+    (the solvers' evaluator of the short core)."""
     calls = [0]
     horner = exact._homogeneous_value
 
@@ -208,6 +216,7 @@ def _count_evaluations(monkeypatch):
         return horner(coeffs, u, v)
 
     monkeypatch.setattr(exact, "_homogeneous_value", counted)
+    monkeypatch.setattr(triangle, "_homogeneous_value", counted)
     return calls
 
 
@@ -250,12 +259,12 @@ class TestEvaluationCount:
         width = Fraction(1, 3)
         for tol in (width / 2 ** (MAX_ITER + 1), width / 2**MAX_ITER):
             with pytest.raises(RuntimeError, match="iteration limit"):
-                bisect_root((-1, 1, 1), 0, width, tol)
+                dense_bisect_root((-1, 1, 1), 0, width, tol)
         assert calls[0] == 0
 
     def test_deepest_allowed_grid(self):
         # K = MAX_ITER halvings fit the limit, as they did for bisection.
-        result = bisect_root((-1, 3), 0, 1, tol=Fraction(1, 2 ** (MAX_ITER - 1)))
+        result = dense_bisect_root((-1, 3), 0, 1, tol=Fraction(1, 2 ** (MAX_ITER - 1)))
         assert result.iterations == MAX_ITER + 1
         lo, hi = result.bracket
         assert lo < Fraction(1, 3) < hi

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import iterbayes.exact as exact
-from iterbayes.exact import ExactPoly, bisect_root, sign_at
+from iterbayes.exact import ExactPoly, sign_at
 from iterbayes.triangle import (
     estimating_polynomial,
     geometric_estimate,
@@ -18,6 +18,7 @@ from iterbayes.triangle import (
 from iterbayes.types import BinomialObs
 
 from helpers import (
+    dense_bisect_root,
     geometric_polynomial,
     reference_bisect_root,
     reference_estimating_coeffs,
@@ -93,7 +94,7 @@ def test_root_isolation_equals_bisection(n, data, tol):
     obs = BinomialObs(n, x)
     coeffs = estimating_polynomial(obs).int_coeffs
     lo, hi = solver_bracket(obs)
-    assert bisect_root(coeffs, lo, hi, tol) == reference_bisect_root(coeffs, lo, hi, tol)
+    assert dense_bisect_root(coeffs, lo, hi, tol) == reference_bisect_root(coeffs, lo, hi, tol)
 
 
 @settings(max_examples=60, deadline=None)
@@ -115,7 +116,7 @@ def test_exact_root_on_the_refined_grid_equals_bisection(lo, width, tol, odd, ex
     if extra >= 0:
         coeffs = (ExactPoly(coeffs) * ExactPoly([extra + 1, 0, 1])).coeffs
     coeffs = tuple(int(c) for c in coeffs)
-    assert bisect_root(coeffs, lo, hi, tol) == reference_bisect_root(coeffs, lo, hi, tol)
+    assert dense_bisect_root(coeffs, lo, hi, tol) == reference_bisect_root(coeffs, lo, hi, tol)
 
 
 @settings(max_examples=30, deadline=None)
@@ -147,7 +148,7 @@ def test_geometric_estimate_solves_the_geometric_polynomial(tol, data):
     # same solve, residual included, for x = 0 as for every other x.
     x = data.draw(st.integers(min_value=0, max_value=60 if tol == 5e-324 else 300))
     est = geometric_estimate(x, tol)
-    ref = bisect_root(geometric_polynomial(x), *solver_bracket(BinomialObs(x + 1, x)), tol)
+    ref = dense_bisect_root(geometric_polynomial(x), *solver_bracket(BinomialObs(x + 1, x)), tol)
     assert est == ref
 
 

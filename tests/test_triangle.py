@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import iterbayes.triangle as triangle
-from iterbayes.exact import ExactPoly, bisect_root, eval_rational, sign_at
+from iterbayes.exact import ExactPoly, eval_rational, sign_at
 from iterbayes.identities import factorization_sides
 from iterbayes.conjugate import ConjugateFamily, ConjugateModel, SampleStats, conjugate_iterative_limit
 from iterbayes.triangle import (
@@ -24,6 +24,7 @@ from iterbayes.types import BinomialObs, BracketFailure, NoConvergence
 
 from helpers import (
     antiderivative,
+    dense_bisect_root,
     geometric_polynomial,
     poly_power,
     posterior_mean_one_success,
@@ -212,7 +213,7 @@ class TestSolveIterativeBayes:
         lambda tol: geometric_estimate(3, tol=tol),
         lambda tol: geometric_estimate(0, tol=tol),
         lambda tol: negative_binomial_estimate(2, 1, tol=tol),
-        lambda tol: bisect_root((-1, 1, 1), 0, 1, tol=tol),
+        lambda tol: dense_bisect_root((-1, 1, 1), 0, 1, tol=tol),
         lambda tol: conjugate_iterative_limit(
             ConjugateModel(ConjugateFamily.POISSON, alpha=1.0, beta=1.0), SampleStats(n=3, sum_x=4), tol=tol),
     ], ids=["solve", "geometric", "geometric-x0", "negative-binomial", "bisect_root", "conjugate"])
@@ -384,7 +385,7 @@ class TestOutputConsistency:
                 scale = math.lcm(*(c.denominator for c in rhs.coeffs))
                 coeffs = tuple(int(c * scale) for c in rhs.coeffs)
                 lo, hi = solver_bracket(obs)
-                via_identity = bisect_root(coeffs, lo, hi, tol=Fraction(1, 10**12))
+                via_identity = dense_bisect_root(coeffs, lo, hi, tol=Fraction(1, 10**12))
                 direct = solve_iterative_bayes(obs, tol=1e-12)
                 assert abs(float(via_identity.value) - direct.value) < 1e-8
 
