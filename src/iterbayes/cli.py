@@ -25,11 +25,11 @@ FORMATS = ("plain", "csv", "json")
 
 # Largest trial count that one command solves: --n, or the x + 1 and x + R
 # trials that --geometric and --neg-binomial imply, or a table's sum over its
-# solves.  A solve costs about the square of n (0.65-0.85 s for one estimate
+# solves.  A solve costs about the square of n (0.5-0.85 s for one estimate
 # command at n = 10000, x = n/3 or 2n/3, and the default --tol on a 2-vCPU
 # Linux host, interpreter start included) and grows as --tol shrinks, so
 # trials times log2(1/tol) is bounded too, by its value at MAX_TRIALS and
-# tol 1e-30 (1.4-1.8 s there).
+# tol 1e-30 (1.0-1.8 s there).
 MAX_TRIALS = 10_000
 MAX_TRIAL_BITS = MAX_TRIALS * -math.log2(1e-30)
 

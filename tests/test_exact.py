@@ -12,7 +12,13 @@ from iterbayes.exact import (
     eval_rational,
     sign_at,
 )
-from iterbayes.triangle import estimating_polynomial, solve_iterative_bayes, solver_bracket
+from iterbayes.triangle import (
+    estimating_polynomial,
+    geometric_estimate,
+    negative_binomial_estimate,
+    solve_iterative_bayes,
+    solver_bracket,
+)
 from iterbayes.types import METHOD_BISECTION, BinomialObs, Estimate
 
 from helpers import (
@@ -145,6 +151,8 @@ def _solver_case(n, x):
     return (estimating_polynomial(obs).int_coeffs, *solver_bracket(obs))
 
 
+
+
 def _geometric_case(x):
     return (geometric_polynomial(x), *solver_bracket(BinomialObs(x + 1, x)))
 
@@ -166,10 +174,13 @@ class TestBisectRootEqualsBisection:
 
     @pytest.mark.parametrize("tol", TOLS, ids=TOL_IDS)
     def test_every_estimating_polynomial_up_to_n40(self, tol):
+        # The solver, which evaluates the short core (mirrored below
+        # x = n/2), must return the same as the dense polynomial.
         for n in range(1, 41):
             for x in range(n + 1):
-                coeffs, lo, hi = _solver_case(n, x)
-                assert dense_bisect_root(coeffs, lo, hi, tol) == reference_bisect_root(coeffs, lo, hi, tol), (n, x)
+                want = reference_bisect_root(*_solver_case(n, x), tol)
+                assert dense_bisect_root(*_solver_case(n, x), tol) == want, (n, x)
+                assert solve_iterative_bayes(BinomialObs(n, x), tol) == want, (n, x)
 
     @pytest.mark.parametrize("tol", TOLS + [Fraction(1, 4), Fraction(1, 8), 0.3, 2],
                              ids=TOL_IDS + ["1/4", "1/8", "0.3", "2"])
@@ -192,8 +203,12 @@ class TestBisectRootEqualsBisection:
         # subnormal, where a rounding slip would show first.
         for n in range(1, 5):
             for x in range(n + 1):
-                coeffs, lo, hi = _solver_case(n, x)
-                assert dense_bisect_root(coeffs, lo, hi, 5e-324) == reference_bisect_root(coeffs, lo, hi, 5e-324), (n, x)
+                want = reference_bisect_root(*_solver_case(n, x), 5e-324)
+                assert dense_bisect_root(*_solver_case(n, x), 5e-324) == want, (n, x)
+                assert solve_iterative_bayes(BinomialObs(n, x), 5e-324) == want, (n, x)
+                if x < n:
+                    assert negative_binomial_estimate(n - x, x, 5e-324) == want, (n, x)
+            assert geometric_estimate(n - 1, 5e-324) == reference_bisect_root(*_geometric_case(n - 1), 5e-324)
 
     def test_residual_needs_no_fraction(self, monkeypatch):
         def no_fraction(*args):
@@ -202,6 +217,32 @@ class TestBisectRootEqualsBisection:
         monkeypatch.setattr(exact, "eval_rational", no_fraction)
         est = solve_iterative_bayes(BinomialObs(40, 13))
         assert 0 < est.residual < 1e-9
+
+
+class TestSolversEqualBisection:
+    """The solvers evaluate the short core of the estimating polynomial,
+    mirrored below x = n/2; they must return, field for field, what plain
+    bisection of the dense polynomial returns (n <= 40 and the smallest tol
+    are held above)."""
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-30], ids=["1e-12", "1e-30"])
+    @pytest.mark.parametrize("n", [200, 401, 800])
+    def test_mirror_pairs_at_large_n(self, n, tol):
+        for x in (n // 9, (n - 1) // 2):
+            for side in (x, n - x):
+                want = reference_bisect_root(*_solver_case(n, side), tol)
+                assert solve_iterative_bayes(BinomialObs(n, side), tol) == want, side
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-30], ids=["1e-12", "1e-30"])
+    def test_geometric_below_150(self, tol):
+        for x in range(150):
+            assert geometric_estimate(x, tol) == reference_bisect_root(*_geometric_case(x), tol), x
+
+    def test_negative_binomial(self):
+        for r in (1, 2, 5):
+            for x in range(30):
+                want = reference_bisect_root(*_solver_case(x + r, x), 1e-12)
+                assert negative_binomial_estimate(r, x, 1e-12) == want, (r, x)
 
 
 def _count_evaluations(monkeypatch):
@@ -245,6 +286,25 @@ class TestEvaluationCount:
             for x in range(n + 1):
                 solve_iterative_bayes(BinomialObs(n, x), tol=1e-12)
         assert calls[0] <= 21_628
+
+    def test_each_evaluation_is_one_call(self, monkeypatch):
+        # The solvers' evaluator, mirrored or not, makes exactly one
+        # _homogeneous_value call per value bisect_root asks of it.
+        calls = _count_evaluations(monkeypatch)
+        asked = [0]
+        isolate = triangle.bisect_root
+
+        def counting_isolate(value, *args, **kwargs):
+            def counted(u, v):
+                asked[0] += 1
+                return value(u, v)
+            return isolate(counted, *args, **kwargs)
+
+        monkeypatch.setattr(triangle, "bisect_root", counting_isolate)
+        for n, x in [(1, 0), (1, 1), (20, 3), (20, 17), (90, 10), (90, 80)]:
+            solve_iterative_bayes(BinomialObs(n, x), tol=1e-30)
+        geometric_estimate(40, tol=1e-30)
+        assert asked[0] > 0 and calls[0] == asked[0]
 
     def test_bisection_needs_many_more(self, monkeypatch):
         # What the guard above is measured against: K + 3 = 99 evaluations

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import iterbayes.exact as exact
+import iterbayes.triangle as triangle
 from iterbayes.exact import ExactPoly, sign_at
 from iterbayes.triangle import (
     estimating_polynomial,
@@ -94,7 +95,23 @@ def test_root_isolation_equals_bisection(n, data, tol):
     obs = BinomialObs(n, x)
     coeffs = estimating_polynomial(obs).int_coeffs
     lo, hi = solver_bracket(obs)
-    assert dense_bisect_root(coeffs, lo, hi, tol) == reference_bisect_root(coeffs, lo, hi, tol)
+    want = reference_bisect_root(coeffs, lo, hi, tol)
+    assert dense_bisect_root(coeffs, lo, hi, tol) == want
+    assert solve_iterative_bayes(obs, tol) == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=1, max_value=800), st.data(),
+       st.integers(min_value=1, max_value=2**40), st.integers(min_value=0, max_value=200))
+def test_short_core_evaluator_equals_dense_horner(n, data, w, k):
+    # The solvers' evaluator reads min(x, n - x) + 1 core coefficients,
+    # mirrored below x = n/2, with v in the grid's form w * 2**k.
+    obs = BinomialObs(n, data.draw(st.integers(min_value=0, max_value=n)))
+    v = w << k
+    assume(v > 1)
+    u = data.draw(st.integers(min_value=1, max_value=v - 1))
+    value = triangle._estimating_value(obs)
+    assert value(u, v) == reference_homogeneous_value(estimating_polynomial(obs).int_coeffs, u, v)
 
 
 @settings(max_examples=60, deadline=None)

@@ -30,6 +30,7 @@ from helpers import (
     posterior_mean_one_success,
     quadrature_posterior_mean,
     reference_estimating_coeffs,
+    reference_homogeneous_value,
     weighted_posterior_mean,
 )
 from reference_tables import PRINT_TOL, TABLE2, TABLE3
@@ -173,6 +174,65 @@ class TestEstimatingPolynomial:
 
     def test_bracket(self):
         assert solver_bracket(BinomialObs(9, 4)) == (Fraction(5, 12), Fraction(6, 12))
+
+
+class TestEstimatingValue:
+    """The solvers' evaluator reads the short core of (n, max(x, n - x)) and
+    goes through the mirror identity below x = n/2; it must give the
+    integer v**(n+2) J(u/v) of the dense polynomial at every point."""
+
+    @staticmethod
+    def points(n, x):
+        # Both bracket ends, (x+1)/(n+2), and points of the refined grids of
+        # tol 1e-12 and 1e-30 as bisect_root forms them: unreduced, an odd
+        # or an even index, the denominator (n+3) * 2**fine.
+        yield x + 1, n + 3
+        yield x + 2, n + 3
+        yield x + 1, n + 2
+        for fine in (41, 101):
+            for i in (1, 2, 2**fine // 3, 2**fine - 1):
+                yield ((x + 1) << fine) + i, (n + 3) << fine
+
+    def test_equals_dense_value_up_to_n60(self):
+        for n in range(1, 61):
+            for x in range(n + 1):
+                obs = BinomialObs(n, x)
+                value = triangle._estimating_value(obs)
+                coeffs = estimating_polynomial(obs).int_coeffs
+                for u, v in self.points(n, x):
+                    assert value(u, v) == reference_homogeneous_value(coeffs, u, v), (n, x, u, v)
+
+    def test_mirror_identity_up_to_n20(self):
+        # a J_{n,x}(a) + (1-a) J_{n,n-x}(1-a) = 0 as polynomials.
+        a, one_minus_a = ExactPoly([0, 1]), ExactPoly([1, -1])
+        for n in range(1, 21):
+            for x in range(n + 1):
+                j = estimating_polynomial(BinomialObs(n, x)).poly
+                mirror = estimating_polynomial(BinomialObs(n, n - x)).poly
+                assert a * j + one_minus_a * mirror.compose(one_minus_a) == ExactPoly(), (n, x)
+
+    @pytest.mark.parametrize("n, x", [(3, 1), (40, 7), (40, 33), (9, 0), (8, 4)])
+    def test_one_polynomial_and_one_root_isolation_per_solve(self, monkeypatch, n, x):
+        # The benchmark traces a solve at these two module attributes and
+        # reads the built polynomial's degree: one build of degree n + 2, of
+        # the short-core side, and one bisect_root call.
+        built, isolated = [], []
+        build, isolate = triangle.estimating_polynomial, triangle.bisect_root
+
+        def traced_build(obs):
+            built.append(obs)
+            return build(obs)
+
+        def traced_isolate(*args, **kwargs):
+            isolated.append(args[1])
+            return isolate(*args, **kwargs)
+
+        monkeypatch.setattr(triangle, "estimating_polynomial", traced_build)
+        monkeypatch.setattr(triangle, "bisect_root", traced_isolate)
+        solve_iterative_bayes(BinomialObs(n, x))
+        assert built == [BinomialObs(n, max(x, n - x))]
+        assert build(built[0]).poly.degree == n + 2
+        assert isolated == [n + 2]
 
 
 class TestSolveIterativeBayes:
