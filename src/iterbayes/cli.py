@@ -42,11 +42,11 @@ MAX_MC_DRAWS = 10**7
 MC_SAMPLE_DRAWS = 7
 
 # Largest --n-max-symbolic, --n-max-pointwise and --gould-max that verify
-# runs.  At its ceiling each flag's checks take about 9-11 s on a 2-vCPU
-# Linux host (8.6 s, 11.1 s and 8.5 s, so about 28 s for all three):
-# factorization grows about as n^4, the pointwise checks as n^3 and
-# gould-1.41 as its bound cubed (29 s at --gould-max 200).
-MAX_N_SYMBOLIC = 45
+# runs.  At their ceilings on a 2-vCPU Linux host, the factorization check
+# takes about 2 s, the pointwise checks 7-10 s and gould-1.41 about 2 s, and
+# all three together about 11 s.  Factorization grows about as n^4, the
+# pointwise checks as n^3 and gould-1.41 as its bound cubed.
+MAX_N_SYMBOLIC = 100
 MAX_N_POINTWISE = 150
 MAX_GOULD = 150
 
@@ -314,8 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="run the exact identity suite",
         epilog=f"verify admits --n-max-symbolic up to {MAX_N_SYMBOLIC}, --n-max-pointwise "
                f"up to {MAX_N_POINTWISE} and --gould-max up to {MAX_GOULD}; more exits with "
-               f"code 2.  Each flag's checks take about 10 s at its ceiling, so all three "
-               f"at their ceilings take about 28 s: the factorization check grows about "
+               f"code 2.  At its ceiling each flag's checks take at most about 10 s, and "
+               f"all three at their ceilings about 11 s: the factorization check grows about "
                f"as n^4, the pointwise checks as n^3 and gould-1.41 as its bound cubed.")
     p_ver.add_argument("--n-max-symbolic", type=int, default=12,
                        help="largest n for coefficient-exact checks "

@@ -1,6 +1,7 @@
 """Exact arithmetic foundation: the one evaluator of integer polynomials at
-rationals, dense polynomials over the rationals for the verifier's symbolic
-check, and exact root bracketing.
+rationals, exact root bracketing, and ``ExactPoly``, dense polynomials over
+the rationals that the tests use as reference arithmetic (the package's own
+checks run in integers).
 
 That evaluator, ``_homogeneous_value``, runs a Horner loop on up to 64
 coefficients and splits longer polynomials into balanced halves, so that they

@@ -1,7 +1,8 @@
 """Executable verification of the algebra behind the triangle-prior solver.
 
-Every check here is exact: the symbolic one in Fraction polynomials, the
-pointwise ones in big integers.  The two load-bearing facts for the solver
+Every check here is exact and, but for the two sides of gould-1.41, runs in
+integers: the symbolic one compares integer coefficient tuples, the pointwise
+ones evaluate in big integers.  The two load-bearing facts for the solver
 are (i) the estimating polynomial equals the scaled balance-integral difference
 
     scale * (1-a) * [balance(1-a, n-x) - balance(a, x)],
@@ -18,10 +19,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate
 from typing import Callable, List, Optional, Tuple
 
-from .exact import ExactPoly, _homogeneous_value, sign_at
-from .triangle import balance_polynomial, estimating_polynomial
+from .exact import _homogeneous_value, sign_at
+from .triangle import estimating_polynomial
 from .types import BinomialObs
 
 __all__ = [
@@ -73,17 +76,17 @@ def gould_141_sides(m: int, x: int) -> Tuple[Fraction, Fraction]:
 
         sum_{r=0}^{x} C(x, r) (-1)^r m/(m+r)  ==  1 / C(m+x, x).
 
-    Returned as exact rationals for the caller to compare.
+    Returned as exact rationals for the caller to compare.  The left side is
+    summed in integers over the common denominator L = lcm(m, ..., m+x) and
+    reduced once.
     """
     if m < 1:
         raise ValueError("gould_141_sides: m must be >= 1")
     if x < 0:
         raise ValueError("gould_141_sides: x must be >= 0")
-    lhs = Fraction(0)
-    for r in range(x + 1):
-        term = Fraction(math.comb(x, r) * m, m + r)
-        lhs += -term if r % 2 else term
-    return lhs, Fraction(1, math.comb(m + x, x))
+    lcm = math.lcm(*range(m, m + x + 1))
+    total = sum((-1) ** r * math.comb(x, r) * (lcm // (m + r)) for r in range(x + 1))
+    return Fraction(m * total, lcm), Fraction(1, math.comb(m + x, x))
 
 
 def gould_183_holds(x: int) -> bool:
@@ -91,6 +94,15 @@ def gould_183_holds(x: int) -> bool:
     if x < 0:
         raise ValueError("gould_183_holds: x must be >= 0")
     return sum(math.comb(2 * x + 1, k) for k in range(x + 1)) == 4**x
+
+
+# One entry: check_core_positivity_at asks for the weights of one observation
+# at every point of GRID before it moves on to the next.
+@lru_cache(maxsize=1)
+def _core_weights(n: int, x: int) -> Tuple[int, ...]:
+    """C(n+3, n-x-i) C(i+2, 2) for i = 0..n-x: the weights of
+    :func:`positive_core_value`."""
+    return tuple(math.comb(n + 3, n - x - i) * math.comb(i + 2, 2) for i in range(n - x + 1))
 
 
 def positive_core_value(a: Fraction, obs: BinomialObs) -> int:
@@ -101,27 +113,55 @@ def positive_core_value(a: Fraction, obs: BinomialObs) -> int:
     every term nonnegative on (0, 1), at a = u/v scaled to the integer
     v^(n-x) pos(a): the weights C(n+3, n-x-i) C(i+2, 2) of u^i (v-u)^(n-x-i).
     """
-    n, x = obs.n, obs.x
-    weights = [math.comb(n + 3, n - x - i) * math.comb(i + 2, 2) for i in range(n - x + 1)]
     u, v = a.numerator, a.denominator
-    return _homogeneous_value(weights, u, v - u)
+    return _homogeneous_value(_core_weights(obs.n, obs.x), u, v - u)
 
 
-def factorization_sides(obs: BinomialObs) -> Tuple[ExactPoly, ExactPoly]:
-    """Estimating polynomial vs. the scaled balance-difference expansion.
+def _scaled_balance(n: int, x: int, scale: int) -> List[int]:
+    """The coefficients of a^(x+2), ..., a^(n+2) of scale * balance(a, x),
+    m = n - x: (-1)^r scale C(m, r) / ((x+r+2)(x+r+3)) for r = 0..m, each by
+    exact division.  A nonzero remainder raises ValueError naming it."""
+    coeffs = []
+    for r in range(n - x + 1):
+        c, rem = divmod(scale * math.comb(n - x, r), (x + r + 2) * (x + r + 3))
+        if rem:
+            raise ValueError(f"scaled balance coefficient of a^{x + r + 2} for x={x} "
+                             f"leaves remainder {rem}")
+        coeffs.append(-c if r % 2 else c)
+    return coeffs
 
-    The right side builds both balance integrals as polynomials in ``a``
-    (composing with 1 - a for the mirrored one), subtracts, multiplies by
-    (1 - a) and the factorial scale, and must reproduce the integer
-    coefficients of the left side exactly.
+
+def _at_one_minus(coeffs: List[int]) -> List[int]:
+    """Coefficients of p(1 - a) from those of p(b).  The Taylor shift to
+    p(b + 1) is d passes of Pascal additions (von zur Gathen & Gerhard,
+    ISSAC 1997): pass i replaces each coefficient from the i-th up by its
+    sum with every higher one.  Then the odd powers change sign."""
+    c = list(coeffs)
+    for i in range(len(c) - 1):
+        c[i:] = reversed(list(accumulate(reversed(c[i:]))))
+    return [-v if k % 2 else v for k, v in enumerate(c)]
+
+
+def factorization_sides(obs: BinomialObs) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Estimating polynomial vs. the scaled balance-difference expansion, as
+    integer coefficient tuples, lowest degree first.
+
+    The right side builds both balance integrals term by term, times the
+    factorial scale, in integers (ValueError if a term is not one), composes
+    the mirrored one with 1 - a, subtracts, and multiplies by 1 - a as
+    differences of neighbouring coefficients; it must reproduce the left
+    side exactly.  It never reads the closed form of the left side.
     """
     n, x = obs.n, obs.x
-    lhs = estimating_polynomial(obs).poly
-    one_minus_a = ExactPoly([1, -1])
-    mirrored = balance_polynomial(BinomialObs(n, n - x)).compose(one_minus_a)
-    scale = Fraction(math.factorial(n + 3), math.factorial(x) * math.factorial(n - x))
-    rhs = scale * (one_minus_a * (mirrored - balance_polynomial(obs)))
-    return lhs, rhs
+    lhs = estimating_polynomial(obs).int_coeffs
+    scale = math.factorial(n + 3) // (math.factorial(x) * math.factorial(n - x))
+    own = [0] * (x + 2) + _scaled_balance(n, x, scale)
+    mirrored = _at_one_minus([0] * (n - x + 2) + _scaled_balance(n, n - x, scale))
+    inner = [p - q for p, q in zip(mirrored, own)]
+    rhs = [p - q for p, q in zip(inner + [0], [0] + inner)]
+    while rhs and not rhs[-1]:
+        rhs.pop()
+    return lhs, tuple(rhs)
 
 
 def _over_range(
@@ -175,10 +215,13 @@ def check_factorization_at(
     """
     name = "estimating-polynomial-factorization"
     params = f"n={obs.n}, x={obs.x}"
-    lhs, rhs = factorization_sides(obs)
+    try:
+        lhs, rhs = factorization_sides(obs)
+    except ValueError as exc:
+        return IdentityReport(name, params, 1, False, f"n={obs.n}, x={obs.x}: {exc}")
     index, delta = perturb if perturb is not None else (0, 0)
-    size = max(len(lhs.coeffs), len(rhs.coeffs), index + 1)
-    left, right = ([*p.coeffs] + [0] * (size - len(p.coeffs)) for p in (lhs, rhs))
+    size = max(len(lhs), len(rhs), index + 1)
+    left, right = ([*p] + [0] * (size - len(p)) for p in (lhs, rhs))
     left[index] += delta
     bad = next((i for i in range(size) if left[i] != right[i]), None)
     if bad is not None:

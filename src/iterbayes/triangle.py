@@ -62,7 +62,6 @@ from .types import (
 __all__ = [
     "posterior_mean_exact",
     "triangle_posterior_mean",
-    "balance_polynomial",
     "EstimatingPolynomial",
     "estimating_polynomial",
     "solver_bracket",
@@ -112,43 +111,34 @@ def _binomial_row(big: int) -> list:
     return row
 
 
-def posterior_mean_exact(mode: Union[Fraction, float], obs: BinomialObs) -> Fraction:
-    """Posterior mean of p under the triangle prior, as an exact rational.
+def _mean_ratio(mode: Union[Fraction, float], obs: BinomialObs) -> Tuple[int, int]:
+    """Numerator and denominator of the posterior mean at ``mode``, unreduced.
 
     Both branch integrals are polynomial in the mode, so the mean is the ratio
-    of two cached polynomials, evaluated at the mode in big integers: one
-    exact division.  Float modes are converted to their exact binary value.
+    of two cached polynomials, evaluated at the mode in big integers.  Float
+    modes are read as their exact binary value.
     """
-    m = Fraction(mode)
-    if not 0 < m < 1:
+    p, q = mode.as_integer_ratio()
+    if not 0 < p < q:
         raise ValueError(f"posterior mean: mode must be in (0, 1), got {mode}")
     n, x = obs.n, obs.x
     num, den = _mean_pieces(n, x)
-    p, q = m.numerator, m.denominator
-    return Fraction((x + 1) * _homogeneous_value(num, p, q - p),
-                    (n + 3) * q * _homogeneous_value(den, p, q - p))
+    return ((x + 1) * _homogeneous_value(num, p, q - p),
+            (n + 3) * q * _homogeneous_value(den, p, q - p))
+
+
+def posterior_mean_exact(mode: Union[Fraction, float], obs: BinomialObs) -> Fraction:
+    """Posterior mean of p under the triangle prior, as an exact rational:
+    the ratio of two cached polynomials in the mode, one exact division.
+    Float modes are converted to their exact binary value."""
+    return Fraction(*_mean_ratio(mode, obs))
 
 
 def triangle_posterior_mean(mode: float, obs: BinomialObs) -> float:
-    """Float view of :func:`posterior_mean_exact`."""
-    return float(posterior_mean_exact(mode, obs))
-
-
-def balance_polynomial(obs: BinomialObs) -> ExactPoly:
-    """The strictly increasing weight a^(x+2) ∫ t^(x+1)(1-t)(1-a t)^(n-x) dt
-    as a polynomial in a.
-
-    Built from the exact term-by-term expansion
-    a^(x+2) * sum_r C(n-x, r) (-1)^r a^r / ((x+r+2)(x+r+3)).  The iterative
-    Bayes estimate is the unique point where this weight for (a, x) equals
-    the one for (1-a, n-x).
-    """
-    n, x = obs.n, obs.x
-    coeffs = [Fraction(0)] * (x + 2)
-    for r in range(n - x + 1):
-        c = Fraction(math.comb(n - x, r), (x + r + 2) * (x + r + 3))
-        coeffs.append(-c if r % 2 else c)
-    return ExactPoly(coeffs)
+    """Float view of :func:`posterior_mean_exact`: the same ratio divided
+    without reducing it first, since int true division rounds correctly."""
+    num, den = _mean_ratio(mode, obs)
+    return num / den
 
 
 @dataclass(frozen=True)

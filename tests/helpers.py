@@ -28,7 +28,11 @@ by term.  The package divides the binomial estimating polynomial for
 solve.
 
 The power and antiderivative helpers integrate a polynomial in plain
-Fraction arithmetic: the independent route to the balance integral.
+Fraction arithmetic: the independent route to the balance integral.  The
+balance polynomial is that integral's term-by-term expansion in Fractions,
+and the factorization reference builds the verifier's right side from it by
+Fraction polynomial arithmetic, composition with 1 - a included; the package
+builds the same side in integers and must give the same tuple.
 
 The homogeneous-evaluation reference is the single Horner loop over all
 coefficients: the package splits long inputs into balanced halves and must
@@ -50,12 +54,12 @@ budget turns any would-be runaway recursion into a loud error.
 
 import dataclasses
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import iterbayes.exact as exact
 from iterbayes.conjugate import ConjugateFamily
 from iterbayes.exact import MAX_ITER, ExactPoly, bisect_root, check_tol, eval_rational, sign_at
-from iterbayes.types import METHOD_BISECTION, Estimate
+from iterbayes.types import METHOD_BISECTION, BinomialObs, Estimate
 
 _BUDGET = 2_000_000
 
@@ -278,6 +282,28 @@ def poly_power(poly, exponent):
 def antiderivative(poly):
     """Antiderivative of an ExactPoly with zero constant term."""
     return ExactPoly([0] + [c / (i + 1) for i, c in enumerate(poly.coeffs)])
+
+
+def balance_polynomial(obs):
+    """The strictly increasing weight a^(x+2) ∫ t^(x+1)(1-t)(1-a t)^(n-x) dt
+    as an ExactPoly in a, from the term-by-term expansion
+    a^(x+2) * sum_r C(n-x, r) (-1)^r a^r / ((x+r+2)(x+r+3))."""
+    n, x = obs.n, obs.x
+    return ExactPoly([0] * (x + 2) + [Fraction((-1) ** r * comb(n - x, r), (x + r + 2) * (x + r + 3))
+                                      for r in range(n - x + 1)])
+
+
+def reference_factorization_rhs(obs):
+    """scale * (1-a) * [balance(1-a, n-x) - balance(a, x)],
+    scale = (n+3)!/(x!(n-x)!), built by Fraction polynomial arithmetic and
+    returned as integers."""
+    n, x = obs.n, obs.x
+    one_minus_a = ExactPoly([1, -1])
+    mirrored = balance_polynomial(BinomialObs(n, n - x)).compose(one_minus_a)
+    scale = Fraction(factorial(n + 3), factorial(x) * factorial(n - x))
+    poly = scale * (one_minus_a * (mirrored - balance_polynomial(obs)))
+    assert all(c.denominator == 1 for c in poly.coeffs)
+    return tuple(int(c) for c in poly.coeffs)
 
 
 def reference_homogeneous_value(coeffs, u, v):

@@ -1,8 +1,11 @@
+import ast
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
+import iterbayes.identities as identities
 from iterbayes.exact import ExactPoly, eval_rational, sign_at
 from iterbayes.identities import (
     GRID,
@@ -11,6 +14,7 @@ from iterbayes.identities import (
     check_endpoint_signs,
     check_endpoint_signs_at,
     check_factorization,
+    check_core_positivity_at,
     check_factorization_at,
     check_gould_141,
     check_gould_183,
@@ -18,12 +22,15 @@ from iterbayes.identities import (
     gould_141_sides,
     gould_183_holds,
     positive_core_value,
+    _scaled_balance,
     run_all,
 )
 from iterbayes.triangle import EstimatingPolynomial, estimating_polynomial
 from iterbayes.types import BinomialObs
 
-from helpers import alternating_core
+from helpers import alternating_core, reference_factorization_rhs
+
+AUDIT_WORKLOAD = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
 
 class TestGould141:
@@ -67,11 +74,17 @@ class TestGould183:
 class TestFactorization:
     def test_one_trial_both_sides(self):
         lhs, rhs = factorization_sides(BinomialObs(1, 1))
-        assert lhs == rhs == ExactPoly([2, -4, 0, 2])
+        assert lhs == rhs == (2, -4, 0, 2)
 
     def test_two_trials_no_success(self):
         lhs, rhs = factorization_sides(BinomialObs(2, 0))
-        assert lhs == rhs
+        assert lhs == rhs == estimating_polynomial(BinomialObs(2, 0)).int_coeffs
+
+    def test_right_side_equals_fraction_construction_up_to_n20(self):
+        for n in range(1, 21):
+            for x in range(n + 1):
+                obs = BinomialObs(n, x)
+                assert factorization_sides(obs)[1] == reference_factorization_rhs(obs), (n, x)
 
     def test_range_check_passes(self):
         report = check_factorization(8)
@@ -127,6 +140,23 @@ class TestCorePositivity:
     def test_range_check_passes(self):
         assert check_core_positivity(8).passed
 
+    def test_weights_built_once_per_observation(self, monkeypatch):
+        # The check reaches positive_core_value through the module attribute
+        # at each point of GRID, where the benchmark and the fault tests hook
+        # it; the weights behind it are built once per observation.
+        real, points = positive_core_value, []
+        monkeypatch.setattr(identities, "positive_core_value",
+                            lambda a, obs: points.append(a) or real(a, obs))
+        weights = identities._core_weights
+        weights.cache_clear()
+        observations = [BinomialObs(n, x) for n in range(1, 9) for x in range(n + 1)]
+        for obs in observations:
+            assert check_core_positivity_at(obs).passed
+        assert points == list(GRID) * len(observations)
+        info = weights.cache_info()
+        assert info.maxsize == 1 and info.currsize == 1
+        assert info.misses == len(observations)
+
 
 class TestEndpointSigns:
     def test_balanced_case_exact_zero(self):
@@ -179,6 +209,16 @@ class TestReportsAndRunner:
         with pytest.raises(ValueError, match=">= 1"):
             check(*bounds)
 
+    def test_run_all_defaults_match_the_audit_workload(self):
+        # The benchmark's audit workload pins the names and case counts of
+        # run_all() at its defaults; a change to them must fail here too.
+        tree = ast.parse(AUDIT_WORKLOAD.read_text(encoding="utf-8"))
+        pinned = next(ast.literal_eval(node.value) for node in tree.body
+                      if isinstance(node, ast.Assign)
+                      and [getattr(t, "id", None) for t in node.targets] == ["AUDIT_CASES"])
+        got = [(r.name, r.passed, r.cases) for r in run_all()]
+        assert got == [(name, True, cases) for name, cases in pinned.items()]
+
     def test_run_all_perturbed_fails(self):
         reports = run_all(n_max_symbolic=3, n_max_pointwise=4, gould_max=4, perturb=(2, 1, 3, 1))
         failed = [r for r in reports if not r.passed]
@@ -188,8 +228,14 @@ class TestReportsAndRunner:
 
 
 def _wrong_binomial(m, k):
-    # C(3, 1) read as 5: enters gould-1.41 at x = 3 and gould-1.83 at x = 1.
+    # C(3, 1) read as 4: enters gould-1.41 at x = 3, gould-1.83 at x = 1 and
+    # the balance coefficients of the factorization's right side at n = 3.
     return comb(m, k) + ((m, k) == (3, 1))
+
+
+def _scale_plus_one_at_n3_x1(n, x, scale):
+    """_scaled_balance with the factorial scale one too large for (3, 1)."""
+    return _scaled_balance(n, x, scale + ((n, x) == (3, 1)))
 
 
 def _off_by_two(n, x, index):
@@ -225,6 +271,10 @@ class TestEveryIdentityCanFail:
         (check_gould_183, "math.comb", _wrong_binomial, "x=1"),
         (check_factorization, "estimating_polynomial", _off_by_two(3, 1, 4),
          "n=3, x=1: coefficient of a^4"),
+        (check_factorization, "math.comb", _wrong_binomial,
+         "n=3, x=0: coefficient of a^3"),
+        (check_factorization, "_scaled_balance", _scale_plus_one_at_n3_x1,
+         "n=3, x=1: scaled balance coefficient of a^3 for x=1 leaves remainder"),
         (check_core_positivity, "positive_core_value", _scaled_positive_core(-1),
          "n=3, x=1, a=1/10: core not positive"),
         (check_core_positivity, "positive_core_value", _scaled_positive_core(Fraction(3, 2)),
@@ -235,7 +285,8 @@ class TestEveryIdentityCanFail:
          "n=3, x=1, a=1/10: polynomial != core recombination"),
         (check_endpoint_signs, "sign_at", _flipped_sign_at_n3,
          "n=3, x=0: sign at lower bracket end"),
-    ], ids=["gould-1.41", "gould-1.83", "factorization", "core-not-positive",
+    ], ids=["gould-1.41", "gould-1.83", "factorization", "factorization-balance-term",
+            "factorization-remainder", "core-not-positive",
             "core-forms-differ", "core-J-head-off", "core-J-tail-off", "endpoint-signs"])
     def test_wrong_input_fails(self, monkeypatch, check, attr, wrong, where):
         monkeypatch.setattr(f"iterbayes.identities.{attr}", wrong)

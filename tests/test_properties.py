@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 import iterbayes.exact as exact
 import iterbayes.triangle as triangle
 from iterbayes.exact import ExactPoly, sign_at
+from iterbayes.identities import factorization_sides
 from iterbayes.triangle import (
     estimating_polynomial,
     geometric_estimate,
     posterior_mean_exact,
     solve_iterative_bayes,
     solver_bracket,
+    triangle_posterior_mean,
 )
 from iterbayes.types import BinomialObs
 
@@ -23,6 +25,7 @@ from helpers import (
     geometric_polynomial,
     reference_bisect_root,
     reference_estimating_coeffs,
+    reference_factorization_rhs,
     reference_homogeneous_value,
     weighted_posterior_mean,
 )
@@ -176,6 +179,24 @@ def test_posterior_mean_stays_interior(n, mode, data):
     mean = posterior_mean_exact(mode, BinomialObs(n, x))
     assert mean == weighted_posterior_mean(mode, n, x)
     assert 0 < mean < 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=300),
+       st.floats(min_value=0, max_value=1, exclude_min=True, exclude_max=True), st.data())
+def test_float_posterior_mean_is_the_exact_one_rounded(n, mode, data):
+    # The float view divides the unreduced ratio; that rounds correctly, so
+    # it is the exact mean rounded once, bit for bit.
+    obs = BinomialObs(n, data.draw(st.integers(min_value=0, max_value=n)))
+    assert triangle_posterior_mean(mode, obs) == float(posterior_mean_exact(mode, obs))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=1, max_value=80), st.data())
+def test_factorization_right_side_equals_fraction_construction(n, data):
+    obs = BinomialObs(n, data.draw(st.integers(min_value=0, max_value=n)))
+    lhs, rhs = factorization_sides(obs)
+    assert rhs == reference_factorization_rhs(obs) == lhs
 
 
 @settings(max_examples=40, deadline=None)

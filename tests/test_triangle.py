@@ -9,7 +9,6 @@ from iterbayes.exact import ExactPoly, eval_rational, sign_at
 from iterbayes.identities import factorization_sides
 from iterbayes.conjugate import ConjugateFamily, ConjugateModel, SampleStats, conjugate_iterative_limit
 from iterbayes.triangle import (
-    balance_polynomial,
     estimating_polynomial,
     fixed_point_iterate,
     geometric_estimate,
@@ -20,10 +19,11 @@ from iterbayes.triangle import (
     solver_bracket,
     triangle_posterior_mean,
 )
-from iterbayes.types import BinomialObs, BracketFailure, NoConvergence
+from iterbayes.types import METHOD_FIXED_POINT, BinomialObs, BracketFailure, Estimate, NoConvergence
 
 from helpers import (
     antiderivative,
+    balance_polynomial,
     dense_bisect_root,
     geometric_polynomial,
     poly_power,
@@ -364,6 +364,20 @@ class TestFixedPointIterate:
         with pytest.raises(ValueError):
             fixed_point_iterate(BinomialObs(1, 1), mode0=0.0)
 
+    def test_steps_round_the_exact_mean_up_to_n40(self):
+        # The map written on posterior_mean_exact, each step rounded once:
+        # fixed_point_iterate must return every field of its result.
+        for n in range(1, 41):
+            for x in range(n + 1):
+                obs = BinomialObs(n, x)
+                mode, steps, delta = 0.5, 0, math.inf
+                while delta >= triangle.FIXED_POINT_TOL:
+                    steps += 1
+                    new = float(posterior_mean_exact(mode, obs))
+                    delta, mode = abs(new - mode), new
+                want = Estimate(mode, METHOD_FIXED_POINT, steps, delta)
+                assert fixed_point_iterate(obs) == want, (n, x)
+
 
 class TestGeometricAndNegativeBinomial:
     def test_geometric_table(self):
@@ -441,9 +455,7 @@ class TestOutputConsistency:
         for n in range(1, 21):
             for x in (0, n // 2, n):
                 obs = BinomialObs(n, x)
-                _, rhs = factorization_sides(obs)
-                scale = math.lcm(*(c.denominator for c in rhs.coeffs))
-                coeffs = tuple(int(c * scale) for c in rhs.coeffs)
+                _, coeffs = factorization_sides(obs)
                 lo, hi = solver_bracket(obs)
                 via_identity = dense_bisect_root(coeffs, lo, hi, tol=Fraction(1, 10**12))
                 direct = solve_iterative_bayes(obs, tol=1e-12)
