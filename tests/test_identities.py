@@ -11,10 +11,10 @@ from iterbayes.identities import (
     GRID,
     IdentityReport,
     check_core_positivity,
+    check_core_positivity_at,
     check_endpoint_signs,
     check_endpoint_signs_at,
     check_factorization,
-    check_core_positivity_at,
     check_factorization_at,
     check_gould_141,
     check_gould_183,
