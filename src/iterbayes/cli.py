@@ -43,8 +43,8 @@ MC_SAMPLE_DRAWS = 7
 
 # Largest --n-max-symbolic, --n-max-pointwise and --gould-max that verify
 # runs.  At their ceilings on a 2-vCPU Linux host, the factorization check
-# takes about 2 s, the pointwise checks 7-10 s and gould-1.41 about 2 s, and
-# all three together about 11 s.  Factorization grows about as n^4, the
+# takes about 2 s, the pointwise checks 3-4 s and gould-1.41 about 2-3 s, and
+# all three together 6-9 s.  Factorization grows about as n^4, the
 # pointwise checks as n^3 and gould-1.41 as its bound cubed.
 MAX_N_SYMBOLIC = 100
 MAX_N_POINTWISE = 150
@@ -314,8 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="run the exact identity suite",
         epilog=f"verify admits --n-max-symbolic up to {MAX_N_SYMBOLIC}, --n-max-pointwise "
                f"up to {MAX_N_POINTWISE} and --gould-max up to {MAX_GOULD}; more exits with "
-               f"code 2.  At its ceiling each flag's checks take at most about 10 s, and "
-               f"all three at their ceilings about 11 s: the factorization check grows about "
+               f"code 2.  At its ceiling each flag's checks take at most about 4 s, and "
+               f"all three at their ceilings about 9 s: the factorization check grows about "
                f"as n^4, the pointwise checks as n^3 and gould-1.41 as its bound cubed.")
     p_ver.add_argument("--n-max-symbolic", type=int, default=12,
                        help="largest n for coefficient-exact checks "

@@ -11,7 +11,10 @@ are (i) the estimating polynomial equals the scaled balance-integral difference
 coefficient for coefficient, and (ii) its signs at the bracket endpoints are
 as claimed, so bisection on ((x+1)/(n+3), (x+2)/(n+3)) cannot fail.  The
 remaining checks pin the classical combinatorial identities the derivation
-leans on and the positivity of the core polynomial.
+leans on and the positivity of the core polynomial.  Core-positivity
+evaluates J through the solver's own short-side evaluator,
+``triangle._estimating_value``, mirror identity included, and the
+manifestly positive form from one cached row per n and grid point.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Callable, List, Optional, Tuple
 
-from .exact import _homogeneous_value, sign_at
-from .triangle import estimating_polynomial
+from .exact import sign_at
+from .triangle import _estimating_value, estimating_polynomial
 from .types import BinomialObs
 
 __all__ = [
@@ -96,13 +99,28 @@ def gould_183_holds(x: int) -> bool:
     return sum(math.comb(2 * x + 1, k) for k in range(x + 1)) == 4**x
 
 
-# One entry: check_core_positivity_at asks for the weights of one observation
-# at every point of GRID before it moves on to the next.
-@lru_cache(maxsize=1)
-def _core_weights(n: int, x: int) -> Tuple[int, ...]:
-    """C(n+3, n-x-i) C(i+2, 2) for i = 0..n-x: the weights of
-    :func:`positive_core_value`."""
-    return tuple(math.comb(n + 3, n - x - i) * math.comb(i + 2, 2) for i in range(n - x + 1))
+# One entry per point of GRID: check_core_positivity_at reads the row of
+# every grid point for each x of one n before it moves on to the next n.
+@lru_cache(maxsize=len(GRID))
+def _positive_core_row(n: int, u: int, v: int) -> Tuple[int, ...]:
+    """v^m pos_{n,n-m}(u/v) for m = 0..n: the values of
+    :func:`positive_core_value` for every x of one n at a = u/v.
+
+    With A_k = C(n+3, k) (v-u)^k, the m-th entry is
+    sum_k A_k C(m-k+2, 2) u^(m-k), the coefficient of t^m in
+    A(t) / (1 - u t)^3 (Graham, Knuth & Patashnik, *Concrete Mathematics*,
+    sections 5.4 and 7.3), so three prefix passes S_m = u S_(m-1) + A_m
+    build the whole row in O(n) steps.  Every term is a sum of nonnegative
+    products for 0 <= u <= v."""
+    w = v - u
+    row, c, wk = [], 1, 1
+    for k in range(n + 1):
+        row.append(c * wk)
+        c = c * (n + 3 - k) // (k + 1)
+        wk *= w
+    for _ in range(3):
+        row = list(accumulate(row, lambda s, t: u * s + t))
+    return tuple(row)
 
 
 def positive_core_value(a: Fraction, obs: BinomialObs) -> int:
@@ -111,10 +129,9 @@ def positive_core_value(a: Fraction, obs: BinomialObs) -> int:
         pos(a) = sum_k C(n+3, k) C(n-x-k+2, 2) a^(n-x-k) (1-a)^k,
 
     every term nonnegative on (0, 1), at a = u/v scaled to the integer
-    v^(n-x) pos(a): the weights C(n+3, n-x-i) C(i+2, 2) of u^i (v-u)^(n-x-i).
-    """
-    u, v = a.numerator, a.denominator
-    return _homogeneous_value(_core_weights(obs.n, obs.x), u, v - u)
+    v^(n-x) pos(a): entry n - x of the row :func:`_positive_core_row`
+    builds for n at a."""
+    return _positive_core_row(obs.n, a.numerator, a.denominator)[obs.n - obs.x]
 
 
 def _scaled_balance(n: int, x: int, scale: int) -> List[int]:
@@ -254,7 +271,10 @@ def check_core_positivity_at(obs: BinomialObs) -> IdentityReport:
     coefficients are written from the alternating form, equals
     2 a^(x+2) pos(a) - (m+1)(n+3) a + (m+1)(x+1) exactly.  Since J is built
     from the alternating form, the second check is the two forms agreeing.
-    Both sides are compared times v^(n+2), in integers.
+    Both sides are compared times v^(n+2), in integers.  J is evaluated by
+    the solver's own evaluator, ``triangle._estimating_value``: the short
+    core, through the mirror identity below x = n/2.  The positive form is
+    read from the row :func:`positive_core_value` looks up.
 
     The check samples: it compares the two forms at the 9 points of GRID
     only.  Their difference is 2 a^(x+2) times a polynomial of degree at most
@@ -264,7 +284,7 @@ def check_core_positivity_at(obs: BinomialObs) -> IdentityReport:
     params = f"n={obs.n}, x={obs.x}"
     n, x = obs.n, obs.x
     m = n - x
-    coeffs = estimating_polynomial(obs).int_coeffs
+    value = _estimating_value(obs)
     cases = 0
     for a in GRID:
         cases += 1
@@ -273,9 +293,9 @@ def check_core_positivity_at(obs: BinomialObs) -> IdentityReport:
         if not pos > 0:
             return IdentityReport(name, params, cases, False, f"n={n}, x={x}, a={a}: "
                                   f"core not positive ({Fraction(pos, v ** m)})")
-        recombined = (2 * u ** (x + 2) * pos - (m + 1) * (n + 3) * u * v ** (n + 1)
-                      + (m + 1) * (x + 1) * v ** (n + 2))
-        if _homogeneous_value(coeffs, u, v) != recombined:
+        recombined = (2 * u ** (x + 2) * pos
+                      + (m + 1) * ((x + 1) * v - (n + 3) * u) * v ** (n + 1))
+        if value(u, v) != recombined:
             return IdentityReport(name, params, cases, False,
                                   f"n={n}, x={x}, a={a}: polynomial != core recombination")
     return IdentityReport(name, params, cases, True)

@@ -34,6 +34,11 @@ and the factorization reference builds the verifier's right side from it by
 Fraction polynomial arithmetic, composition with 1 - a included; the package
 builds the same side in integers and must give the same tuple.
 
+The positive-core reference sums the Bernstein weights
+C(n+3, m-i) C(i+2, 2) of u^i (v-u)^(m-i), m = n - x, one observation at a
+time: the package builds a whole row for one n by three prefix passes and
+must give the same integer for every x.
+
 The homogeneous-evaluation reference is the single Horner loop over all
 coefficients: the package splits long inputs into balanced halves and must
 give the same integer.
@@ -304,6 +309,15 @@ def reference_factorization_rhs(obs):
     poly = scale * (one_minus_a * (mirrored - balance_polynomial(obs)))
     assert all(c.denominator == 1 for c in poly.coeffs)
     return tuple(int(c) for c in poly.coeffs)
+
+
+def reference_positive_core(a, obs):
+    """v^(n-x) times the positive convolution form of the core at a = u/v,
+    sum_i C(n+3, m-i) C(i+2, 2) u^i (v-u)^(m-i) with m = n - x."""
+    u, v = a.numerator, a.denominator
+    m = obs.n - obs.x
+    return sum(comb(obs.n + 3, m - i) * comb(i + 2, 2) * u**i * (v - u) ** (m - i)
+               for i in range(m + 1))
 
 
 def reference_homogeneous_value(coeffs, u, v):

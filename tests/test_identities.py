@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import iterbayes.identities as identities
+import iterbayes.triangle as triangle
 from iterbayes.exact import ExactPoly, eval_rational, sign_at
 from iterbayes.identities import (
     GRID,
@@ -28,7 +29,7 @@ from iterbayes.identities import (
 from iterbayes.triangle import EstimatingPolynomial, estimating_polynomial
 from iterbayes.types import BinomialObs
 
-from helpers import alternating_core, reference_factorization_rhs
+from helpers import alternating_core, reference_factorization_rhs, reference_positive_core
 
 AUDIT_WORKLOAD = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
@@ -140,22 +141,32 @@ class TestCorePositivity:
     def test_range_check_passes(self):
         assert check_core_positivity(8).passed
 
-    def test_weights_built_once_per_observation(self, monkeypatch):
+    def test_positive_form_equals_bernstein_weights_up_to_n60(self):
+        points = GRID + (Fraction(1, 3), Fraction(99, 100), Fraction(1, 1000))
+        for n in range(1, 61):
+            for x in range(n + 1):
+                obs = BinomialObs(n, x)
+                for a in points:
+                    assert positive_core_value(a, obs) == reference_positive_core(a, obs), (n, x, a)
+
+    def test_row_built_once_per_n_and_grid_point(self, monkeypatch):
         # The check reaches positive_core_value through the module attribute
         # at each point of GRID, where the benchmark and the fault tests hook
-        # it; the weights behind it are built once per observation.
+        # it; the row behind it is built once per n and point of GRID.
         real, points = positive_core_value, []
         monkeypatch.setattr(identities, "positive_core_value",
                             lambda a, obs: points.append(a) or real(a, obs))
-        weights = identities._core_weights
-        weights.cache_clear()
-        observations = [BinomialObs(n, x) for n in range(1, 9) for x in range(n + 1)]
+        row = identities._positive_core_row
+        row.cache_clear()
+        n_max = 8
+        observations = [BinomialObs(n, x) for n in range(1, n_max + 1) for x in range(n + 1)]
         for obs in observations:
             assert check_core_positivity_at(obs).passed
+            assert row.cache_info().currsize <= len(GRID)
         assert points == list(GRID) * len(observations)
-        info = weights.cache_info()
-        assert info.maxsize == 1 and info.currsize == 1
-        assert info.misses == len(observations)
+        info = row.cache_info()
+        assert info.maxsize == len(GRID)
+        assert info.misses == len(GRID) * n_max
 
 
 class TestEndpointSigns:
@@ -262,34 +273,45 @@ def _scaled_positive_core(factor):
     return lambda a, obs: real(a, obs) * (factor if (obs.n, obs.x) == (3, 1) else 1)
 
 
+def _mirror_off_by_one(obs):
+    """triangle._estimating_value off by one on its mirrored branch, x < n/2."""
+    value = triangle._estimating_value(obs)
+    return (lambda u, v: value(u, v) + 1) if 2 * obs.x < obs.n else value
+
+
 class TestEveryIdentityCanFail:
     """Each check of the suite turns one wrong input into a failing report
-    with a counterexample."""
+    with a counterexample.  Core-positivity evaluates J at (3, 1) through
+    the mirror identity, so a fault in J_{3,2} shows there first."""
 
-    @pytest.mark.parametrize("check, attr, wrong, where", [
-        (check_gould_141, "math.comb", _wrong_binomial, "x=3"),
-        (check_gould_183, "math.comb", _wrong_binomial, "x=1"),
-        (check_factorization, "estimating_polynomial", _off_by_two(3, 1, 4),
+    @pytest.mark.parametrize("check, target, wrong, where", [
+        (check_gould_141, "identities.math.comb", _wrong_binomial, "x=3"),
+        (check_gould_183, "identities.math.comb", _wrong_binomial, "x=1"),
+        (check_factorization, "identities.estimating_polynomial", _off_by_two(3, 1, 4),
          "n=3, x=1: coefficient of a^4"),
-        (check_factorization, "math.comb", _wrong_binomial,
+        (check_factorization, "identities.math.comb", _wrong_binomial,
          "n=3, x=0: coefficient of a^3"),
-        (check_factorization, "_scaled_balance", _scale_plus_one_at_n3_x1,
+        (check_factorization, "identities._scaled_balance", _scale_plus_one_at_n3_x1,
          "n=3, x=1: scaled balance coefficient of a^3 for x=1 leaves remainder"),
-        (check_core_positivity, "positive_core_value", _scaled_positive_core(-1),
+        (check_core_positivity, "identities.positive_core_value", _scaled_positive_core(-1),
          "n=3, x=1, a=1/10: core not positive"),
-        (check_core_positivity, "positive_core_value", _scaled_positive_core(Fraction(3, 2)),
+        (check_core_positivity, "identities.positive_core_value",
+         _scaled_positive_core(Fraction(3, 2)),
          "n=3, x=1, a=1/10: polynomial != core recombination"),
-        (check_core_positivity, "estimating_polynomial", _off_by_two(3, 1, 4),
+        (check_core_positivity, "triangle.estimating_polynomial", _off_by_two(3, 2, 4),
          "n=3, x=1, a=1/10: polynomial != core recombination"),
-        (check_core_positivity, "estimating_polynomial", _off_by_two(3, 1, 0),
+        (check_core_positivity, "triangle.estimating_polynomial", _off_by_two(3, 2, 0),
          "n=3, x=1, a=1/10: polynomial != core recombination"),
-        (check_endpoint_signs, "sign_at", _flipped_sign_at_n3,
+        (check_core_positivity, "identities._estimating_value", _mirror_off_by_one,
+         "n=1, x=0, a=1/10: polynomial != core recombination"),
+        (check_endpoint_signs, "identities.sign_at", _flipped_sign_at_n3,
          "n=3, x=0: sign at lower bracket end"),
     ], ids=["gould-1.41", "gould-1.83", "factorization", "factorization-balance-term",
             "factorization-remainder", "core-not-positive",
-            "core-forms-differ", "core-J-head-off", "core-J-tail-off", "endpoint-signs"])
-    def test_wrong_input_fails(self, monkeypatch, check, attr, wrong, where):
-        monkeypatch.setattr(f"iterbayes.identities.{attr}", wrong)
+            "core-forms-differ", "core-J-head-off", "core-J-tail-off", "core-mirror-off",
+            "endpoint-signs"])
+    def test_wrong_input_fails(self, monkeypatch, check, target, wrong, where):
+        monkeypatch.setattr(f"iterbayes.{target}", wrong)
         report = check(4)
         assert not report.passed
         assert where in report.counterexample

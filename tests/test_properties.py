@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import iterbayes.exact as exact
 import iterbayes.triangle as triangle
 from iterbayes.exact import ExactPoly, sign_at
-from iterbayes.identities import factorization_sides
+from iterbayes.identities import factorization_sides, positive_core_value
 from iterbayes.triangle import (
     estimating_polynomial,
     geometric_estimate,
@@ -27,6 +27,7 @@ from helpers import (
     reference_estimating_coeffs,
     reference_factorization_rhs,
     reference_homogeneous_value,
+    reference_positive_core,
     weighted_posterior_mean,
 )
 
@@ -115,6 +116,17 @@ def test_short_core_evaluator_equals_dense_horner(n, data, w, k):
     u = data.draw(st.integers(min_value=1, max_value=v - 1))
     value = triangle._estimating_value(obs)
     assert value(u, v) == reference_homogeneous_value(estimating_polynomial(obs).int_coeffs, u, v)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=1, max_value=300), st.data(),
+       st.integers(min_value=2, max_value=2**40))
+def test_positive_core_row_equals_bernstein_weights(n, data, v):
+    # The verifier's positive form comes from one row per n and point; each
+    # entry must be the sum over the Bernstein weights of its observation.
+    obs = BinomialObs(n, data.draw(st.integers(min_value=0, max_value=n)))
+    a = Fraction(data.draw(st.integers(min_value=1, max_value=v - 1)), v)
+    assert positive_core_value(a, obs) == reference_positive_core(a, obs) > 0
 
 
 @settings(max_examples=60, deadline=None)
