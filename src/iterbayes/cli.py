@@ -42,9 +42,9 @@ MAX_MC_DRAWS = 10**7
 MC_SAMPLE_DRAWS = 7
 
 # Largest --n-max-symbolic, --n-max-pointwise and --gould-max that verify
-# runs.  At their ceilings on a 2-vCPU Linux host, the factorization check
-# takes about 2 s, the pointwise checks 3-4 s and gould-1.41 about 2-3 s, and
-# all three together 6-9 s.  Factorization grows about as n^4, the
+# runs.  At the ceilings, as commands on an unloaded 2-vCPU Linux host,
+# factorization takes 1.2-1.3 s, the pointwise checks 1.4-1.5 s, gould-1.41
+# 1.5-1.8 s and all three 4 s.  Factorization grows about as n^4, the
 # pointwise checks as n^3 and gould-1.41 as its bound cubed.
 MAX_N_SYMBOLIC = 100
 MAX_N_POINTWISE = 150
@@ -55,9 +55,9 @@ def _fmt(value: float, digits: int) -> str:
     return f"{value:.{digits}f}"
 
 
-def _emit(fmt: str, digits: int, header: Sequence[str], rows) -> None:
+def _emit(fmt: str, digits: Optional[int], header: Sequence[str], rows) -> None:
     """Print rows as a JSON list of objects keyed by header, each float
-    rounded to digits, or as CSV with each float fixed to digits."""
+    rounded to digits, or as CSV with each float fixed to digits (None: no float)."""
     if fmt == "json":
         import json
         print(json.dumps([{key: round(v, digits) if isinstance(v, float) else v
@@ -198,7 +198,7 @@ def cmd_verify(args) -> int:
         perturb=perturb,
     )
     if args.format != "plain":
-        _emit(args.format, args.digits, ["identity", "params", "cases", "passed", "counterexample"],
+        _emit(args.format, None, ["identity", "params", "cases", "passed", "counterexample"],
               [(r.name, r.params, r.cases, r.passed, r.counterexample) for r in reports])
     else:
         for r in reports:
@@ -260,11 +260,12 @@ def cmd_compare(args) -> int:
 # -------------------------------------------------------------------- main
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, digits: bool = True) -> None:
     parser.add_argument("--format", choices=FORMATS, default="plain",
                         help="output format (default: plain)")
-    parser.add_argument("--digits", type=int, default=6, metavar="D",
-                        help="decimal digits in output, 1..15 (default: 6)")
+    if digits:
+        parser.add_argument("--digits", type=int, default=6, metavar="D",
+                            help="decimal digits in output, 1..15 (default: 6)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -314,8 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="run the exact identity suite",
         epilog=f"verify admits --n-max-symbolic up to {MAX_N_SYMBOLIC}, --n-max-pointwise "
                f"up to {MAX_N_POINTWISE} and --gould-max up to {MAX_GOULD}; more exits with "
-               f"code 2.  At its ceiling each flag's checks take at most about 4 s, and "
-               f"all three at their ceilings about 9 s: the factorization check grows about "
+               f"code 2.  At its ceiling each flag's checks take at most about 2 s, and "
+               f"all three at their ceilings about 4 s: the factorization check grows about "
                f"as n^4, the pointwise checks as n^3 and gould-1.41 as its bound cubed.")
     p_ver.add_argument("--n-max-symbolic", type=int, default=12,
                        help="largest n for coefficient-exact checks "
@@ -328,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
                             f"(default: 30, at most {MAX_GOULD})")
     p_ver.add_argument("--self-test", action="store_true",
                        help="inject a known coefficient error and require the suite to fail")
-    _add_common(p_ver)
+    _add_common(p_ver, digits=False)
     p_ver.set_defaults(func=cmd_verify)
 
     p_cmp = sub.add_parser(
@@ -356,7 +357,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if not 1 <= args.digits <= 15:
+    if not 1 <= getattr(args, "digits", 6) <= 15:
         return _fail("--digits must be between 1 and 15")
     if not 0 < getattr(args, "tol", 1.0) < math.inf:
         return _fail("--tol must be positive and finite")

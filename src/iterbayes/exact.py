@@ -12,8 +12,9 @@ n <= 800, v is (n+3)·2**k with k up to 32-39 at tol 1e-12 and 92-99 at
 ``bisect_root`` works on bisection's grid refined once, so its residual is a
 value the search has already computed.  It takes the polynomial as a
 homogeneous evaluator, value(u, v) = v**degree * P(u/v), so that a caller
-can evaluate a sparse or mirrored form of it; ``sign_at`` and
-``eval_rational`` take the dense coefficient tuple.
+can evaluate a sparse or mirrored form of it.  ``sign_at`` and
+``eval_rational`` take the dense coefficient tuple; no package code calls
+them, only the benchmark tracer (which wraps them by name) and the tests.
 
 Everything in this module is computed without rounding but the float residual
 of ``bisect_root``, rounded once from an exact integer quotient.  Scalars are

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, sqrt
+from math import sqrt
 from typing import Callable, Dict, Sequence, Tuple
 
 from . import triangle
@@ -68,7 +68,7 @@ def _triangle_row(n: int) -> Tuple[float, ...]:
 # The last binomial row C(n, 0), ..., C(n, n): risk_at reads one n per table.
 @lru_cache(maxsize=1)
 def _binomial_row(n: int) -> Tuple[int, ...]:
-    return tuple(comb(n, x) for x in range(n + 1))
+    return tuple(triangle._binomial_row(n))
 
 
 def standard_estimators() -> Tuple[EstimatorSpec, ...]:

@@ -333,6 +333,14 @@ class TestVerify:
         assert (f"--n-max-symbolic up to {MAX_N_SYMBOLIC}, --n-max-pointwise up to "
                 f"{MAX_N_POINTWISE} and --gould-max up to {MAX_GOULD}; more exits with code 2") in text
 
+    def test_no_digits_option(self, capsys, monkeypatch):
+        # verify prints no float, so it takes no --digits.
+        monkeypatch.setattr(identities, "run_all", lambda **kwargs: [])
+        code, out, err = run(capsys, *self.ARGS, "--digits", "3")
+        assert code == 2 and out == "" and "--digits" in err
+        code, out, _ = run(capsys, "verify", "--help")
+        assert code == 0 and "--digits" not in out
+
 
 class TestCompare:
     def test_shape_and_values(self, capsys):

@@ -7,7 +7,7 @@ import pytest
 
 import iterbayes.identities as identities
 import iterbayes.triangle as triangle
-from iterbayes.exact import ExactPoly, eval_rational, sign_at
+from iterbayes.exact import ExactPoly, eval_rational
 from iterbayes.identities import (
     GRID,
     IdentityReport,
@@ -188,6 +188,19 @@ class TestEndpointSigns:
         assert report.passed
         assert report.cases == 3 * sum(n + 1 for n in range(1, 13))
 
+    def test_reads_no_dense_sign(self, monkeypatch):
+        # J goes through the solver's evaluator only; the dense sign_at, and
+        # the alias the benchmark tracer wraps, are never called.
+        def no_dense(*args):
+            raise AssertionError("sign_at called")
+
+        monkeypatch.setattr("iterbayes.exact.sign_at", no_dense)
+        monkeypatch.setattr("iterbayes.identities.sign_at", no_dense)
+        report = check_endpoint_signs(12)
+        assert report.passed
+        assert report.cases == 3 * sum(n + 1 for n in range(1, 13))
+        assert all(r.passed for r in run_all(n_max_symbolic=4, n_max_pointwise=12, gould_max=4))
+
 
 class TestReportsAndRunner:
     def test_failing_report_needs_counterexample(self):
@@ -262,10 +275,29 @@ def _off_by_two(n, x, index):
     return wrong
 
 
-def _flipped_sign_at_n3(coeffs, point):
-    """sign_at with the sign flipped on the degree-5 polynomials (n = 3)."""
-    sign = sign_at(coeffs, point)
-    return -sign if len(coeffs) == 6 else sign
+def _negated_value_at_n3(obs):
+    """triangle._estimating_value negated at n = 3."""
+    value = triangle._estimating_value(obs)
+    return (lambda u, v: -value(u, v)) if obs.n == 3 else value
+
+
+def _shifted_bracket(obs):
+    """triangle.solver_bracket moved up by one bracket width."""
+    lo, hi = triangle.solver_bracket(obs)
+    step = Fraction(1, obs.n + 3)
+    return lo + step, hi + step
+
+
+def _negated_at(n, x):
+    """estimating_polynomial with every coefficient negated at (n, x)."""
+    real = estimating_polynomial
+
+    def wrong(obs):
+        coeffs = real(obs).int_coeffs
+        return EstimatingPolynomial(tuple(-c for c in coeffs) if (obs.n, obs.x) == (n, x)
+                                    else coeffs)
+
+    return wrong
 
 
 def _scaled_positive_core(factor):
@@ -281,8 +313,9 @@ def _mirror_off_by_one(obs):
 
 class TestEveryIdentityCanFail:
     """Each check of the suite turns one wrong input into a failing report
-    with a counterexample.  Core-positivity evaluates J at (3, 1) through
-    the mirror identity, so a fault in J_{3,2} shows there first."""
+    with a counterexample.  Both pointwise checks evaluate J at x < n/2
+    through the mirror identity, so a fault in J_{n,n-x} shows at (n, x)
+    first: J_{3,2} at (3, 1), J_{3,3} at (3, 0)."""
 
     @pytest.mark.parametrize("check, target, wrong, where", [
         (check_gould_141, "identities.math.comb", _wrong_binomial, "x=3"),
@@ -304,12 +337,16 @@ class TestEveryIdentityCanFail:
          "n=3, x=1, a=1/10: polynomial != core recombination"),
         (check_core_positivity, "identities._estimating_value", _mirror_off_by_one,
          "n=1, x=0, a=1/10: polynomial != core recombination"),
-        (check_endpoint_signs, "identities.sign_at", _flipped_sign_at_n3,
+        (check_endpoint_signs, "identities._estimating_value", _negated_value_at_n3,
+         "n=3, x=0: sign at lower bracket end"),
+        (check_endpoint_signs, "identities.solver_bracket", _shifted_bracket,
+         "n=1, x=0: sign at lower bracket end"),
+        (check_endpoint_signs, "triangle.estimating_polynomial", _negated_at(3, 3),
          "n=3, x=0: sign at lower bracket end"),
     ], ids=["gould-1.41", "gould-1.83", "factorization", "factorization-balance-term",
             "factorization-remainder", "core-not-positive",
             "core-forms-differ", "core-J-head-off", "core-J-tail-off", "core-mirror-off",
-            "endpoint-signs"])
+            "endpoint-signs", "endpoint-bracket-shifted", "endpoint-mirror-flipped"])
     def test_wrong_input_fails(self, monkeypatch, check, target, wrong, where):
         monkeypatch.setattr(f"iterbayes.{target}", wrong)
         report = check(4)
