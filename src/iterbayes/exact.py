@@ -14,7 +14,9 @@ value the search has already computed.  It takes the polynomial as a
 homogeneous evaluator, value(u, v) = v**degree * P(u/v), so that a caller
 can evaluate a sparse or mirrored form of it.  ``sign_at`` and
 ``eval_rational`` take the dense coefficient tuple; no package code calls
-them, only the benchmark tracer (which wraps them by name) and the tests.
+them.  The benchmark tracer wraps both by name, the tests use both, and
+``bench/workloads.py`` calls ``sign_at`` to check that an estimate reported
+with zero residual is an exact root.
 
 Everything in this module is computed without rounding but the float residual
 of ``bisect_root``, rounded once from an exact integer quotient.  Scalars are

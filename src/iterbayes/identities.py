@@ -17,6 +17,13 @@ short-side evaluator, ``triangle._estimating_value``, mirror identity
 included; core-positivity reads the manifestly positive form from one cached
 row per n and grid point.  ``sign_at`` is only an alias of
 ``exact.sign_at`` kept for the benchmark tracer; no check reads it.
+
+Each ``check_*`` rejects its bound, then hands a stream of outcomes, one per
+case, to ``_report``: None where the case holds, the counterexample where it
+fails.  ``_report`` counts them, stops at the first failure and builds the
+one ``IdentityReport``.  The (n, x) checks are generators of one
+observation's cases, ``_factorization_cases``, ``_core_positivity_cases``
+and ``_endpoint_sign_cases``, chained over every (n, x) by ``_every_obs``.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from . import exact
 from .triangle import _estimating_value, estimating_polynomial, solver_bracket
@@ -40,11 +47,8 @@ __all__ = [
     "factorization_sides",
     "check_gould_141",
     "check_gould_183",
-    "check_factorization_at",
     "check_factorization",
-    "check_core_positivity_at",
     "check_core_positivity",
-    "check_endpoint_signs_at",
     "check_endpoint_signs",
     "GRID",
     "run_all",
@@ -106,8 +110,8 @@ def gould_183_holds(x: int) -> bool:
     return sum(math.comb(2 * x + 1, k) for k in range(x + 1)) == 4**x
 
 
-# One entry per point of GRID: check_core_positivity_at reads the row of
-# every grid point for each x of one n before it moves on to the next n.
+# One entry per point of GRID: _core_positivity_cases reads the row of
+# every grid point for each x of one n before _every_obs moves on to the next n.
 @lru_cache(maxsize=len(GRID))
 def _positive_core_row(n: int, u: int, v: int) -> Tuple[int, ...]:
     """v^m pos_{n,n-m}(u/v) for m = 0..n: the values of
@@ -188,72 +192,66 @@ def factorization_sides(obs: BinomialObs) -> Tuple[Tuple[int, ...], Tuple[int, .
     return lhs, tuple(rhs)
 
 
-def _over_range(
-    name: str, params: str, n_max: int, check_at: Callable[[BinomialObs], IdentityReport]
-) -> IdentityReport:
-    """Run ``check_at`` for every (n, x) with n <= n_max, summing its cases
-    and stopping at the first failing observation."""
-    _check_bound(f"{name}: n_max", n_max)
+def _report(name: str, params: str, outcomes: Iterable[Optional[str]]) -> IdentityReport:
+    """Count ``outcomes``, one per case: None where the case holds, its
+    counterexample where it fails.  Stops at the first failure."""
     cases = 0
+    for cases, counterexample in enumerate(outcomes, 1):
+        if counterexample is not None:
+            return IdentityReport(name, params, cases, False, counterexample)
+    return IdentityReport(name, params, cases, True)
+
+
+def _every_obs(
+    n_max: int, cases_at: Callable[[BinomialObs], Iterable[Optional[str]]]
+) -> Iterator[Optional[str]]:
+    """The outcomes of ``cases_at`` for every (n, x) with n <= n_max, in order."""
     for n in range(1, n_max + 1):
         for x in range(n + 1):
-            report = check_at(BinomialObs(n, x))
-            cases += report.cases
-            if not report.passed:
-                return IdentityReport(name, params, cases, False, report.counterexample)
-    return IdentityReport(name, params, cases, True)
+            yield from cases_at(BinomialObs(n, x))
 
 
 def check_gould_141(bound: int = 30) -> IdentityReport:
     """Gould 1.41 for every 1 <= m <= bound and 0 <= x <= bound."""
     _check_bound("gould-1.41: bound", bound)
-    name, params = "gould-1.41", f"m<=({bound}), x<=({bound})"
-    cases = 0
-    for m in range(1, bound + 1):
-        for x in range(bound + 1):
-            cases += 1
-            lhs, rhs = gould_141_sides(m, x)
-            if lhs != rhs:
-                return IdentityReport(name, params, cases, False,
-                                      f"m={m}, x={x}: {lhs} != {rhs}")
-    return IdentityReport(name, params, cases, True)
+
+    def outcomes() -> Iterator[Optional[str]]:
+        for m in range(1, bound + 1):
+            for x in range(bound + 1):
+                lhs, rhs = gould_141_sides(m, x)
+                yield None if lhs == rhs else f"m={m}, x={x}: {lhs} != {rhs}"
+
+    return _report("gould-1.41", f"m<=({bound}), x<=({bound})", outcomes())
 
 
 def check_gould_183(max_x: int = 30) -> IdentityReport:
     _check_bound("gould-1.83: max_x", max_x)
-    name, params = "gould-1.83", f"x<=({max_x})"
-    for x in range(max_x + 1):
-        if not gould_183_holds(x):
-            return IdentityReport(name, params, x + 1, False, f"x={x}")
-    return IdentityReport(name, params, max_x + 1, True)
+    return _report("gould-1.83", f"x<=({max_x})",
+                   (None if gould_183_holds(x) else f"x={x}" for x in range(max_x + 1)))
 
 
-def check_factorization_at(
-    obs: BinomialObs,
-    perturb: Optional[Tuple[int, int]] = None,
-) -> IdentityReport:
-    """Coefficient-exact comparison of the two constructions for one observation.
+def _factorization_cases(
+    obs: BinomialObs, perturb: Optional[Tuple[int, int, int, int]]
+) -> Iterator[Optional[str]]:
+    """One case: coefficient-exact comparison of the two constructions.
 
-    ``perturb`` = (coefficient index, delta) injects a known error into the
-    left side: the self-test hook proving the harness actually discriminates.
+    ``perturb`` = (n, x, coefficient index, delta) injects a known error into
+    the left side at that observation: the self-test hook proving the
+    harness actually discriminates.
     """
-    name = "estimating-polynomial-factorization"
-    params = f"n={obs.n}, x={obs.x}"
+    n, x = obs.n, obs.x
     try:
         lhs, rhs = factorization_sides(obs)
     except ValueError as exc:
-        return IdentityReport(name, params, 1, False, f"n={obs.n}, x={obs.x}: {exc}")
-    index, delta = perturb if perturb is not None else (0, 0)
+        yield f"n={n}, x={x}: {exc}"
+        return
+    index, delta = perturb[2:] if perturb is not None and perturb[:2] == (n, x) else (0, 0)
     size = max(len(lhs), len(rhs), index + 1)
     left, right = ([*p] + [0] * (size - len(p)) for p in (lhs, rhs))
     left[index] += delta
     bad = next((i for i in range(size) if left[i] != right[i]), None)
-    if bad is not None:
-        return IdentityReport(
-            name, params, 1, False,
-            f"n={obs.n}, x={obs.x}: coefficient of a^{bad} differs ({left[bad]} vs {right[bad]})",
-        )
-    return IdentityReport(name, params, 1, True)
+    yield None if bad is None else (
+        f"n={n}, x={x}: coefficient of a^{bad} differs ({left[bad]} vs {right[bad]})")
 
 
 def check_factorization(
@@ -264,15 +262,13 @@ def check_factorization(
 
     ``perturb`` = (n, x, coefficient index, delta) forwards the self-test hook.
     """
-
-    def at(obs: BinomialObs) -> IdentityReport:
-        hit = perturb is not None and perturb[:2] == (obs.n, obs.x)
-        return check_factorization_at(obs, perturb=perturb[2:] if hit else None)
-
-    return _over_range("estimating-polynomial-factorization", f"n<=({n_max}), all x", n_max, at)
+    name = "estimating-polynomial-factorization"
+    _check_bound(f"{name}: n_max", n_max)
+    return _report(name, f"n<=({n_max}), all x",
+                   _every_obs(n_max, lambda obs: _factorization_cases(obs, perturb)))
 
 
-def check_core_positivity_at(obs: BinomialObs) -> IdentityReport:
+def _core_positivity_cases(obs: BinomialObs) -> Iterator[Optional[str]]:
     """At each point a = u/v of GRID, m = n - x: the positive convolution form
     of the core is strictly positive, and the estimating polynomial J, whose
     coefficients are written from the alternating form, equals
@@ -287,55 +283,48 @@ def check_core_positivity_at(obs: BinomialObs) -> IdentityReport:
     only.  Their difference is 2 a^(x+2) times a polynomial of degree at most
     n - x, so agreement there proves them equal only when n - x <= 8, and
     positivity is shown at those points, not on all of (0, 1)."""
-    name = "core-positivity"
-    params = f"n={obs.n}, x={obs.x}"
     n, x = obs.n, obs.x
     m = n - x
     value = _estimating_value(obs)
-    cases = 0
     for a in GRID:
-        cases += 1
         u, v = a.numerator, a.denominator
         pos = positive_core_value(a, obs)
         if not pos > 0:
-            return IdentityReport(name, params, cases, False, f"n={n}, x={x}, a={a}: "
-                                  f"core not positive ({Fraction(pos, v ** m)})")
+            yield f"n={n}, x={x}, a={a}: core not positive ({Fraction(pos, v ** m)})"
+            continue
         recombined = (2 * u ** (x + 2) * pos
                       + (m + 1) * ((x + 1) * v - (n + 3) * u) * v ** (n + 1))
-        if value(u, v) != recombined:
-            return IdentityReport(name, params, cases, False,
-                                  f"n={n}, x={x}, a={a}: polynomial != core recombination")
-    return IdentityReport(name, params, cases, True)
+        yield None if value(u, v) == recombined else (
+            f"n={n}, x={x}, a={a}: polynomial != core recombination")
 
 
 def check_core_positivity(n_max: int = 40) -> IdentityReport:
-    params = f"n<=({n_max}), all x, {len(GRID)}-point grid"
-    return _over_range("core-positivity", params, n_max, check_core_positivity_at)
+    _check_bound("core-positivity: n_max", n_max)
+    return _report("core-positivity", f"n<=({n_max}), all x, {len(GRID)}-point grid",
+                   _every_obs(n_max, _core_positivity_cases))
 
 
-def check_endpoint_signs_at(obs: BinomialObs) -> IdentityReport:
+def _endpoint_sign_cases(obs: BinomialObs) -> Iterator[Optional[str]]:
     """Exact signs of the estimating polynomial at the ends of the solver's
     bracket, positive and negative, and the sign of n - 2x at the
-    uniform-prior point (x+1)/(n+2).  Evaluated by the solver's own
-    ``triangle._estimating_value``, mirror identity included."""
-    name = "endpoint-signs"
+    uniform-prior point (x+1)/(n+2): three cases.  Evaluated by the solver's
+    own ``triangle._estimating_value``, mirror identity included."""
     n, x = obs.n, obs.x
-    params = f"n={n}, x={x}"
     value = _estimating_value(obs)
     lo, hi = solver_bracket(obs)
     checks = ((lo, 1, "lower bracket end"), (hi, -1, "upper bracket end"),
               (Fraction(x + 1, n + 2), (n > 2 * x) - (n < 2 * x), "uniform-prior point"))
-    for cases, (point, want, label) in enumerate(checks, 1):
+    for point, want, label in checks:
         scaled = value(point.numerator, point.denominator)
         got = (scaled > 0) - (scaled < 0)
-        if got != want:
-            return IdentityReport(name, params, cases, False, f"n={n}, x={x}: sign at "
-                                  f"{label} {point} is {got}, expected {want}")
-    return IdentityReport(name, params, cases, True)
+        yield None if got == want else (
+            f"n={n}, x={x}: sign at {label} {point} is {got}, expected {want}")
 
 
 def check_endpoint_signs(n_max: int = 40) -> IdentityReport:
-    return _over_range("endpoint-signs", f"n<=({n_max}), all x", n_max, check_endpoint_signs_at)
+    _check_bound("endpoint-signs: n_max", n_max)
+    return _report("endpoint-signs", f"n<=({n_max}), all x",
+                   _every_obs(n_max, _endpoint_sign_cases))
 
 
 def run_all(

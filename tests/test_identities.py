@@ -12,11 +12,8 @@ from iterbayes.identities import (
     GRID,
     IdentityReport,
     check_core_positivity,
-    check_core_positivity_at,
     check_endpoint_signs,
-    check_endpoint_signs_at,
     check_factorization,
-    check_factorization_at,
     check_gould_141,
     check_gould_183,
     factorization_sides,
@@ -98,12 +95,12 @@ class TestFactorization:
         assert "a^3" in report.counterexample
 
     def test_single_obs_perturbation(self):
-        report = check_factorization_at(BinomialObs(1, 1), perturb=(0, -1))
+        report = check_factorization(1, perturb=(1, 1, 0, -1))
         assert not report.passed and "a^0" in report.counterexample
 
     def test_perturbation_past_the_degree_names_its_index(self):
         # both sides have degree 4; the first differing coefficient is a^7
-        report = check_factorization_at(BinomialObs(2, 1), perturb=(7, 1))
+        report = check_factorization(2, perturb=(2, 1, 7, 1))
         assert report.counterexample == "n=2, x=1: coefficient of a^7 differs (1 vs 0)"
 
 
@@ -154,16 +151,19 @@ class TestCorePositivity:
         # at each point of GRID, where the benchmark and the fault tests hook
         # it; the row behind it is built once per n and point of GRID.
         real, points = positive_core_value, []
-        monkeypatch.setattr(identities, "positive_core_value",
-                            lambda a, obs: points.append(a) or real(a, obs))
         row = identities._positive_core_row
+
+        def hooked(a, obs):
+            points.append(a)
+            assert row.cache_info().currsize <= len(GRID)
+            return real(a, obs)
+
+        monkeypatch.setattr(identities, "positive_core_value", hooked)
         row.cache_clear()
         n_max = 8
-        observations = [BinomialObs(n, x) for n in range(1, n_max + 1) for x in range(n + 1)]
-        for obs in observations:
-            assert check_core_positivity_at(obs).passed
-            assert row.cache_info().currsize <= len(GRID)
-        assert points == list(GRID) * len(observations)
+        assert check_core_positivity(n_max).passed
+        n_obs = sum(n + 1 for n in range(1, n_max + 1))
+        assert points == list(GRID) * n_obs
         info = row.cache_info()
         assert info.maxsize == len(GRID)
         assert info.misses == len(GRID) * n_max
@@ -174,14 +174,14 @@ class TestEndpointSigns:
         # n = 2x: the uniform-prior point (x+1)/(n+2) = 1/2 is an exact root
         coeffs = estimating_polynomial(BinomialObs(2, 1)).int_coeffs
         assert eval_rational(coeffs, Fraction(1, 2)) == 0
-        assert check_endpoint_signs_at(BinomialObs(2, 1)).passed
+        assert list(identities._endpoint_sign_cases(BinomialObs(2, 1))) == [None] * 3
 
     def test_one_trial_exact_values(self):
         coeffs = estimating_polynomial(BinomialObs(1, 1)).int_coeffs
         assert eval_rational(coeffs, Fraction(2, 4)) == Fraction(1, 4)     # lower end, > 0
         assert eval_rational(coeffs, Fraction(2, 3)) == Fraction(-2, 27)   # x > n/2 point, < 0
         assert eval_rational(coeffs, Fraction(3, 4)) == Fraction(-5, 32)   # upper end, < 0
-        assert check_endpoint_signs_at(BinomialObs(1, 1)).passed
+        assert list(identities._endpoint_sign_cases(BinomialObs(1, 1))) == [None] * 3
 
     def test_range_check_passes(self):
         report = check_endpoint_signs(12)
@@ -317,38 +317,40 @@ class TestEveryIdentityCanFail:
     through the mirror identity, so a fault in J_{n,n-x} shows at (n, x)
     first: J_{3,2} at (3, 1), J_{3,3} at (3, 0)."""
 
-    @pytest.mark.parametrize("check, target, wrong, where", [
-        (check_gould_141, "identities.math.comb", _wrong_binomial, "x=3"),
-        (check_gould_183, "identities.math.comb", _wrong_binomial, "x=1"),
+    @pytest.mark.parametrize("check, target, wrong, where, cases", [
+        (check_gould_141, "identities.math.comb", _wrong_binomial, "x=3", 4),
+        (check_gould_183, "identities.math.comb", _wrong_binomial, "x=1", 2),
         (check_factorization, "identities.estimating_polynomial", _off_by_two(3, 1, 4),
-         "n=3, x=1: coefficient of a^4"),
+         "n=3, x=1: coefficient of a^4", 7),
         (check_factorization, "identities.math.comb", _wrong_binomial,
-         "n=3, x=0: coefficient of a^3"),
+         "n=3, x=0: coefficient of a^3", 6),
         (check_factorization, "identities._scaled_balance", _scale_plus_one_at_n3_x1,
-         "n=3, x=1: scaled balance coefficient of a^3 for x=1 leaves remainder"),
+         "n=3, x=1: scaled balance coefficient of a^3 for x=1 leaves remainder", 7),
         (check_core_positivity, "identities.positive_core_value", _scaled_positive_core(-1),
-         "n=3, x=1, a=1/10: core not positive"),
+         "n=3, x=1, a=1/10: core not positive", 55),
         (check_core_positivity, "identities.positive_core_value",
          _scaled_positive_core(Fraction(3, 2)),
-         "n=3, x=1, a=1/10: polynomial != core recombination"),
+         "n=3, x=1, a=1/10: polynomial != core recombination", 55),
         (check_core_positivity, "triangle.estimating_polynomial", _off_by_two(3, 2, 4),
-         "n=3, x=1, a=1/10: polynomial != core recombination"),
+         "n=3, x=1, a=1/10: polynomial != core recombination", 55),
         (check_core_positivity, "triangle.estimating_polynomial", _off_by_two(3, 2, 0),
-         "n=3, x=1, a=1/10: polynomial != core recombination"),
+         "n=3, x=1, a=1/10: polynomial != core recombination", 55),
         (check_core_positivity, "identities._estimating_value", _mirror_off_by_one,
-         "n=1, x=0, a=1/10: polynomial != core recombination"),
+         "n=1, x=0, a=1/10: polynomial != core recombination", 1),
         (check_endpoint_signs, "identities._estimating_value", _negated_value_at_n3,
-         "n=3, x=0: sign at lower bracket end"),
+         "n=3, x=0: sign at lower bracket end", 16),
         (check_endpoint_signs, "identities.solver_bracket", _shifted_bracket,
-         "n=1, x=0: sign at lower bracket end"),
+         "n=1, x=0: sign at lower bracket end", 1),
         (check_endpoint_signs, "triangle.estimating_polynomial", _negated_at(3, 3),
-         "n=3, x=0: sign at lower bracket end"),
+         "n=3, x=0: sign at lower bracket end", 16),
     ], ids=["gould-1.41", "gould-1.83", "factorization", "factorization-balance-term",
             "factorization-remainder", "core-not-positive",
             "core-forms-differ", "core-J-head-off", "core-J-tail-off", "core-mirror-off",
             "endpoint-signs", "endpoint-bracket-shifted", "endpoint-mirror-flipped"])
-    def test_wrong_input_fails(self, monkeypatch, check, target, wrong, where):
+    def test_wrong_input_fails(self, monkeypatch, check, target, wrong, where, cases):
+        # cases: the count at the first failure, which the one report builder keeps
         monkeypatch.setattr(f"iterbayes.{target}", wrong)
         report = check(4)
         assert not report.passed
         assert where in report.counterexample
+        assert report.cases == cases

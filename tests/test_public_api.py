@@ -103,28 +103,35 @@ def test_no_unused_imports():
     assert unused == []
 
 
-# Names kept only because the benchmark tracer wraps them by module attribute
-# (ROADMAP item 1 drops them with the tracer's hooks), by module.
-TRACER_ALIASES = {"risk": "solve_iterative_bayes", "identities": "sign_at"}
+# Names kept only because the benchmark wraps or calls them by module
+# attribute (ROADMAP item 1 drops them with its hooks), by module.
+TRACER_ALIASES = {"risk": {"solve_iterative_bayes"}, "identities": {"sign_at"},
+                  "exact": {"sign_at", "eval_rational"}}
 
 
 def test_tracer_only_aliases_are_never_read():
-    # No package function reads a tracer-only alias, neither by its bare
-    # name in its own module nor as an attribute of that module elsewhere.
+    # No package function reads a tracer-only name: not by its bare name in
+    # its own module or where a module imports it by name, nor as an
+    # attribute of its module elsewhere.
     from iterbayes import exact, identities, risk, triangle
     assert risk.solve_iterative_bayes is triangle.solve_iterative_bayes
     assert identities.sign_at is exact.sign_at
     reads = []
     for path in sorted((ROOT / "src" / "iterbayes").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
+        bare = set(TRACER_ALIASES.get(path.stem, ()))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                bare |= {alias.asname or alias.name for alias in node.names
+                         if alias.name in TRACER_ALIASES.get(node.module, ())}
         for func in ast.walk(tree):
             if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 continue
             for node in ast.walk(func):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    hit = TRACER_ALIASES.get(path.stem) == node.id
+                    hit = node.id in bare
                 elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-                    hit = TRACER_ALIASES.get(node.value.id) == node.attr
+                    hit = node.attr in TRACER_ALIASES.get(node.value.id, ())
                 else:
                     continue
                 if hit:
