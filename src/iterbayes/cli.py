@@ -25,11 +25,11 @@ FORMATS = ("plain", "csv", "json")
 
 # Largest trial count that one command solves: --n, or the x + 1 and x + R
 # trials that --geometric and --neg-binomial imply, or a table's sum over its
-# solves.  A solve costs about the square of n (0.5-0.85 s for one estimate
-# command at n = 10000, x = n/3 or 2n/3, and the default --tol on a 2-vCPU
-# Linux host, interpreter start included) and grows as --tol shrinks, so
-# trials times log2(1/tol) is bounded too, by its value at MAX_TRIALS and
-# tol 1e-30 (1.0-1.8 s there).
+# solves.  A solve costs about the square of n (0.22-0.25 s for one estimate
+# command at n = 10000, x = n/3, and the default --tol on a 2-vCPU Linux
+# host, interpreter start included) and grows as --tol shrinks, so trials
+# times log2(1/tol) is bounded too, by its value at MAX_TRIALS and tol 1e-30
+# (0.59-0.63 s there).  The host's speed drifts by up to 2x between sittings.
 MAX_TRIALS = 10_000
 MAX_TRIAL_BITS = MAX_TRIALS * -math.log2(1e-30)
 
@@ -282,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
                f"--geometric, x + R with --neg-binomial) and at most {MAX_TRIAL_BITS:.0f} "
                f"trials x log2(1/tol), its value at {MAX_TRIALS} trials and --tol 1e-30; "
                f"more exits with code 2.  Time grows about as the square of the trial "
-               f"count, and as --tol shrinks: under 1 s at {MAX_TRIALS} trials, default --tol.")
+               f"count, and as --tol shrinks: under 0.5 s at {MAX_TRIALS} trials, default --tol.")
     p_est.add_argument("--n", type=int, help=f"number of trials (at most {MAX_TRIALS})")
     p_est.add_argument("--x", type=int, help="number of successes")
     mode = p_est.add_mutually_exclusive_group()

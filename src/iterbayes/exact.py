@@ -10,9 +10,10 @@ applies the power of two in v by shifts: on ``bisect_root``'s grid for
 n <= 800, v is (n+3)·2**k with k up to 32-39 at tol 1e-12 and 92-99 at
 1e-30, so most of each power of v is a power of two.
 ``bisect_root`` works on bisection's grid refined once, so its residual is a
-value the search has already computed.  It takes the polynomial as a
-homogeneous evaluator, value(u, v) = v**degree * P(u/v), so that a caller
-can evaluate a sparse or mirrored form of it.  ``sign_at`` and
+value the search has already computed; a float estimate of the root, when the
+caller has one, chooses its first probes but decides no sign.  It takes the
+polynomial as a homogeneous evaluator, value(u, v) = v**degree * P(u/v), so
+that a caller can evaluate a sparse or mirrored form of it.  ``sign_at`` and
 ``eval_rational`` take the dense coefficient tuple; no package code calls
 them.  The benchmark tracer wraps both by name, the tests use both, and
 ``bench/workloads.py`` calls ``sign_at`` to check that an estimate reported
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .types import METHOD_BISECTION, Estimate
 
@@ -41,6 +42,7 @@ __all__ = [
     "sign_at",
     "eval_rational",
     "MAX_ITER",
+    "HINT_ERROR",
     "check_tol",
     "bisect_root",
 ]
@@ -218,6 +220,11 @@ def eval_rational(coeffs: Sequence[int], point: Rational) -> Fraction:
 # RuntimeError before any evaluation.
 MAX_ITER = 10_000
 
+# The absolute error trusted in bisect_root's float hint ``near``: 64 units
+# in the last place at 1.0.  Its first probe is on the coarsest planned grid
+# level whose cell is at least this wide.
+HINT_ERROR = Fraction(1, 2**46)
+
 
 def check_tol(tol: Union[Rational, float], where: str) -> Fraction:
     """``tol`` as an exact Fraction; ValueError unless it is positive and finite."""
@@ -232,6 +239,8 @@ def bisect_root(
     lo: Rational,
     hi: Rational,
     tol: Union[Rational, float] = Fraction(1, 10**12),
+    *,
+    near: Optional[float] = None,
 ) -> Estimate:
     """Isolate the sign change of a polynomial P of degree ``degree`` in
     (lo, hi), given as its homogeneous evaluator: ``value(u, v)`` is the
@@ -261,11 +270,22 @@ def bisect_root(
     one root in (lo, hi) the final cell, and so every field, is bisection's.
     The search ends in a unit cell of the refined grid; its odd end is the
     midpoint of bisection's cell, whose value it already holds, so the
-    residual costs no evaluation.  For n <= 120 a solve of the package takes
-    at most 12 exact evaluations at tol 1e-12 and 14 at 1e-30 where
-    bisection takes K + 3, K being about 40 and 100 there; early probes, on
-    multiples of a large span, are evaluated on a coarse grid with short
-    integers.  Each exact evaluation is one call of ``value``.
+    residual costs no evaluation.
+
+    ``near``, a float estimate of the root, chooses where the search starts;
+    it never decides a sign.  Inside (lo, hi) it plans the spans of the first
+    pairs on the grid levels fine, ceil(fine / 2), ... down to the first
+    level whose cell is at least HINT_ERROR: the first pair is the point of
+    that coarsest level nearest ``near`` and its neighbour on the root's
+    side, and each later pair is the secant's on the next planned level, so
+    the bits known double per pair down to the fine grid.  A pair that fails
+    to enclose the root drops the plan, and the search goes on as above.  A
+    ``near`` that is None, NaN or outside (lo, hi) is ignored.  For n <= 120
+    a solve of the package, which passes its float hint, takes at most 4
+    exact evaluations at tol 1e-12 and 8 at 1e-30 (12 and 14 without the
+    hint) where bisection takes K + 3, K being about 40 and 100 there; early
+    probes, on multiples of a large span, are evaluated on a coarse grid with
+    short integers.  Each exact evaluation is one call of ``value``.
     """
     tol = check_tol(tol, "bisect_root")
     lo, hi = Fraction(lo), Fraction(hi)
@@ -325,12 +345,29 @@ def bisect_root(
                         iterations=fine - half.bit_length() + 1, residual=residual,
                         bracket=(point(m - half), point(m + half)), value_exact=mid)
 
+    # With a hint inside (lo, hi), plan the spans of the first pairs, in
+    # units of the fine cell: grid levels fine, ceil(fine / 2), ... down to
+    # the first whose cell is at least HINT_ERROR, popped coarsest first.
+    # The first pair starts from the hint's grid index, later ones from the
+    # secant.
+    plan, guess = [], None
+    if near is not None and lo < near < hi:
+        level = fine
+        plan.append(1)
+        while level > 1 and hi - lo < HINT_ERROR * 2**level:
+            level = -(-level // 2)
+            plan.append(1 << (fine - level))
+        num, denom = near.as_integer_ratio()
+        guess = (num * den - base * denom) // (denom * step)
+
     e = 2
     while b - a > 1:
         width = b - a
-        span = 1 << max(0, width.bit_length() - 1 - e)
-        guess = a + fa * width // (fa - fb)
+        span = plan.pop() if plan else 1 << max(0, width.bit_length() - 1 - e)
+        if guess is None:
+            guess = a + fa * width // (fa - fb)
         p = (guess + span // 2) // span * span
+        guess = None
         if cut(p):
             return estimate(p)
         q = p - span if p >= b else p + span
@@ -339,6 +376,7 @@ def bisect_root(
         if b - a <= span:
             e *= 2
             continue
+        plan.clear()
         e = max(1, e // 2)
         mid = (a + b) // 2
         if cut(mid):

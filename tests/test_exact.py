@@ -267,8 +267,10 @@ class TestEvaluationCount:
              for x in range(n + 1)]
 
     # The measured maxima over every n <= 120, residual included: it is read
-    # from the refined grid and costs no evaluation of its own.
-    @pytest.mark.parametrize("tol, most", [(1e-12, 12), (1e-30, 14)], ids=["1e-12", "1e-30"])
+    # from the refined grid and costs no evaluation of its own.  Both ends,
+    # then one pair per planned grid level from the float hint: one level at
+    # 1e-12, three at 1e-30.  Without the hint they were 12 and 14.
+    @pytest.mark.parametrize("tol, most", [(1e-12, 4), (1e-30, 8)], ids=["1e-12", "1e-30"])
     def test_exact_evaluations_per_solve(self, monkeypatch, tol, most):
         calls = _count_evaluations(monkeypatch)
         worst = 0
@@ -279,13 +281,14 @@ class TestEvaluationCount:
         assert 0 < worst <= most
 
     def test_total_over_every_solve_up_to_n60(self, monkeypatch):
-        # All 1,890 (n, x) with n <= 60 at 1e-12, the paper's table: 21,628
-        # evaluations, 23,426 when the residual took an evaluation of its own.
+        # All 1,890 (n, x) with n <= 60 at 1e-12, the paper's table: 7,530
+        # evaluations from the float hint, 21,628 without it and 23,426 when
+        # the residual took an evaluation of its own.
         calls = _count_evaluations(monkeypatch)
         for n in range(1, 61):
             for x in range(n + 1):
                 solve_iterative_bayes(BinomialObs(n, x), tol=1e-12)
-        assert calls[0] <= 21_628
+        assert calls[0] <= 7_530
 
     def test_each_evaluation_is_one_call(self, monkeypatch):
         # The solvers' evaluator, mirrored or not, makes exactly one

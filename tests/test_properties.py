@@ -1,6 +1,7 @@
 """Property-based checks of the library's algebraic invariants (exact, no
 tolerances except where a float boundary is part of the contract)."""
 
+import math
 from fractions import Fraction
 
 from hypothesis import assume, given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import iterbayes.exact as exact
 import iterbayes.triangle as triangle
-from iterbayes.exact import ExactPoly, sign_at
+from iterbayes.exact import ExactPoly, bisect_root, sign_at
 from iterbayes.identities import factorization_sides, positive_core_value
 from iterbayes.triangle import (
     estimating_polynomial,
@@ -102,6 +103,27 @@ def test_root_isolation_equals_bisection(n, data, tol):
     want = reference_bisect_root(coeffs, lo, hi, tol)
     assert dense_bisect_root(coeffs, lo, hi, tol) == want
     assert solve_iterative_bayes(obs, tol) == want
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=1, max_value=300), st.data(), st.sampled_from([1e-12, 1e-30, 5e-324]))
+def test_hint_never_changes_the_solve(n, data, tol):
+    # The hint only places probes; every sign is still exact, so a good, a
+    # poor or an unusable hint gives, field for field, the solve without one.
+    # One geometric case per example goes through geometric_estimate too.
+    x = data.draw(st.integers(min_value=0, max_value=n))
+    dense = triangle._estimating_value(BinomialObs(n, x))
+    geometric = triangle._estimating_value(BinomialObs(x + 1, x))
+    for obs, value in ((BinomialObs(n, x), dense),
+                       (BinomialObs(x + 1, x), lambda u, v: geometric(u, v) // -2)):
+        lo, hi = solver_bracket(obs)
+        want = bisect_root(value, obs.n + 2, lo, hi, tol)
+        hint = triangle._root_hint(obs.n, obs.x)
+        edge = (hi - lo) / 2**60
+        for near in (hint, hint + 2**-30, hint - 2**-30, float(lo + edge), float(hi - edge),
+                     float((lo + hi) / 2), math.nan, math.inf, float(lo - 1)):
+            assert bisect_root(value, obs.n + 2, lo, hi, tol, near=near) == want, (obs, near)
+    assert geometric_estimate(x, tol) == want
 
 
 @settings(max_examples=30, deadline=None)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import iterbayes.triangle as triangle
-from iterbayes.exact import ExactPoly, eval_rational, sign_at
+from iterbayes.exact import HINT_ERROR, ExactPoly, eval_rational, sign_at
 from iterbayes.identities import factorization_sides
 from iterbayes.conjugate import ConjugateFamily, ConjugateModel, SampleStats, conjugate_iterative_limit
 from iterbayes.triangle import (
@@ -233,6 +233,36 @@ class TestEstimatingValue:
         assert built == [BinomialObs(n, max(x, n - x))]
         assert build(built[0]).poly.degree == n + 2
         assert isolated == [n + 2]
+
+
+class TestRootHint:
+    """The float hint the solvers pass to bisect_root is total, inside the
+    open solver bracket, and within the error bisect_root trusts."""
+
+    CASES = ([(n, x) for n in range(1, 5) for x in range(n + 1)]
+             + [(n, x) for n in (2000, 5000, 10_000)
+                for x in sorted({0, 1, n // 3, n // 2, n - 1, n})])
+
+    @pytest.mark.parametrize("n, x", CASES)
+    def test_finite_inside_the_bracket_and_near_the_root(self, n, x):
+        hint = triangle._root_hint(n, x)
+        assert math.isfinite(hint)
+        lo, hi = solver_bracket(BinomialObs(n, x))
+        assert lo < hint < hi
+        # J is positive below its one root in the bracket and negative above
+        # it, so opposite exact signs at hint -/+ HINT_ERROR put the root
+        # within HINT_ERROR of the hint.
+        value = triangle._estimating_value(BinomialObs(n, x))
+        below, above = Fraction(hint) - HINT_ERROR, Fraction(hint) + HINT_ERROR
+        assert lo < below and above < hi
+        assert value(below.numerator, below.denominator) > 0
+        assert value(above.numerator, above.denominator) < 0
+
+    @pytest.mark.parametrize("n, x", [(2**60, 2**60), (2**60, 0)])
+    def test_a_gap_that_rounds_to_zero_gives_no_hint(self, n, x):
+        # (n+3) a - (x+1) at the start (x+1.5)/(n+3) rounds to 0 in floats
+        # when n is far above 2**53; the hint is then absent, not an error.
+        assert triangle._root_hint(n, x) is None
 
 
 class TestSolveIterativeBayes:
