@@ -21,16 +21,17 @@ with zero residual is an exact root.
 
 Everything in this module is computed without rounding but the float residual
 of ``bisect_root``, rounded once from an exact integer quotient.  Scalars are
-``fractions.Fraction`` (arbitrary precision, always in lowest terms with a
-positive denominator), so identity checks elsewhere in the package can assert
-equality instead of closeness.
+``fractions.Fraction`` at the API boundary (arbitrary precision, always in
+lowest terms with a positive denominator), so identity checks elsewhere in
+the package can assert equality instead of closeness.  Inside ``bisect_root``
+they are integers: it builds Fractions only for the Estimate it returns.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 from .types import METHOD_BISECTION, Estimate
 
@@ -226,11 +227,12 @@ MAX_ITER = 10_000
 HINT_ERROR = Fraction(1, 2**46)
 
 
-def check_tol(tol: Union[Rational, float], where: str) -> Fraction:
-    """``tol`` as an exact Fraction; ValueError unless it is positive and finite."""
+def check_tol(tol: Union[Rational, float], where: object) -> Tuple[int, int]:
+    """``tol`` as its exact integer ratio; ValueError, led by ``where`` (only
+    then formatted), unless ``tol`` is positive and finite."""
     if not 0 < tol < math.inf:
         raise ValueError(f"{where}: tol must be positive and finite, got {tol}")
-    return Fraction(tol)
+    return tol.as_integer_ratio()
 
 
 def bisect_root(
@@ -272,6 +274,11 @@ def bisect_root(
     midpoint of bisection's cell, whose value it already holds, so the
     residual costs no evaluation.
 
+    ``lo``, ``hi`` and ``tol`` may each be an int, a float or a Fraction;
+    each is read once as its exact integer ratio, so equal values of any
+    types give the same result.  The search runs in integers and builds
+    Fractions only for the returned Estimate.
+
     ``near``, a float estimate of the root, chooses where the search starts;
     it never decides a sign.  Inside (lo, hi) it plans the spans of the first
     pairs on the grid levels fine, ceil(fine / 2), ... down to the first
@@ -287,11 +294,15 @@ def bisect_root(
     probes, on multiples of a large span, are evaluated on a coarse grid with
     short integers.  Each exact evaluation is one call of ``value``.
     """
-    tol = check_tol(tol, "bisect_root")
-    lo, hi = Fraction(lo), Fraction(hi)
-    if not lo < hi:
-        raise ValueError(f"bisect_root: need lo < hi, got {lo} >= {hi}")
-    levels = ((hi - lo) // tol).bit_length()
+    tol_num, tol_den = check_tol(tol, "bisect_root")
+    lo_num, lo_den = lo.as_integer_ratio()
+    hi_num, hi_den = hi.as_integer_ratio()
+    # lo and hi are lo_u / lcm and hi_u / lcm.
+    lcm = math.lcm(lo_den, hi_den)
+    lo_u, hi_u = lo_num * (lcm // lo_den), hi_num * (lcm // hi_den)
+    if not lo_u < hi_u:
+        raise ValueError(f"bisect_root: need lo < hi, got {Fraction(lo)} >= {Fraction(hi)}")
+    levels = ((hi_u - lo_u) * tol_den // (lcm * tol_num)).bit_length()
     if levels > MAX_ITER:
         raise RuntimeError("bisect_root: iteration limit exceeded")
 
@@ -301,9 +312,8 @@ def bisect_root(
     # for all, so secants are exact; each is computed on the coarsest grid
     # that holds the point.
     fine = levels + 1
-    lcm = math.lcm(lo.denominator, hi.denominator)
-    base = lo.numerator * (lcm // lo.denominator) << fine
-    step = hi.numerator * (lcm // hi.denominator) - (base >> fine)
+    base = lo_u << fine
+    step = hi_u - lo_u
     den = lcm << fine
 
     def grid_value(i: int) -> int:
@@ -318,7 +328,7 @@ def bisect_root(
     fa, fb = grid_value(a), grid_value(b)
     if fa == 0 or fb == 0 or (fa > 0) == (fb > 0):
         raise ValueError(
-            f"bisect_root: no strict sign change over ({lo}, {hi}): "
+            f"bisect_root: no strict sign change over ({Fraction(lo)}, {Fraction(hi)}): "
             f"signs ({(fa > 0) - (fa < 0)}, {(fb > 0) - (fb < 0)})"
         )
     rising = fb > 0
@@ -347,18 +357,20 @@ def bisect_root(
 
     # With a hint inside (lo, hi), plan the spans of the first pairs, in
     # units of the fine cell: grid levels fine, ceil(fine / 2), ... down to
-    # the first whose cell is at least HINT_ERROR, popped coarsest first.
-    # The first pair starts from the hint's grid index, later ones from the
-    # secant.
+    # the first whose cell, (hi - lo) / 2**level, is at least HINT_ERROR,
+    # popped coarsest first.  The first pair starts from the hint's grid
+    # index, later ones from the secant.
     plan, guess = [], None
-    if near is not None and lo < near < hi:
-        level = fine
-        plan.append(1)
-        while level > 1 and hi - lo < HINT_ERROR * 2**level:
-            level = -(-level // 2)
-            plan.append(1 << (fine - level))
+    if near is not None and math.isfinite(near):
         num, denom = near.as_integer_ratio()
-        guess = (num * den - base * denom) // (denom * step)
+        if lo_u * denom < num * lcm < hi_u * denom:
+            level = fine
+            plan.append(1)
+            while (level > 1 and step * HINT_ERROR.denominator
+                   < HINT_ERROR.numerator * lcm << level):
+                level = -(-level // 2)
+                plan.append(1 << (fine - level))
+            guess = (num * den - base * denom) // (denom * step)
 
     e = 2
     while b - a > 1:

@@ -76,9 +76,10 @@ __all__ = [
     "negative_binomial_estimate",
 ]
 
-# One entry per (n, x); bounded so that a long session keeps a fixed
-# footprint.  Every (n, x) with n <= 40 is 860 entries.
-@lru_cache(maxsize=1024)
+# One entry: every caller works on one (n, x) at a time (a fixed-point run,
+# both ends of one bracket), and an entry is 0.25 MiB at n = 1000 and
+# 4.9 MiB at n = 5000, so a cache of many could hold gigabytes.
+@lru_cache(maxsize=1)
 def _mean_pieces(n: int, x: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """Numerator and denominator of the posterior mean as integer weights of
     the Bernstein basis m^j (1-m)^(d-j) in the mode m.  Scaled by m(1-m)/2 to
@@ -230,7 +231,8 @@ def _root_hint(n: int, x: int) -> Optional[float]:
     2 a^(x+2) pos(a) = (m+1) ((n+3) a - (x+1)), m = n - x, with pos the
     positive core form sum_k C(n+3, k) C(m-k+2, 2) a^(m-k) (1-a)^k, summed as
     a^m sum_k w_k r^k at r = (1-a)/a.  Each term comes from the last by
-    w_(k+1)/w_k = (n+3-k)(m-k) / ((k+1)(m-k+2)), and the sums are rescaled by
+    w_(k+1)/w_k = (n+3-k)(m-k) / ((k+1)(m-k+2)), a ratio independent of a and
+    so computed once per hint, not once per step, and the sums are rescaled by
     1e-200 whenever a term passes 1e200.  It works on the short side,
     x >= n/2, and mirrors below it as the exact evaluator does.  Each step
     is clamped halfway to a bracket end it would pass; the loop stops after
@@ -241,6 +243,7 @@ def _root_hint(n: int, x: int) -> Optional[float]:
         return None if hint is None else 1.0 - hint
     m = n - x
     lo, hi = (x + 1) / (n + 3), (x + 2) / (n + 3)
+    ratios = [(n + 3 - k) * (m - k) / ((k + 1) * (m - k + 2)) for k in range(m)]
     a = (x + 1.5) / (n + 3)
     for _ in range(8):
         gap = (n + 3) * a - (x + 1)
@@ -250,8 +253,8 @@ def _root_hint(n: int, x: int) -> Optional[float]:
         term = total = (m + 2) * (m + 1) / 2
         moment = 0.0
         scale = 0
-        for k in range(m):
-            term *= r * (n + 3 - k) * (m - k) / ((k + 1) * (m - k + 2))
+        for k, ratio in enumerate(ratios):
+            term *= r * ratio
             if term > 1e200:
                 term, total, moment = term * 1e-200, total * 1e-200, moment * 1e-200
                 scale += 1
@@ -269,11 +272,11 @@ def _root_hint(n: int, x: int) -> Optional[float]:
 
 
 def _bisect_estimate(
-    value: Callable[[int, int], int], obs: BinomialObs, tol: Fraction, label: str
+    value: Callable[[int, int], int], obs: BinomialObs, tol: Union[float, Fraction], label: object
 ) -> Estimate:
     """Bisect the degree-(n+2) polynomial whose homogeneous evaluator is
     ``value`` on the solver bracket of ``obs``; an absent sign change raises
-    BracketFailure naming ``label``."""
+    BracketFailure naming ``label``, formatted only then."""
     lo, hi = solver_bracket(obs)
     try:
         return bisect_root(value, obs.n + 2, lo, hi, tol=tol, near=_root_hint(obs.n, obs.x))
@@ -291,8 +294,8 @@ def solve_iterative_bayes(obs: BinomialObs, tol: Union[float, Fraction] = 1e-12)
     residual: that is |J| at the bracket's midpoint, the reported point, as a
     float, and at most (tol/2) max |J'| over the bracket.
     """
-    tol = check_tol(tol, str(obs))
-    return _bisect_estimate(_estimating_value(obs), obs, tol, str(obs))
+    check_tol(tol, obs)
+    return _bisect_estimate(_estimating_value(obs), obs, tol, obs)
 
 
 def mirrored_values(n: int, tol: Union[float, Fraction]) -> Tuple[float, ...]:
@@ -361,7 +364,7 @@ def geometric_estimate(x: int, tol: Union[float, Fraction] = 1e-12) -> Estimate:
     if x < 0:
         raise ValueError("geometric_estimate: x must be >= 0")
     label = f"geometric x={x}"
-    tol = check_tol(tol, label)
+    check_tol(tol, label)
     obs = BinomialObs(x + 1, x)
     value = _estimating_value(obs)
     return _bisect_estimate(lambda u, v: value(u, v) // -2, obs, tol, label)

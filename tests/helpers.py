@@ -342,7 +342,7 @@ def reference_bisect_root(coeffs, lo, hi, tol=Fraction(1, 10**12)):
     the midpoint of the last interval with its residual, the reduced exact
     fraction rounded to a float, or a midpoint that is an exact root with
     zero residual and the interval it halved."""
-    tol = check_tol(tol, "bisect_root")
+    tol = Fraction(*check_tol(tol, "bisect_root"))
     lo, hi = Fraction(lo), Fraction(hi)
     if not lo < hi:
         raise ValueError(f"bisect_root: need lo < hi, got {lo} >= {hi}")

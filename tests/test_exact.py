@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -128,15 +129,39 @@ class TestBisectRoot:
         rising = dense_bisect_root((-1, 1, 1), 0, 1, tol=Fraction(1, 10**12))
         assert falling.value == rising.value
 
-    def test_no_sign_change_rejected(self):
-        with pytest.raises(ValueError, match="sign change"):
-            dense_bisect_root((1, 0, 1), 0, 1)
+    # Rejections, message for message: ends and tol print as exact
+    # Fractions, whatever type they were given as.
+    @staticmethod
+    def message(coeffs, lo, hi, tol=1e-12):
+        with pytest.raises(ValueError) as info:
+            dense_bisect_root(coeffs, lo, hi, tol)
+        return str(info.value)
 
-    def test_bad_interval_rejected(self):
-        with pytest.raises(ValueError):
-            dense_bisect_root((-1, 1, 1), 1, 0)
-        with pytest.raises(ValueError):
-            dense_bisect_root((-1, 1, 1), 0, 1, tol=0)
+    @pytest.mark.parametrize("coeffs, lo, hi, shown", [
+        ((1, 0, 1), 0, 1, "(0, 1): signs (1, 1)"),
+        ((1, 0, 1), 0.0, 1.0, "(0, 1): signs (1, 1)"),
+        ((-1, 2), Fraction(1, 2), 1, "(1/2, 1): signs (0, 1)"),
+        ((-1, 1, 1), Fraction(-2, 6), 0.5, "(-1/3, 1/2): signs (-1, -1)"),
+    ])
+    def test_no_sign_change_rejected(self, coeffs, lo, hi, shown):
+        assert self.message(coeffs, lo, hi) == f"bisect_root: no strict sign change over {shown}"
+
+    @pytest.mark.parametrize("lo, hi, shown", [
+        (1, 0, "1 >= 0"),
+        (0.5, 0.25, "1/2 >= 1/4"),
+        (Fraction(1, 2), Fraction(1, 3), "1/2 >= 1/3"),
+        (Fraction(2, 3), Fraction(2, 3), "2/3 >= 2/3"),
+        (1.0, Fraction(1, 3), "1 >= 1/3"),
+    ])
+    def test_bad_interval_rejected(self, lo, hi, shown):
+        assert self.message((-1, 1, 1), lo, hi) == f"bisect_root: need lo < hi, got {shown}"
+
+    @pytest.mark.parametrize("tol, shown", [
+        (0, "0"), (math.nan, "nan"), (math.inf, "inf"), (-1e-12, "-1e-12"), (Fraction(-1, 3), "-1/3"),
+    ])
+    def test_bad_tol_rejected(self, tol, shown):
+        assert (self.message((-1, 1, 1), 0, 1, tol)
+                == f"bisect_root: tol must be positive and finite, got {shown}")
 
 
 # Tolerances the refinement is held to bisection at: decimal, binary-unfriendly
@@ -332,3 +357,24 @@ class TestEvaluationCount:
         lo, hi = result.bracket
         assert lo < Fraction(1, 3) < hi
         assert hi - lo == Fraction(1, 2**MAX_ITER)
+
+
+class TestFractionsPerSolve:
+    """A solve builds Fractions in ``exact`` only for its Estimate: the
+    midpoint and the two bracket ends.  The search itself, the tol and the
+    float hint are integer bookkeeping."""
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-30], ids=["1e-12", "1e-30"])
+    @pytest.mark.parametrize("n, x", [(20, 7), (60, 0), (400, 133)])
+    def test_only_the_estimate_builds_fractions(self, monkeypatch, n, x, tol):
+        want = solve_iterative_bayes(BinomialObs(n, x), tol)
+        built = [0]
+
+        class Counted(Fraction):
+            def __new__(cls, *args, **kwargs):
+                built[0] += 1
+                return super().__new__(cls, *args, **kwargs)
+
+        monkeypatch.setattr(exact, "Fraction", Counted)
+        assert solve_iterative_bayes(BinomialObs(n, x), tol) == want
+        assert built[0] == 3

@@ -127,6 +127,30 @@ def test_hint_never_changes_the_solve(n, data, tol):
 
 
 @settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=1, max_value=120), st.data(), st.sampled_from([1e-12, 1e-30, 5e-324]),
+       st.integers(min_value=-3, max_value=3), st.integers(min_value=1, max_value=4))
+def test_argument_types_never_change_the_result(n, data, tol, start, width):
+    # bisect_root reads lo, hi and tol as exact integer ratios: a float tol
+    # and its Fraction, and integer ends given as int, Fraction or float,
+    # give the same Estimate.
+    x = data.draw(st.integers(min_value=0, max_value=n))
+    obs = BinomialObs(n, x)
+    value = triangle._estimating_value(obs)
+    lo, hi = solver_bracket(obs)
+    hint = triangle._root_hint(n, x)
+    want = bisect_root(value, n + 2, lo, hi, tol, near=hint)
+    assert bisect_root(value, n + 2, lo, hi, Fraction(tol), near=hint) == want
+    assert solve_iterative_bayes(obs, Fraction(tol)) == want
+    # 3a - (3 start + 1) has its root start + 1/3 in (start, start + width);
+    # a^2 + a - 1 has its root (sqrt(5) - 1)/2 in (0, 1).
+    for coeffs, a, b in (((-(3 * start + 1), 3), start, start + width), ((-1, 1, 1), 0, 1)):
+        want = dense_bisect_root(coeffs, a, b, tol)
+        for ends in ((Fraction(a), Fraction(b)), (float(a), float(b)), (a, Fraction(b))):
+            assert dense_bisect_root(coeffs, *ends, tol) == want, ends
+            assert dense_bisect_root(coeffs, *ends, Fraction(tol)) == want, ends
+
+
+@settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=1, max_value=800), st.data(),
        st.integers(min_value=1, max_value=2**40), st.integers(min_value=0, max_value=200))
 def test_short_core_evaluator_equals_dense_horner(n, data, w, k):

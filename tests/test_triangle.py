@@ -78,14 +78,24 @@ class TestPosteriorMean:
             posterior_mean_exact(Fraction(0), BinomialObs(2, 1))
 
     def test_piece_cache_bounded(self):
+        # One entry: it is about n**2 bits (4.9 MiB at n = 5000), so a bound
+        # on the entry count is a bound on memory only at one entry.
         cached = triangle._mean_pieces
-        maxsize = cached.cache_info().maxsize
-        # Finite, and large enough for every (n, x) with n <= 40 (860 keys).
-        assert maxsize is not None and maxsize >= 1024
+        assert cached.cache_info().maxsize == 1
         for n in range(1, 21):
             for x in range(n + 1):
                 posterior_mean_exact(Fraction(1, 3), BinomialObs(n, x))
-                assert cached.cache_info().currsize <= maxsize
+                assert cached.cache_info().currsize <= 1
+
+    @pytest.mark.parametrize("n, x", [(5, 2), (40, 13), (40, 40)])
+    def test_fixed_point_run_builds_its_pieces_once(self, n, x):
+        # Every step of a run reads the same (n, x), so one entry serves it.
+        cached = triangle._mean_pieces
+        cached.cache_clear()
+        est = fixed_point_iterate(BinomialObs(n, x))
+        info = cached.cache_info()
+        assert info.misses == 1 and info.hits == est.iterations - 1
+        assert info.currsize <= 1
 
     @pytest.mark.parametrize(
         "mode, n, x",
@@ -316,16 +326,19 @@ class TestSolveIterativeBayes:
             raise AssertionError("estimating polynomial built before the tol check")
 
         monkeypatch.setattr(triangle, "estimating_polynomial", unreachable)
-        with pytest.raises(ValueError, match="tol must be positive and finite"):
+        with pytest.raises(ValueError) as info:
             solve_iterative_bayes(BinomialObs(3000, 1000), tol=float("nan"))
+        assert str(info.value) == "BinomialObs(n=3000, x=1000): tol must be positive and finite, got nan"
 
     def test_bracket_failure_translated(self, monkeypatch):
-        def broken(*args, **kwargs):
-            raise ValueError("no strict sign change (induced)")
-
-        monkeypatch.setattr(triangle, "bisect_root", broken)
-        with pytest.raises(BracketFailure):
-            solve_iterative_bayes(BinomialObs(3, 1))
+        # An evaluator of the constant 1 has no sign change over (2/5, 1/2);
+        # the failure names the observation.
+        monkeypatch.setattr(triangle, "_estimating_value", lambda obs: lambda u, v: v ** (obs.n + 2))
+        with pytest.raises(BracketFailure) as info:
+            solve_iterative_bayes(BinomialObs(7, 3))
+        assert str(info.value) == (
+            "no sign change over 2/5..1/2 for BinomialObs(n=7, x=3): "
+            "bisect_root: no strict sign change over (2/5, 1/2): signs (1, 1)")
 
     def test_symmetry_small(self):
         for n in range(1, 13):
