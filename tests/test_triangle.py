@@ -78,8 +78,8 @@ class TestPosteriorMean:
             posterior_mean_exact(Fraction(0), BinomialObs(2, 1))
 
     def test_piece_cache_bounded(self):
-        # One entry: it is about n**2 bits (4.9 MiB at n = 5000), so a bound
-        # on the entry count is a bound on memory only at one entry.
+        # One entry: an entry is 4.9 MiB at n = 5000, so only a one-entry
+        # bound keeps the footprint small at every n.
         cached = triangle._mean_pieces
         assert cached.cache_info().maxsize == 1
         for n in range(1, 21):
