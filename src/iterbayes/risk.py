@@ -65,10 +65,18 @@ def _triangle_row(n: int) -> Tuple[float, ...]:
     return triangle.mirrored_values(n, 1e-13)
 
 
-# The last binomial row C(n, 0), ..., C(n, n): risk_at reads one n per table.
+# The last binomial row: risk_at reads one n per table.
 @lru_cache(maxsize=1)
 def _binomial_row(n: int) -> Tuple[int, ...]:
-    return tuple(triangle._binomial_row(n))
+    """C(n, 0), ..., C(n, n), each from the last by
+    C(n, k+1) = C(n, k) (n-k)/(k+1): one short product and exact division a
+    term instead of a factorial quotient; the second half by symmetry."""
+    row = [1] * (n + 1)
+    c = 1
+    for k in range(n // 2):
+        c = c * (n - k) // (k + 1)
+        row[k + 1] = row[n - k - 1] = c
+    return tuple(row)
 
 
 def standard_estimators() -> Tuple[EstimatorSpec, ...]:

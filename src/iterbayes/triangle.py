@@ -33,7 +33,8 @@ coefficients, and above that a balanced split whose large products run in
 Karatsuba time, with the grid's power of two applied by shifts.
 Fixed-point iteration of the posterior-mean map is provided as a secondary,
 cross-checking path; the posterior mean it iterates is evaluated like the
-solver's signs, in big integers, from positive Bernstein weights.
+solver's signs, in big integers and on the short side: one binomial tail
+sum of min(x + 1, n + 1 - x) positive terms.
 
 For one success in one trial the estimating polynomial factors as
 2(a - 1)(a^2 + a - 1): the estimate is (sqrt(5) - 1)/2, the reciprocal of the
@@ -77,62 +78,81 @@ __all__ = [
 ]
 
 # One entry: every caller works on one (n, x) at a time (a fixed-point run,
-# both ends of one bracket), and an entry is 0.25 MiB at n = 1000 and
-# 4.9 MiB at n = 5000, so a cache of many could hold gigabytes.
+# both ends of one bracket), and an entry is up to 1.2 MiB at n = 5000
+# (x = n/2), so a cache of many could hold gigabytes.
 @lru_cache(maxsize=1)
-def _mean_pieces(n: int, x: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """Numerator and denominator of the posterior mean as integer weights of
-    the Bernstein basis m^j (1-m)^(d-j) in the mode m.  Scaled by m(1-m)/2 to
-    clear the prior's 2/m and 2/(1-m), they are
+def _mean_pieces(n: int, x: int) -> Tuple[Tuple[int, ...], bool, int, int]:
+    """The short side of the binomial row N = n + 2 that the posterior mean
+    at (n, x) reads: C(N, 0..x) if ``lower`` (x + 1 <= n + 1 - x), else
+    C(N, x+2..N); then C(N, x+1) and C(N, x+2).
+
+    Scaled by m(1-m)/2 to clear the prior's 2/m and 2/(1-m), the mean's
+    numerator and denominator are
 
         (1-m) * integral_0^m t p(t) dt  +  m * integral_m^1 t q(t) dt   (num)
         (1-m) * integral_0^m p(t) dt    +  m * integral_m^1 q(t) dt     (den)
 
     with p(t) = t^(x+1) (1-t)^(n-x) and q(t) = t^x (1-t)^(n-x+1).  Each branch
     is a binomial tail sum of positive terms, integral_0^m t^a (1-t)^b dt =
-    a! b!/(a+b+1)! sum_{j>a} C(a+b+1, j) m^j (1-m)^(a+b+1-j).  The common
-    factor m(1-m) and the constants, whose ratio (x+1)/(n+3) the caller
-    applies, are left out.
+    a! b!/(a+b+1)! sum_{j>a} C(a+b+1, j) m^j (1-m)^(a+b+1-j), so their
+    Bernstein weights are the rows C(N, .) and C(N+1, .) split at x + 1.
+    By the binomial theorem those pieces are tails of (p + w)^N, and Pascal's
+    rule writes the row N + 1 ones through row N's: see :func:`_mean_ratio`.
     """
-    r = n - x + 1
-    row2 = _binomial_row(n + 2)
-    row3 = [a + b for a, b in zip(row2 + [0], [0] + row2)]  # Pascal's rule
-    num = tuple(r * row3[j] if j <= x + 1 else (x + 2) * row3[j + 1] for j in range(n + 3))
-    den = tuple(r * row2[j] if j <= x else (x + 1) * row2[j + 1] for j in range(n + 2))
-    return num, den
-
-
-def _binomial_row(big: int) -> list:
-    """C(big, 0), ..., C(big, big), each from the last by
-    C(N, k+1) = C(N, k) (N-k)/(k+1): one short product and exact division a
-    term instead of a factorial quotient; the second half by symmetry."""
-    row = [1] * (big + 1)
-    c = 1
-    for k in range(big // 2):
-        c = c * (big - k) // (k + 1)
-        row[k + 1] = row[big - k - 1] = c
-    return row
+    big = n + 2
+    lower = 2 * x <= n
+    row = [1]
+    for k in range(x if lower else n - x):
+        row.append(row[-1] * (big - k) // (k + 1))
+    if not lower:
+        row.reverse()  # C(N, N-k) = C(N, k): the upper tail from x + 2
+    return tuple(row), lower, math.comb(big, x + 1), math.comb(big, x + 2)
 
 
 def _mean_ratio(mode: Union[Fraction, float], obs: BinomialObs) -> Tuple[int, int]:
     """Numerator and denominator of the posterior mean at ``mode``, unreduced.
 
-    Both branch integrals are polynomial in the mode, so the mean is the ratio
-    of two cached polynomials, evaluated at the mode in big integers.  Float
-    modes are read as their exact binary value.
+    The mode is p/q, read exactly for floats, and w = q - p.  With N = n + 2
+    and r = n - x + 1, the terms C(N, i) p^i w^(N-i) of q^N = (p + w)^N split
+    into the lower tail T (i <= x), the middle term M1 (i = x + 1) and the
+    upper tail U (i >= x + 2).  The Bernstein sums of :func:`_mean_pieces`,
+    q^(n+2) times the numerator at the mode and q^(n+1) times the
+    denominator, are
+
+        den = r T/w + (x+1) U/p
+        num = r (q T/w + M1) + (x+2) (q U/p - C(N, x+2) p^(x+1) w^(n+1-x)),
+
+    the second from Pascal's rule C(N+1, i) = C(N, i) + C(N, i-1), in which
+    C(N, x+2) = C(N+1, x+2) - C(N, x+1).  Only the shorter tail is summed,
+    one ``_homogeneous_value`` call on min(x + 1, n + 1 - x) coefficients;
+    the other follows from T + M1 + U = q^N by one exact division, by p or
+    by w.  The result is the same integer pair as the full sums',
+    ((x+1) num, (n+3) q den), whose ratio is the mean.
     """
-    p, q = mode.as_integer_ratio()
-    if not 0 < p < q:
+    if not 0 < mode < 1:
         raise ValueError(f"posterior mean: mode must be in (0, 1), got {mode}")
+    p, q = mode.as_integer_ratio()
+    w = q - p
     n, x = obs.n, obs.x
-    num, den = _mean_pieces(n, x)
-    return ((x + 1) * _homogeneous_value(num, p, q - p),
-            (n + 3) * q * _homogeneous_value(den, p, q - p))
+    row, lower, mid, above = _mean_pieces(n, x)
+    head, tail = p ** (x + 1), w ** (n + 1 - x)
+    edge = head * tail
+    rest = q ** (n + 2) - mid * edge  # T + U
+    if lower:
+        low = tail * _homogeneous_value(row, p, w)  # T/w
+        high = (rest - w * low) // p  # U/p
+    else:
+        high = head * _homogeneous_value(row, p, w)  # U/p
+        low = (rest - p * high) // w  # T/w
+    r = n - x + 1
+    num = r * (q * low + mid * edge) + (x + 2) * (q * high - above * edge)
+    den = r * low + (x + 1) * high
+    return (x + 1) * num, (n + 3) * q * den
 
 
 def posterior_mean_exact(mode: Union[Fraction, float], obs: BinomialObs) -> Fraction:
     """Posterior mean of p under the triangle prior, as an exact rational:
-    the ratio of two cached polynomials in the mode, one exact division.
+    the ratio :func:`_mean_ratio` builds from one short binomial tail.
     Float modes are converted to their exact binary value."""
     return Fraction(*_mean_ratio(mode, obs))
 

@@ -5,10 +5,14 @@ point with adaptive Simpson; no shared code with the polynomial expansion it
 cross-checks.  The weighted route is the exact reference for the package's
 posterior mean: the prior's 2/m and 2/(1-m) branch weights applied to four
 branch integrals and two full integrals over (0, 1), each expanded by the
-binomial theorem in plain Fractions.  The closed forms are exact references
-for the package's iterations: the posterior mean for one success in one
-trial, and the step-m estimate of the beta-binomial characteristic
-replacement with its contraction ratio.
+binomial theorem in plain Fractions.  The Bernstein route is the exact
+reference for the mean's unreduced integers: the full rows of Bernstein
+weights of its numerator and denominator, each evaluated in big integers;
+the package sums one short binomial tail instead and must give the same
+integer pair.  The closed forms are exact references for the package's
+iterations: the posterior mean for one success in one trial, and the step-m
+estimate of the beta-binomial characteristic replacement with its
+contraction ratio.
 
 The re-solve route is the exact reference for the conjugate families'
 expectation replacement: each step re-solves one hyperparameter so that the
@@ -154,6 +158,27 @@ def weighted_posterior_mean(mode, n, x):
     num = branches((x + 2, n - x), (x + 1, n - x + 1))
     den = branches((x + 1, n - x), (x, n - x + 1))
     return num / den
+
+
+def reference_mean_ratio(mode, n, x):
+    """Unreduced numerator and denominator of the posterior mean at ``mode``
+    from the full Bernstein weights in the mode m, with r = n - x + 1,
+
+        num_j = r C(n+3, j) (j <= x+1),  (x+2) C(n+3, j+1) (j > x+1),  j = 0..n+2
+        den_j = r C(n+2, j) (j <= x),    (x+1) C(n+2, j+1) (j > x),    j = 0..n+1
+
+    of the branch integrals scaled by m(1-m)/2, evaluated at m = p/q as
+    ((x+1) H(num), (n+3) q H(den)) with H(c) = sum_j c_j p^j (q-p)^(d-j)."""
+    p, q = mode.as_integer_ratio()
+    r = n - x + 1
+    row2 = [1]
+    for j in range(n + 2):
+        row2.append(row2[-1] * (n + 2 - j) // (j + 1))
+    row3 = [a + b for a, b in zip(row2 + [0], [0] + row2)]  # Pascal's rule
+    num = [r * row3[j] if j <= x + 1 else (x + 2) * row3[j + 1] for j in range(n + 3)]
+    den = [r * row2[j] if j <= x else (x + 1) * row2[j + 1] for j in range(n + 2)]
+    return ((x + 1) * exact._homogeneous_value(num, p, q - p),
+            (n + 3) * q * exact._homogeneous_value(den, p, q - p))
 
 
 def posterior_mean_one_success(mode):

@@ -28,6 +28,7 @@ from helpers import (
     reference_estimating_coeffs,
     reference_factorization_rhs,
     reference_homogeneous_value,
+    reference_mean_ratio,
     reference_positive_core,
     weighted_posterior_mean,
 )
@@ -237,6 +238,29 @@ def test_posterior_mean_stays_interior(n, mode, data):
     mean = posterior_mean_exact(mode, BinomialObs(n, x))
     assert mean == weighted_posterior_mean(mode, n, x)
     assert 0 < mean < 1
+
+
+@st.composite
+def _mean_modes(draw):
+    """Modes in (0, 1): any float, the extreme floats, and Fractions with
+    denominator 2**100 or a large odd one."""
+    kind = draw(st.sampled_from(["float", "extreme", "pow2", "odd"]))
+    if kind == "float":
+        return draw(st.floats(min_value=0, max_value=1, exclude_min=True, exclude_max=True))
+    if kind == "extreme":
+        return draw(st.sampled_from([5e-324, 1 - 2**-53]))
+    den = 2**100 if kind == "pow2" else draw(st.integers(10**20, 10**40)) | 1
+    return Fraction(draw(st.integers(1, den - 1)), den)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=1, max_value=300), _mean_modes(), st.data())
+def test_mean_ratio_is_the_full_bernstein_pair(n, mode, data):
+    # The short-tail construction returns the full sums' integers, not only
+    # an equal ratio, at every side of the split.
+    x = data.draw(st.one_of(st.sampled_from([0, 1, n // 2, n - 1, n]),
+                            st.integers(min_value=0, max_value=n)))
+    assert triangle._mean_ratio(mode, BinomialObs(n, x)) == reference_mean_ratio(mode, n, x)
 
 
 @settings(max_examples=200, deadline=None)

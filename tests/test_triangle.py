@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import iterbayes
 import iterbayes.triangle as triangle
 from iterbayes.exact import HINT_ERROR, ExactPoly, eval_rational, sign_at
 from iterbayes.identities import factorization_sides
@@ -31,6 +32,7 @@ from helpers import (
     quadrature_posterior_mean,
     reference_estimating_coeffs,
     reference_homogeneous_value,
+    reference_mean_ratio,
     weighted_posterior_mean,
 )
 from reference_tables import PRINT_TOL, TABLE2, TABLE3
@@ -73,13 +75,41 @@ class TestPosteriorMean:
                 for mode in modes:
                     assert posterior_mean_exact(mode, obs) == weighted_posterior_mean(mode, n, x)
 
-    def test_mode_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            posterior_mean_exact(Fraction(0), BinomialObs(2, 1))
+    @pytest.mark.parametrize("mode", [Fraction(0), 1.0, Fraction(3, 2), math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("mean", [posterior_mean_exact, iterbayes.triangle_posterior_mean])
+    def test_mode_out_of_range_rejected(self, mean, mode):
+        # NaN and infinities too, before as_integer_ratio could raise its own error.
+        with pytest.raises(ValueError, match=r"^posterior mean: mode must be in \(0, 1\), got "):
+            mean(mode, BinomialObs(3, 1))
+
+    @pytest.mark.parametrize("n, x", [(1000, 0), (1000, 1), (1000, 500), (1000, 999), (1000, 1000),
+                                      (5000, 1), (5000, 2500), (5000, 3333), (5000, 5000)])
+    def test_mean_ratio_is_the_full_bernstein_pair_at_large_n(self, n, x):
+        obs = BinomialObs(n, x)
+        # 5e-324 = 1/2**1074 makes q**n five million bits at n = 5000: seconds.
+        tiny = (5e-324,) if n <= 1000 else ()
+        for mode in (*solver_bracket(obs), 0.5, 1 - 2**-53, Fraction(2**100 - 1, 2**101), *tiny):
+            assert triangle._mean_ratio(mode, obs) == reference_mean_ratio(mode, n, x)
+
+    @pytest.mark.parametrize("n, x", [(1, 0), (1, 1), (2, 1), (9, 2), (9, 7), (300, 0), (300, 150),
+                                      (300, 299), (300, 300)])
+    def test_one_short_tail_evaluation(self, monkeypatch, n, x):
+        # One exact evaluation per mean, on the shorter binomial tail: not the
+        # full sums' two, on n + 3 and n + 2 coefficients.
+        lengths = []
+        horner = triangle._homogeneous_value
+
+        def counted(coeffs, u, v):
+            lengths.append(len(coeffs))
+            return horner(coeffs, u, v)
+
+        monkeypatch.setattr(triangle, "_homogeneous_value", counted)
+        posterior_mean_exact(Fraction(1, 3), BinomialObs(n, x))
+        assert lengths == [min(x + 1, n + 1 - x)]
 
     def test_piece_cache_bounded(self):
-        # One entry: an entry is 4.9 MiB at n = 5000, so only a one-entry
-        # bound keeps the footprint small at every n.
+        # One entry: an entry is up to 1.2 MiB at n = 5000, so only a
+        # one-entry bound keeps the footprint small at every n.
         cached = triangle._mean_pieces
         assert cached.cache_info().maxsize == 1
         for n in range(1, 21):
