@@ -6,9 +6,10 @@ checks run in integers).
 That evaluator, ``_homogeneous_value``, runs a Horner loop on up to 64
 coefficients and splits longer polynomials into balanced halves, so that they
 cost a few large balanced products instead of d growing ones.  The split
-applies the power of two in v by shifts: on ``bisect_root``'s grid for
-n <= 800, v is (n+3)·2**k with k up to 32-39 at tol 1e-12 and 92-99 at
-1e-30, so most of each power of v is a power of two.
+applies the power of two in v by shifts, where it combines halves and in
+each leaf term: on ``bisect_root``'s grid for n <= 800, v is (n+3)·2**k
+with k up to 32-39 at tol 1e-12 and 92-99 at 1e-30, so most of each power
+of v is a power of two.
 ``bisect_root`` works on bisection's grid refined once, so its residual is a
 value the search has already computed; a float estimate of the root, when the
 caller has one, chooses its first probes but decides no sign.  It takes the
@@ -151,9 +152,13 @@ def _homogeneous_value(coeffs: Sequence[int], u: int, v: int) -> int:
     Computer Arithmetic*, 2010, ch. 1).  There v = w * 2**k with w odd (k = 0
     at v = 0), and v**len(c_hi) is applied as w**len(c_hi) and a shift by
     k * len(c_hi), so a grid point's power of two costs no multiplication.
-    The leaves and the short loop keep plain powers of v: their products
-    are small, and a shift there only adds interpreter work.  Each power of
-    u and w is computed once per call.
+    The leaves do the same: the term c_i v**j is c_i w**j shifted by k * j.
+    The split runs on long inputs, where c_i is large (the solver's core
+    coefficients are products of two binomials, about 1,000 bits at
+    n = 800), so the product with the odd part is the leaf's cost.  The
+    short loop keeps plain powers of v: its products are small, and a shift
+    there only adds interpreter work.  Each power of u and w is computed
+    once per call.
     """
     d = len(coeffs) - 1
     if d < _SPLIT_ABOVE:
@@ -163,24 +168,25 @@ def _homogeneous_value(coeffs: Sequence[int], u: int, v: int) -> int:
             vpow *= v
             acc = acc * u + coeffs[i] * vpow
         return acc
-    leaf_vpows = [1]
-    for _ in range(_LEAF):
-        leaf_vpows.append(leaf_vpows[-1] * v)
     k = (v & -v).bit_length() - 1 if v else 0
-    return _split_value(coeffs, 0, d + 1, u, v >> k, k, leaf_vpows, {}, {})
+    w = v >> k
+    leaf_wpows = [1]
+    for _ in range(_LEAF):
+        leaf_wpows.append(leaf_wpows[-1] * w)
+    return _split_value(coeffs, 0, d + 1, u, w, k, leaf_wpows, {}, {})
 
 
 def _split_value(coeffs: Sequence[int], start: int, stop: int, u: int, w: int, k: int,
-                 leaf_vpows: list, upows: dict, wpows: dict) -> int:
+                 leaf_wpows: list, upows: dict, wpows: dict) -> int:
     """H(coeffs[start:stop]) of :func:`_homogeneous_value` at v = w * 2**k,
-    given v**0 .. v**_LEAF in ``leaf_vpows``; ``upows`` and ``wpows`` hold the
+    given w**0 .. w**_LEAF in ``leaf_wpows``; ``upows`` and ``wpows`` hold the
     powers of u and w made so far.  It recurses here, not through the module
     attribute, so that an evaluation is one call of _homogeneous_value."""
     length = stop - start
     if length <= _LEAF:
         acc = coeffs[stop - 1]
         for j, i in enumerate(range(stop - 2, start - 1, -1), 1):
-            acc = acc * u + coeffs[i] * leaf_vpows[j]
+            acc = acc * u + (coeffs[i] * leaf_wpows[j] << k * j)
         return acc
     half = length // 2
     rest = length - half
@@ -188,8 +194,8 @@ def _split_value(coeffs: Sequence[int], start: int, stop: int, u: int, w: int, k
         upows[half] = u ** half
     if rest not in wpows:
         wpows[rest] = w ** rest
-    low = _split_value(coeffs, start, start + half, u, w, k, leaf_vpows, upows, wpows)
-    high = _split_value(coeffs, start + half, stop, u, w, k, leaf_vpows, upows, wpows)
+    low = _split_value(coeffs, start, start + half, u, w, k, leaf_wpows, upows, wpows)
+    high = _split_value(coeffs, start + half, stop, u, w, k, leaf_wpows, upows, wpows)
     return (low * wpows[rest] << k * rest) + upows[half] * high
 
 

@@ -127,17 +127,25 @@ def _mean_ratio(mode: Union[Fraction, float], obs: BinomialObs) -> Tuple[int, in
     one ``_homogeneous_value`` call on min(x + 1, n + 1 - x) coefficients;
     the other follows from T + M1 + U = q^N by one exact division, by p or
     by w.  The result is the same integer pair as the full sums',
-    ((x+1) num, (n+3) q den), whose ratio is the mean.
+    ((x+1) num, (n+3) q den), whose ratio is the mean.  With q = odd * 2**k,
+    odd odd, the power of two enters by shifts in q^(n+2), q T/w, q U/p and
+    (n+3) q den; a float mode has odd = 1.
+
+    The cost grows with n times the bit length of q, and no ceiling bounds
+    it: 5e-324 is 1/2**1074, and one mean at n = 5000 takes 0.6 s there at
+    x = 1 and 1.5 s at x = n/2 (2-vCPU Linux host), against 2 ms at 0.5.
     """
     if not 0 < mode < 1:
         raise ValueError(f"posterior mean: mode must be in (0, 1), got {mode}")
     p, q = mode.as_integer_ratio()
     w = q - p
+    k = (q & -q).bit_length() - 1
+    odd = q >> k
     n, x = obs.n, obs.x
     row, lower, mid, above = _mean_pieces(n, x)
     head, tail = p ** (x + 1), w ** (n + 1 - x)
     edge = head * tail
-    rest = q ** (n + 2) - mid * edge  # T + U
+    rest = (odd ** (n + 2) << k * (n + 2)) - mid * edge  # T + U
     if lower:
         low = tail * _homogeneous_value(row, p, w)  # T/w
         high = (rest - w * low) // p  # U/p
@@ -145,21 +153,29 @@ def _mean_ratio(mode: Union[Fraction, float], obs: BinomialObs) -> Tuple[int, in
         high = head * _homogeneous_value(row, p, w)  # U/p
         low = (rest - p * high) // w  # T/w
     r = n - x + 1
-    num = r * (q * low + mid * edge) + (x + 2) * (q * high - above * edge)
+    num = r * ((odd * low << k) + mid * edge) + (x + 2) * ((odd * high << k) - above * edge)
     den = r * low + (x + 1) * high
-    return (x + 1) * num, (n + 3) * q * den
+    return (x + 1) * num, (n + 3) * odd * den << k
 
 
 def posterior_mean_exact(mode: Union[Fraction, float], obs: BinomialObs) -> Fraction:
     """Posterior mean of p under the triangle prior, as an exact rational:
     the ratio :func:`_mean_ratio` builds from one short binomial tail.
-    Float modes are converted to their exact binary value."""
+    Float modes are converted to their exact binary value.
+
+    The cost grows with n times the bit length of the mode's denominator,
+    and reducing the Fraction costs about its square: at n = 5000 and mode
+    5e-324 (1/2**1074) the ratio takes 0.6-1.5 s and its gcd 27-43 s more
+    on a 2-vCPU Linux host.  :func:`triangle_posterior_mean` skips that
+    gcd."""
     return Fraction(*_mean_ratio(mode, obs))
 
 
 def triangle_posterior_mean(mode: float, obs: BinomialObs) -> float:
     """Float view of :func:`posterior_mean_exact`: the same ratio divided
-    without reducing it first, since int true division rounds correctly."""
+    without reducing it first, since int true division rounds correctly.
+    The cost grows with n times the bit length of the mode's denominator:
+    0.6-1.5 s at n = 5000 and mode 5e-324 (1/2**1074)."""
     num, den = _mean_ratio(mode, obs)
     return num / den
 
@@ -224,15 +240,26 @@ def _estimating_value(obs: BinomialObs) -> Callable[[int, int], int]:
     an exact division.  Either way one evaluation runs ``_homogeneous_value``
     once, on min(x, n - x) + 1 coefficients instead of n + 3.  As in that
     evaluator's split, v's power of two is applied to v**(n+1) by a shift.
+    Every grid point of one solve has the odd part of n + 3, so the power
+    of the odd part is kept in a one-entry memo, an (odd, odd**(n+1)) pair
+    replaced whole, and computed again only when the odd part changes.
     """
     n, x = obs.n, obs.x
     big = max(x, n - x)
     coeffs = estimating_polynomial(BinomialObs(n, big)).int_coeffs
     c0, c1, core = coeffs[0], coeffs[1], coeffs[big + 2:]
 
+    memo = (1, 1)  # (odd, odd ** (n + 1))
+
     def value(u: int, v: int) -> int:
+        nonlocal memo
         k = (v & -v).bit_length() - 1
-        head = (c0 * v + c1 * u) * (v >> k) ** (n + 1) << k * (n + 1)
+        odd = v >> k
+        memo_odd, power = memo
+        if memo_odd != odd:
+            power = odd ** (n + 1)
+            memo = odd, power
+        head = (c0 * v + c1 * u) * power << k * (n + 1)
         return head + u ** (big + 2) * _homogeneous_value(core, u, v)
 
     if big == x:
@@ -346,7 +373,10 @@ def fixed_point_iterate(obs: BinomialObs, mode0: float = 0.5) -> Estimate:
     Convergence of the map is observed, not proven, so hitting
     FIXED_POINT_MAX_ITER raises NoConvergence carrying the last iterate, a
     reportable outcome rather than a bug.  Never the authoritative answer;
-    agreement with the bisection root is asserted in tests.
+    agreement with the bisection root is asserted in tests.  A step costs
+    one :func:`triangle_posterior_mean`, which grows with n times the bit
+    length of the mode's denominator: from ``mode0`` 5e-324 (1/2**1074) at
+    n = 5000, x = 2500 the first step takes 1.4 s and the run 2 s.
     """
     if not 0 < mode0 < 1:
         raise ValueError(f"fixed_point_iterate: mode0 must be in (0, 1), got {mode0}")

@@ -104,6 +104,16 @@ class TestHomogeneousValue:
         u, v = 3 * 2**100 + 1, 2**102
         assert exact._homogeneous_value(coeffs, u, v) == reference_homogeneous_value(coeffs, u, v)
 
+    # The solver's short cores, of 1,000- and 5,000-bit coefficients, at grid
+    # points v = (n+3) * 2**k: the leaves multiply by the odd part n + 3.
+    @pytest.mark.parametrize("n, x", [(800, 533), (4000, 2667)])
+    @pytest.mark.parametrize("k", [41, 100])
+    def test_short_core_at_solver_grid_points(self, n, x, k):
+        core = estimating_polynomial(BinomialObs(n, x)).int_coeffs[x + 2:]
+        v = (n + 3) << k
+        for u in (((x + 1) << k) + 1, ((x + 1) << k) + (1 << (k - 1)), ((x + 2) << k) - 1):
+            assert exact._homogeneous_value(core, u, v) == reference_homogeneous_value(core, u, v), u
+
 
 class TestBisectRoot:
     def test_golden_section_root(self):

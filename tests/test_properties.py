@@ -243,13 +243,19 @@ def test_posterior_mean_stays_interior(n, mode, data):
 @st.composite
 def _mean_modes(draw):
     """Modes in (0, 1): any float, the extreme floats, and Fractions with
-    denominator 2**100 or a large odd one."""
-    kind = draw(st.sampled_from(["float", "extreme", "pow2", "odd"]))
+    denominator 2**100, a large odd one, or an odd one > 1 times 2**k,
+    k >= 1."""
+    kind = draw(st.sampled_from(["float", "extreme", "pow2", "odd", "mixed"]))
     if kind == "float":
         return draw(st.floats(min_value=0, max_value=1, exclude_min=True, exclude_max=True))
     if kind == "extreme":
         return draw(st.sampled_from([5e-324, 1 - 2**-53]))
-    den = 2**100 if kind == "pow2" else draw(st.integers(10**20, 10**40)) | 1
+    if kind == "pow2":
+        den = 2**100
+    elif kind == "odd":
+        den = draw(st.integers(10**20, 10**40)) | 1
+    else:
+        den = (2 * draw(st.integers(1, 10**30)) + 1) << draw(st.integers(1, 200))
     return Fraction(draw(st.integers(1, den - 1)), den)
 
 

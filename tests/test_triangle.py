@@ -91,6 +91,14 @@ class TestPosteriorMean:
         for mode in (*solver_bracket(obs), 0.5, 1 - 2**-53, Fraction(2**100 - 1, 2**101), *tiny):
             assert triangle._mean_ratio(mode, obs) == reference_mean_ratio(mode, n, x)
 
+    @pytest.mark.parametrize("n", [9, 61, 301])
+    def test_mean_ratio_at_the_bracket_ends_of_an_even_n_plus_3(self, n):
+        # n + 3 = 12, 64 and 304: ends (x+1)/(n+3) and (x+2)/(n+3) whose
+        # denominators are an odd part times a power of two, or one alone.
+        for x in range(n + 1):
+            for mode in solver_bracket(BinomialObs(n, x)):
+                assert triangle._mean_ratio(mode, BinomialObs(n, x)) == reference_mean_ratio(mode, n, x)
+
     @pytest.mark.parametrize("n, x", [(1, 0), (1, 1), (2, 1), (9, 2), (9, 7), (300, 0), (300, 150),
                                       (300, 299), (300, 300)])
     def test_one_short_tail_evaluation(self, monkeypatch, n, x):
@@ -241,6 +249,21 @@ class TestEstimatingValue:
                 coeffs = estimating_polynomial(obs).int_coeffs
                 for u, v in self.points(n, x):
                     assert value(u, v) == reference_homogeneous_value(coeffs, u, v), (n, x, u, v)
+
+    # x on both sides of n/2; n + 3 odd (803), a power of two (64) and even
+    # with an odd part (12 = 3 * 4, 304 = 19 * 16).
+    @pytest.mark.parametrize("n, x", [(9, 2), (9, 7), (61, 20), (61, 45), (301, 100), (301, 250),
+                                      (800, 266), (800, 533)])
+    def test_memo_of_the_odd_power_follows_the_point(self, n, x):
+        # One closure keeps odd**(n+1) for the last odd part of v: points
+        # whose odd parts change at every step, and return to the first,
+        # must each read the power of their own.
+        obs = BinomialObs(n, x)
+        value = triangle._estimating_value(obs)
+        coeffs = estimating_polynomial(obs).int_coeffs
+        grid = (n + 3) << 40
+        for u, v in ((1, 10), (1, 2), (x + 1, n + 3), (((x + 1) << 40) + 2**39 + 1, grid), (1, 10)):
+            assert value(u, v) == reference_homogeneous_value(coeffs, u, v), (u, v)
 
     def test_mirror_identity_up_to_n20(self):
         # a J_{n,x}(a) + (1-a) J_{n,n-x}(1-a) = 0 as polynomials.
