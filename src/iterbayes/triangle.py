@@ -127,9 +127,10 @@ def _mean_ratio(mode: Union[Fraction, float], obs: BinomialObs) -> Tuple[int, in
     one ``_homogeneous_value`` call on min(x + 1, n + 1 - x) coefficients;
     the other follows from T + M1 + U = q^N by one exact division, by p or
     by w.  The result is the same integer pair as the full sums',
-    ((x+1) num, (n+3) q den), whose ratio is the mean.  With q = odd * 2**k,
-    odd odd, the power of two enters by shifts in q^(n+2), q T/w, q U/p and
-    (n+3) q den; a float mode has odd = 1.
+    ((x+1) num, (n+3) q den), whose ratio is the mean.  Written as
+    q = odd * 2**k with an odd factor ``odd``, q's power of two enters by
+    shifts in q^(n+2), q T/w, q U/p and (n+3) q den; a float mode has
+    odd = 1.
 
     The cost grows with n times the bit length of q, and no ceiling bounds
     it: 5e-324 is 1/2**1074, and one mean at n = 5000 takes 0.6 s there at
