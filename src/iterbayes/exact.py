@@ -11,8 +11,10 @@ each leaf term: on ``bisect_root``'s grid for n <= 800, v is (n+3)·2**k
 with k up to 32-39 at tol 1e-12 and 92-99 at 1e-30, so most of each power
 of v is a power of two.
 ``bisect_root`` works on bisection's grid refined once, so its residual is a
-value the search has already computed; a float estimate of the root, when the
-caller has one, chooses its first probes but decides no sign.  It takes the
+value the search has already computed.  One rule chooses its probes: each
+pair that encloses the root doubles the grid levels the bracket holds, and a
+float estimate of the root, when the caller has one, only sets where and on
+which level the first pair falls; it decides no sign.  It takes the
 polynomial as a homogeneous evaluator, value(u, v) = v**degree * P(u/v), so
 that a caller can evaluate a sparse or mirrored form of it.  ``sign_at`` and
 ``eval_rational`` take the dense coefficient tuple; no package code calls
@@ -228,8 +230,8 @@ def eval_rational(coeffs: Sequence[int], point: Rational) -> Fraction:
 MAX_ITER = 10_000
 
 # The absolute error trusted in bisect_root's float hint ``near``: 64 units
-# in the last place at 1.0.  Its first probe is on the coarsest planned grid
-# level whose cell is at least this wide.
+# in the last place at 1.0.  Its first probe is on the coarsest of the grid
+# levels fine, ceil(fine / 2), ... whose cell is at least this wide.
 HINT_ERROR = Fraction(1, 2**46)
 
 
@@ -266,15 +268,18 @@ def bisect_root(
     strict-sign interval bisection holds at that step as the bracket.
 
     The cell is found by quadratic interval refinement (Abbott, 2006) on
-    bisection's grid refined once, with K + 1 halvings, instead of by K
-    halvings.  A bracket [a, b] of grid indices is kept with the exact
-    values of the polynomial at both ends.
-    With span the largest power of two at most (b - a) / 2**e, the multiple
-    of span nearest the zero of the secant through those values is probed,
-    then its neighbour on the root's side; their exact signs narrow the
-    bracket whether or not they enclose the root.  When they do, e doubles;
-    otherwise e halves and the bracket is halved once.  The secant only
-    chooses where to look, so every bracket is certified by exact signs; with
+    bisection's grid refined once, with fine = K + 1 halvings, instead of by
+    K halvings.  A bracket [a, b] of grid indices is kept with the exact
+    values of the polynomial at both ends, and a gain e.  With span the
+    largest power of two at most (b - a) / 2**e, the multiple of span nearest
+    a guess is probed, then its neighbour on the root's side; their exact
+    signs narrow the bracket whether or not they enclose the root.  When they
+    do, the bracket is narrower than two cells of grid level L = fine + 1 -
+    bit_length(b - a), and e becomes L, so the next span is a cell of level
+    2L: the bits known double per pair.  Otherwise e halves and the bracket
+    is halved once.  The guess is the zero of the secant through the
+    bracket's values, except for the first pair when ``near`` is given.  No
+    guess decides a sign, so every bracket is certified by exact signs; with
     one root in (lo, hi) the final cell, and so every field, is bisection's.
     The search ends in a unit cell of the refined grid; its odd end is the
     midpoint of bisection's cell, whose value it already holds, so the
@@ -285,18 +290,14 @@ def bisect_root(
     types give the same result.  The search runs in integers and builds
     Fractions only for the returned Estimate.
 
-    ``near``, a float estimate of the root, chooses where the search starts;
-    it never decides a sign.  Inside (lo, hi) it plans the spans of the first
-    pairs on the grid levels fine, ceil(fine / 2), ... down to the first
-    level whose cell is at least HINT_ERROR: the first pair is the point of
-    that coarsest level nearest ``near`` and its neighbour on the root's
-    side, and each later pair is the secant's on the next planned level, so
-    the bits known double per pair down to the fine grid.  A pair that fails
-    to enclose the root drops the plan, and the search goes on as above.  A
-    ``near`` that is None, NaN or outside (lo, hi) is ignored.  For n <= 120
-    a solve of the package, which passes its float hint, takes at most 4
-    exact evaluations at tol 1e-12 and 8 at 1e-30 (12 and 14 without the
-    hint) where bisection takes K + 3, K being about 40 and 100 there; early
+    ``near``, a float estimate of the root, chooses where the search
+    starts.  Inside (lo, hi) the first guess is the grid point nearest it,
+    and e starts at the coarsest of the grid levels fine, ceil(fine / 2), ...
+    whose cell is at least HINT_ERROR; without it e starts at 2.  A ``near``
+    that is None, NaN or outside (lo, hi) is ignored.  For n <= 120 a solve
+    of the package, which passes its float hint, takes at most 4 exact
+    evaluations at tol 1e-12 and 8 at 1e-30 (14 and 16 without the hint)
+    where bisection takes K + 3, K being about 40 and 100 there; early
     probes, on multiples of a large span, are evaluated on a coarse grid with
     short integers.  Each exact evaluation is one call of ``value``.
     """
@@ -361,27 +362,22 @@ def bisect_root(
                         iterations=fine - half.bit_length() + 1, residual=residual,
                         bracket=(point(m - half), point(m + half)), value_exact=mid)
 
-    # With a hint inside (lo, hi), plan the spans of the first pairs, in
-    # units of the fine cell: grid levels fine, ceil(fine / 2), ... down to
-    # the first whose cell, (hi - lo) / 2**level, is at least HINT_ERROR,
-    # popped coarsest first.  The first pair starts from the hint's grid
-    # index, later ones from the secant.
-    plan, guess = [], None
+    e, guess = 2, None
     if near is not None and math.isfinite(near):
         num, denom = near.as_integer_ratio()
         if lo_u * denom < num * lcm < hi_u * denom:
-            level = fine
-            plan.append(1)
-            while (level > 1 and step * HINT_ERROR.denominator
-                   < HINT_ERROR.numerator * lcm << level):
-                level = -(-level // 2)
-                plan.append(1 << (fine - level))
-            guess = (num * den - base * denom) // (denom * step)
+            # The coarsest of the levels fine, ceil(fine / 2), ... whose cell,
+            # (hi - lo) / 2**e, is at least HINT_ERROR, and the grid index
+            # nearest the hint.
+            e = fine
+            while (e > 1 and step * HINT_ERROR.denominator
+                   < HINT_ERROR.numerator * lcm << e):
+                e = -(-e // 2)
+            guess = (2 * (num * den - base * denom) + denom * step) // (2 * denom * step)
 
-    e = 2
     while b - a > 1:
         width = b - a
-        span = plan.pop() if plan else 1 << max(0, width.bit_length() - 1 - e)
+        span = 1 << max(0, width.bit_length() - 1 - e)
         if guess is None:
             guess = a + fa * width // (fa - fb)
         p = (guess + span // 2) // span * span
@@ -392,9 +388,10 @@ def bisect_root(
         if cut(q):
             return estimate(q)
         if b - a <= span:
-            e *= 2
+            # The bracket is under two cells of grid level e, the next span a
+            # cell of level 2e.
+            e = fine + 1 - (b - a).bit_length()
             continue
-        plan.clear()
         e = max(1, e // 2)
         mid = (a + b) // 2
         if cut(mid):

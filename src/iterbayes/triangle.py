@@ -23,8 +23,8 @@ behaviour.  It returns the bracket plain bisection of that interval would,
 found by quadratic interval refinement on bisection's grid refined once
 (``exact.bisect_root``).  A float Newton estimate of the root (``_root_hint``)
 chooses where that search starts, but never decides a sign, so a solve takes
-at most 4 exact evaluations at tol 1e-12 (8 at 1e-30, n <= 120), residual
-included, instead of forty or more.  Each
+at most 4 exact evaluations at tol 1e-12 and 1e-13 (8 at 1e-30, n <= 120),
+residual included, instead of forty or more.  Each
 evaluation is exact in big integers and reads only the polynomial's short
 side: the core of (n, max(x, n - x)), min(x, n - x) + 1 coefficients, for
 x < n/2 through the mirror identity a J_{n,x}(a) = -(1-a) J_{n,n-x}(1-a).

@@ -303,17 +303,72 @@ class TestEvaluationCount:
 
     # The measured maxima over every n <= 120, residual included: it is read
     # from the refined grid and costs no evaluation of its own.  Both ends,
-    # then one pair per planned grid level from the float hint: one level at
-    # 1e-12, three at 1e-30.  Without the hint they were 12 and 14.
-    @pytest.mark.parametrize("tol, most", [(1e-12, 4), (1e-30, 8)], ids=["1e-12", "1e-30"])
-    def test_exact_evaluations_per_solve(self, monkeypatch, tol, most):
+    # then one pair per doubling of the bits known, from the hint's level:
+    # one pair at 1e-12, three at 1e-30.  At 5e-324, whose solves cost the
+    # most, every third case.
+    @pytest.mark.parametrize("tol, most, stride", [(1e-12, 4, 1), (1e-15, 6, 1), (1e-30, 8, 1),
+                                                   (1e-50, 10, 1), (1e-100, 12, 1),
+                                                   (5e-324, 14, 3)],
+                             ids=["1e-12", "1e-15", "1e-30", "1e-50", "1e-100", "5e-324"])
+    def test_exact_evaluations_per_solve(self, monkeypatch, tol, most, stride):
         calls = _count_evaluations(monkeypatch)
         worst = 0
-        for n, x in self.CASES:
+        for n, x in self.CASES[::stride]:
             calls[0] = 0
             solve_iterative_bayes(BinomialObs(n, x), tol=tol)
             worst = max(worst, calls[0])
         assert 0 < worst <= most
+
+    def test_first_probe_is_the_grid_point_nearest_the_hint(self, monkeypatch):
+        # Every n <= 120 at 1e-13, the tol of risk and compare.  A first probe
+        # rounded down from the hint missed the root of (59, 24) and (83, 13),
+        # which lies just above the hint there, and took 10 evaluations.
+        calls = _count_evaluations(monkeypatch)
+        worst = {}
+        for n in range(1, 121):
+            for x in range(n + 1):
+                calls[0] = 0
+                solve_iterative_bayes(BinomialObs(n, x), tol=1e-13)
+                worst[n, x] = calls[0]
+        assert max(worst.values()) <= 4
+        assert worst[59, 24] == worst[83, 13] == 4
+
+    @pytest.mark.parametrize("tol, most", [(1e-13, 4), (1e-30, 8)], ids=["1e-13", "1e-30"])
+    def test_seeded_n_up_to_1029(self, monkeypatch, tol, most):
+        calls = _count_evaluations(monkeypatch)
+        rng = random.Random(1029)
+        for n in rng.sample(range(121, 1030), 12):
+            for x in (0, rng.randrange(n + 1), n // 3, n):
+                calls[0] = 0
+                solve_iterative_bayes(BinomialObs(n, x), tol=tol)
+                assert 0 < calls[0] <= most, (n, x)
+
+    @pytest.mark.parametrize("n", [2000, 5000, 10_000])
+    def test_large_n(self, monkeypatch, n):
+        calls = _count_evaluations(monkeypatch)
+        for x in (1, n // 3, n - 1):
+            calls[0] = 0
+            solve_iterative_bayes(BinomialObs(n, x), tol=1e-12)
+            assert 0 < calls[0] <= 4, x
+
+    # Without a usable hint the search starts from the secant at e = 2; a
+    # hint 2**-30 from the root, past HINT_ERROR, misses with its first pair.
+    # Over every n <= 120 the maxima are 14 and 16 without a hint, 9 and 12
+    # from the poor one (13 at 1e-30 outside CASES).
+    @pytest.mark.parametrize("tol, most, poor", [(1e-12, 14, 9), (1e-30, 16, 12)],
+                             ids=["1e-12", "1e-30"])
+    def test_without_a_good_hint(self, monkeypatch, tol, most, poor):
+        calls = _count_evaluations(monkeypatch)
+        worst = {None: 0, "poor": 0}
+        for n, x in self.CASES:
+            obs = BinomialObs(n, x)
+            lo, hi = solver_bracket(obs)
+            off = Fraction(triangle._root_hint(n, x)) + Fraction(1, 2**30)
+            for kind, near in ((None, None), ("poor", float(min(off, (lo + 3 * hi) / 4)))):
+                calls[0] = 0
+                exact.bisect_root(triangle._estimating_value(obs), n + 2, lo, hi, tol, near=near)
+                worst[kind] = max(worst[kind], calls[0])
+        assert 0 < worst[None] <= most and 0 < worst["poor"] <= poor
 
     def test_total_over_every_solve_up_to_n60(self, monkeypatch):
         # All 1,890 (n, x) with n <= 60 at 1e-12, the paper's table: 7,530

@@ -127,6 +127,22 @@ def test_hint_never_changes_the_solve(n, data, tol):
     assert geometric_estimate(x, tol) == want
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=1029), st.data())
+def test_hint_is_within_the_trusted_error(n, data):
+    # bisect_root's first pair straddles the hint by at least HINT_ERROR; it
+    # encloses the root because J is positive below its one root in the
+    # bracket and negative above it, and J's exact signs at hint -/+
+    # HINT_ERROR are + and -.
+    x = data.draw(st.integers(min_value=0, max_value=n))
+    hint = Fraction(triangle._root_hint(n, x))
+    lo, hi = solver_bracket(BinomialObs(n, x))
+    below, above = hint - exact.HINT_ERROR, hint + exact.HINT_ERROR
+    assert lo < below and above < hi
+    value = triangle._estimating_value(BinomialObs(n, x))
+    assert value(below.numerator, below.denominator) > 0 > value(above.numerator, above.denominator)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=1, max_value=120), st.data(), st.sampled_from([1e-12, 1e-30, 5e-324]),
        st.integers(min_value=-3, max_value=3), st.integers(min_value=1, max_value=4))

@@ -103,6 +103,43 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def test_every_private_name_is_read():
+    # Every private top-level function, class and constant is read somewhere
+    # in the package: in its own module outside its own body, by name where
+    # a module imports it, or as an attribute of its module; so a deletion
+    # cannot leave a dead helper behind.
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "iterbayes").glob("*.py"))}
+    private, read = set(), set()
+    for module, tree in trees.items():
+        owner = {}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+                owner.update((id(inner), node.name) for inner in ast.walk(node))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [target.id for target in targets if isinstance(target, ast.Name)]
+            else:
+                continue
+            private |= {(module, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")}
+        imported = {alias.asname or alias.name: (node.module, alias.name)
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+                    for alias in node.names}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                if node.id in imported:
+                    read.add(imported[node.id])
+                elif owner.get(id(node)) != node.id:
+                    read.add((module, node.id))
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                read.add((node.value.id, node.attr))
+    assert len(private) > 20
+    assert sorted(private - read) == []
+
+
 # Names kept only because the benchmark wraps or calls them by module
 # attribute (ROADMAP item 1 drops them with its hooks), by module.
 TRACER_ALIASES = {"risk": {"solve_iterative_bayes"}, "identities": {"sign_at"},
