@@ -12,9 +12,12 @@ with k up to 32-39 at tol 1e-12 and 92-99 at 1e-30, so most of each power
 of v is a power of two.
 ``bisect_root`` works on bisection's grid refined once, so its residual is a
 value the search has already computed.  One rule chooses its probes: each
-pair that encloses the root doubles the grid levels the bracket holds, and a
-float estimate of the root, when the caller has one, only sets where and on
-which level the first pair falls; it decides no sign.  It takes the
+pair that encloses the root doubles the grid levels the bracket holds, and
+an estimate of the root with a bound on its error, when the caller has
+them, only set where and on which level the first pair falls; they decide
+no sign.  An error under half the fine cell leaves one pair to make after
+the ends.  ``bisect_depth`` gives the grid's depth, for callers that choose
+their estimate's precision by it.  ``bisect_root`` takes the
 polynomial as a homogeneous evaluator, value(u, v) = v**degree * P(u/v), so
 that a caller can evaluate a sparse or mirrored form of it.  ``sign_at`` and
 ``eval_rational`` take the dense coefficient tuple; no package code calls
@@ -33,8 +36,9 @@ they are integers: it builds Fractions only for the Estimate it returns.
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, Sequence, Tuple, Union
 
 from .types import METHOD_BISECTION, Estimate
 
@@ -46,8 +50,8 @@ __all__ = [
     "sign_at",
     "eval_rational",
     "MAX_ITER",
-    "HINT_ERROR",
     "check_tol",
+    "bisect_depth",
     "bisect_root",
 ]
 
@@ -229,18 +233,20 @@ def eval_rational(coeffs: Sequence[int], point: Rational) -> Fraction:
 # RuntimeError before any evaluation.
 MAX_ITER = 10_000
 
-# The absolute error trusted in bisect_root's float hint ``near``: 64 units
-# in the last place at 1.0.  Its first probe is on the coarsest of the grid
-# levels fine, ceil(fine / 2), ... whose cell is at least this wide.
-HINT_ERROR = Fraction(1, 2**46)
-
-
 def check_tol(tol: Union[Rational, float], where: object) -> Tuple[int, int]:
     """``tol`` as its exact integer ratio; ValueError, led by ``where`` (only
     then formatted), unless ``tol`` is positive and finite."""
     if not 0 < tol < math.inf:
         raise ValueError(f"{where}: tol must be positive and finite, got {tol}")
     return tol.as_integer_ratio()
+
+
+def bisect_depth(width_num: int, width_den: int, tol_num: int, tol_den: int) -> int:
+    """K, the halvings bisection makes of an interval of width
+    width_num / width_den until it is narrower than tol_num / tol_den: the
+    bit length of the floor of width / tol.  ``bisect_root`` searches a grid
+    of K + 1 levels."""
+    return (width_num * tol_den // (width_den * tol_num)).bit_length()
 
 
 def bisect_root(
@@ -250,7 +256,8 @@ def bisect_root(
     hi: Rational,
     tol: Union[Rational, float] = Fraction(1, 10**12),
     *,
-    near: Optional[float] = None,
+    near: Union[Rational, float, Decimal, None] = None,
+    near_error: Union[Rational, float, Decimal, None] = None,
 ) -> Estimate:
     """Isolate the sign change of a polynomial P of degree ``degree`` in
     (lo, hi), given as its homogeneous evaluator: ``value(u, v)`` is the
@@ -290,18 +297,30 @@ def bisect_root(
     types give the same result.  The search runs in integers and builds
     Fractions only for the returned Estimate.
 
-    ``near``, a float estimate of the root, chooses where the search
-    starts.  Inside (lo, hi) the first guess is the grid point nearest it,
-    and e starts at the coarsest of the grid levels fine, ceil(fine / 2), ...
-    whose cell is at least HINT_ERROR; without it e starts at 2.  A ``near``
-    that is None, NaN or outside (lo, hi) is ignored.  For n <= 120 a solve
-    of the package, which passes its float hint, takes at most 4 exact
-    evaluations at tol 1e-12 and 8 at 1e-30 (14 and 16 without the hint)
-    where bisection takes K + 3, K being about 40 and 100 there; early
-    probes, on multiples of a large span, are evaluated on a coarse grid with
-    short integers.  Each exact evaluation is one call of ``value``.
+    ``near``, an estimate of the root, chooses where the search starts,
+    and ``near_error``, a bound on its distance from the root, at which
+    level; either may be an int, float, Fraction or Decimal, read as its
+    exact integer ratio, and a ``near`` needs its ``near_error`` (TypeError
+    otherwise).  Inside (lo, hi) the first guess is the grid point nearest
+    ``near``, and e starts at the coarsest of the grid levels fine,
+    ceil(fine / 2), ... whose cell is at least ``near_error``; without it e
+    starts at 2.  A ``near`` that is None, NaN or outside (lo, hi) is
+    ignored.  An error under half the fine cell puts the first pair on the
+    fine level, where it encloses the root: both ends and that pair are the
+    whole search.  The package's solves pass their float hint, trusted to
+    2**-46, where bisection's cell is wider than that (tol 1e-13 and
+    above), and take at most 4 exact evaluations there for n <= 120, where
+    bisection takes K + 3, K being about 40.  Below, large enough solves
+    pass a hint refined to under half the fine cell, with the error it
+    reached, and take 4 at any tol; the rest take at most 8 at 1e-30 for
+    n <= 120 from the float hint (14 at 1e-12 and 16 at 1e-30 without a
+    hint).  Early probes, on multiples of a large span, are evaluated on a
+    coarse grid with short integers.  Each exact evaluation is one call of
+    ``value``.
     """
     tol_num, tol_den = check_tol(tol, "bisect_root")
+    if near is not None and near_error is None:
+        raise TypeError("bisect_root: near needs near_error")
     lo_num, lo_den = lo.as_integer_ratio()
     hi_num, hi_den = hi.as_integer_ratio()
     # lo and hi are lo_u / lcm and hi_u / lcm.
@@ -309,7 +328,7 @@ def bisect_root(
     lo_u, hi_u = lo_num * (lcm // lo_den), hi_num * (lcm // hi_den)
     if not lo_u < hi_u:
         raise ValueError(f"bisect_root: need lo < hi, got {Fraction(lo)} >= {Fraction(hi)}")
-    levels = ((hi_u - lo_u) * tol_den // (lcm * tol_num)).bit_length()
+    levels = bisect_depth(hi_u - lo_u, lcm, tol_num, tol_den)
     if levels > MAX_ITER:
         raise RuntimeError("bisect_root: iteration limit exceeded")
 
@@ -367,11 +386,11 @@ def bisect_root(
         num, denom = near.as_integer_ratio()
         if lo_u * denom < num * lcm < hi_u * denom:
             # The coarsest of the levels fine, ceil(fine / 2), ... whose cell,
-            # (hi - lo) / 2**e, is at least HINT_ERROR, and the grid index
+            # (hi - lo) / 2**e, is at least near_error, and the grid index
             # nearest the hint.
+            err_num, err_den = near_error.as_integer_ratio()
             e = fine
-            while (e > 1 and step * HINT_ERROR.denominator
-                   < HINT_ERROR.numerator * lcm << e):
+            while e > 1 and step * err_den < err_num * lcm << e:
                 e = -(-e // 2)
             guess = (2 * (num * den - base * denom) + denom * step) // (2 * denom * step)
 

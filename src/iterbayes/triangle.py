@@ -23,8 +23,11 @@ behaviour.  It returns the bracket plain bisection of that interval would,
 found by quadratic interval refinement on bisection's grid refined once
 (``exact.bisect_root``).  A float Newton estimate of the root (``_root_hint``)
 chooses where that search starts, but never decides a sign, so a solve takes
-at most 4 exact evaluations at tol 1e-12 and 1e-13 (8 at 1e-30, n <= 120),
-residual included, instead of forty or more.  Each
+at most 4 exact evaluations at tol 1e-12 and 1e-13, residual included,
+instead of forty or more.  At finer tols a large enough solve refines that
+estimate by secant steps in a local decimal context (``_refine``) to under
+half of bisection's last cell, and again takes 4; smaller ones keep the
+float estimate (at most 8 evaluations at 1e-30 for n <= 120).  Each
 evaluation is exact in big integers and reads only the polynomial's short
 side: the core of (n, max(x, n - x)), min(x, n - x) + 1 coefficients, for
 x < n/2 through the mirror identity a J_{n,x}(a) = -(1-a) J_{n,n-x}(1-a).
@@ -47,13 +50,14 @@ one at n = x + 1: its estimate solves that estimating polynomial divided by
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional, Tuple, Union
 
-from .exact import ExactPoly, _homogeneous_value, bisect_root, check_tol
+from .exact import ExactPoly, _homogeneous_value, bisect_depth, bisect_root, check_tol
 from .types import (
     METHOD_FIXED_POINT,
     BinomialObs,
@@ -70,6 +74,7 @@ __all__ = [
     "solver_bracket",
     "solve_iterative_bayes",
     "mirrored_values",
+    "HINT_ERROR",
     "FIXED_POINT_TOL",
     "FIXED_POINT_MAX_ITER",
     "fixed_point_iterate",
@@ -270,10 +275,30 @@ def _estimating_value(obs: BinomialObs) -> Callable[[int, int], int]:
 
 _LOG_1E200 = 200 * math.log(10)
 
+# The absolute error trusted in the float hint of _root_hint: 64 units in the
+# last place at 1.0.  On grids whose fine cell is narrower, large enough
+# solves refine the hint in decimal (_refine).
+HINT_ERROR = Fraction(1, 2**46)
 
-def _root_hint(n: int, x: int) -> Optional[float]:
-    """A float estimate of J's root in the solver bracket of (n, x), or None,
-    for ``bisect_root`` to start its exact search from; it decides no sign.
+# The least n * fine (fine the depth of bisect_root's grid, about 43, 95,
+# 330 and 1,075 levels at tol 1e-15, 1e-30, 1e-100 and 5e-324 for n near
+# 100) at which a solve refines its hint.  Below it the pairs a refined hint
+# saves are cheaper than the refinement.  Refining every solve, against the
+# float hint (all x of one n, both in one process, medians of 7, 2-vCPU
+# Linux host), broke even at n ~ 220 at 1e-15 (n * fine ~ 9,500), n ~ 85 at
+# 1e-30 (~8,000), n ~ 18 at 1e-100 (~6,000) and n ~ 12 at 5e-324 (~13,000),
+# and took 1.12 times as long at n = 9, 5e-324.
+_REFINE_MIN = 12_000
+
+# Traps of _refine's decimal context: any of them abandons the refinement.
+_TRAPS = [decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow]
+
+
+def _root_hint(n: int, x: int, bits: int = 0) -> Tuple[Union[float, decimal.Decimal, None],
+                                                       Union[Fraction, decimal.Decimal]]:
+    """An estimate of J's root in the solver bracket of (n, x) and a bound on
+    its error, for ``bisect_root`` to start its exact search from; it decides
+    no sign.  The estimate is None when there is none.
 
     Newton's method in floats on the log of the balance equation
     2 a^(x+2) pos(a) = (m+1) ((n+3) a - (x+1)), m = n - x, with pos the
@@ -285,18 +310,21 @@ def _root_hint(n: int, x: int) -> Optional[float]:
     x >= n/2, and mirrors below it as the exact evaluator does.  Each step
     is clamped halfway to a bracket end it would pass; the loop stops after
     a step below 1e-9 a, when the next one would be below double precision.
+    That float comes with the error HINT_ERROR.
+
+    Given ``bits`` > 0, :func:`_refine` carries a hint whose loop stopped on
+    a small step to within 2**-bits of the root, starting with its last
+    float slope, and its (hint, error) pair is returned unless it fails.
     """
-    if 2 * x < n:
-        hint = _root_hint(n, n - x)
-        return None if hint is None else 1.0 - hint
-    m = n - x
-    lo, hi = (x + 1) / (n + 3), (x + 2) / (n + 3)
+    big = max(x, n - x)
+    m = n - big
+    lo, hi = (big + 1) / (n + 3), (big + 2) / (n + 3)
     ratios = [(n + 3 - k) * (m - k) / ((k + 1) * (m - k + 2)) for k in range(m)]
-    a = (x + 1.5) / (n + 3)
+    a = (big + 1.5) / (n + 3)
     for _ in range(8):
-        gap = (n + 3) * a - (x + 1)
+        gap = (n + 3) * a - (big + 1)
         if not gap > 0:
-            return None
+            return None, HINT_ERROR
         r = (1.0 - a) / a
         term = total = (m + 2) * (m + 1) / 2
         moment = 0.0
@@ -311,23 +339,142 @@ def _root_hint(n: int, x: int) -> Optional[float]:
         f = math.log(2 * total / ((m + 1) * gap)) + (n + 2) * math.log(a) + scale * _LOG_1E200
         slope = (n + 2) / a - moment / (total * a * (1.0 - a)) - (n + 3) / gap
         if not slope:
-            return a
+            break
         step = f / slope
         a = min(max(a - step, (a + lo) / 2), (a + hi) / 2)
         if abs(step) < 1e-9 * a:
+            if bits:
+                refined = _refine(n, big, a, slope, bits, big != x)
+                if refined is not None:
+                    return refined
             break
-    return a
+    return (a if big == x else 1.0 - a), HINT_ERROR
 
 
-def _bisect_estimate(
-    value: Callable[[int, int], int], obs: BinomialObs, tol: Union[float, Fraction], label: object
-) -> Estimate:
-    """Bisect the degree-(n+2) polynomial whose homogeneous evaluator is
-    ``value`` on the solver bracket of ``obs``; an absent sign change raises
-    BracketFailure naming ``label``, formatted only then."""
-    lo, hi = solver_bracket(obs)
+def _refine(n: int, x: int, hint: float, slope: float, bits: int,
+            mirror: bool) -> Optional[Tuple[decimal.Decimal, decimal.Decimal]]:
+    """The float hint of the short side x >= n/2, carried to within 2**-bits
+    of J's root, and a bound on its error; both are Decimals, the hint
+    mirrored to 1 - hint when ``mirror``.  None if the iteration leaves the
+    solver bracket, stops shrinking its steps, runs out of steps or hits a
+    decimal trap.
+
+    The root is the zero of t(a) = 2 a^(n+2) S(r) / ((m+1) gap) - 1, the
+    balance equation as a ratio, with gap = (n+3) a - (x+1) and
+    S(r) = sum_k w_k r^k the core form :func:`_root_hint` sums.  The
+    iteration runs on d = (m+1) gap t = 2 a^(n+2) S(r) - (m+1) gap, which is
+    J itself through the positive core form: the same zero, one division
+    fewer.  Every operation runs in one local decimal
+    context of ``digits`` digits, never in the thread's: its precision
+    follows ``bits``, not the caller's context (whose 28 default digits
+    would stop the iteration near 2**-93).  The weights 2 w_k are made once
+    by the ratio recurrence, S by Horner's rule with one fused multiply-add
+    per weight.  The first step divides d by (m+1) gap times the float
+    ``slope``, the derivative of log(2 a^(n+2) S / ((m+1) gap)) and so of t
+    at its zero; then secant steps run until one is below 2**-bits.  The
+    secant converges with order 1.6 from the float hint's 2**-46, so
+    bit_length(bits) steps suffice.
+
+    A value of d is rounded at most about 5m + 8 times, relative to either
+    side, so the root it gives moves by under (8m + 16) units of
+    10**(1 - digits) over |t'|, which is 3.6 at n = 1 and about 2n above.
+    ``noise`` is ten times that bound and at most a tenth of 2**-bits.  The
+    reported error is the last step plus ``noise``: the secant's new point
+    is far closer to the root than the step that reached it.  Comparisons
+    between Decimals are exact and round nothing.
+    """
+    m = n - x
+    spent = len(str(8 * m + 16))
+    digits = bits * 30103 // 100000 + spent + 4
+    ctx = decimal.Context(prec=digits, rounding=decimal.ROUND_HALF_EVEN,
+                          Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX,
+                          capitals=1, clamp=0, flags=[], traps=_TRAPS)
+    mul, div, sub, fma = ctx.multiply, ctx.divide, ctx.subtract, ctx.fma
     try:
-        return bisect_root(value, obs.n + 2, lo, hi, tol=tol, near=_root_hint(obs.n, obs.x))
+        weight = ctx.create_decimal((m + 2) * (m + 1))
+        weights = [weight]
+        for k in range(m):
+            weight = div(mul(weight, (n + 3 - k) * (m - k)), (k + 1) * (m - k + 2))
+            weights.append(weight)
+        top = weights.pop()
+        weights.reverse()
+
+        def balance(a: decimal.Decimal) -> Tuple[decimal.Decimal, decimal.Decimal]:
+            """(m+1) gap and d at a; ValueError if a is outside the
+            bracket, where the sign of the fused gap is exact."""
+            gap = fma(a, n + 3, -(x + 1))
+            if not 0 < gap < 1:
+                raise ValueError
+            r = div(sub(1, a), a)
+            s = top
+            for w in weights:
+                s = fma(s, r, w)
+            side = mul(gap, m + 1)
+            return side, fma(ctx.power(a, n + 2), s, ctx.minus(side))
+
+        prev = decimal.Decimal.from_float(hint)
+        side, d_prev = balance(prev)
+        near = sub(prev, div(d_prev, mul(side, ctx.create_decimal_from_float(slope))))
+        step = ctx.abs(sub(near, prev))
+        limit = div(1, 1 << bits)
+        for _ in range(bits.bit_length()):
+            if step < limit:
+                gap = fma(near, n + 3, -(x + 1))
+                if not 0 < gap < 1:
+                    return None
+                noise = ctx.scaleb(1, spent + 2 - digits)
+                # near has at most ``digits`` digits after the point and
+                # exceeds 0.1, so 1 - near is exact.
+                return (sub(1, near) if mirror else near), ctx.add(step, noise)
+            d_near = balance(near)[1]
+            new = sub(near, div(mul(d_near, sub(near, prev)), sub(d_near, d_prev)))
+            new_step = ctx.abs(sub(new, near))
+            if not new_step < step:
+                return None
+            prev, d_prev, near, step = near, d_near, new, new_step
+        return None
+    except (decimal.DecimalException, ValueError):
+        return None
+
+
+def _hint_bits(n: int, x: int, tol_ratio: Tuple[int, int]) -> int:
+    """The bits to which a solve of (n, x) at the tol whose integer ratio is
+    ``tol_ratio`` refines its hint; 0 for the float hint alone.
+
+    ``bisect_root``'s grid on the solver bracket, of width 1/(n+3), has
+    fine = K + 1 levels, so its fine cell is 1/((n+3) 2**fine) wide; within
+    2**-bits, bits = fine + bit_length(n + 3) + 1, a hint is under half
+    that cell, and the first pair around it encloses the root.  The hint is
+    refined only where n * fine reaches _REFINE_MIN, that cell is narrower
+    than HINT_ERROR and x != n/2: there the root 1/2 is the bracket's
+    midpoint, on every level, and the float hint's first probe meets it.
+    """
+    tol_num, tol_den = tol_ratio
+    hint_den = HINT_ERROR.denominator  # HINT_ERROR is 1/hint_den
+    # The fine cell is at least tol/4 wide (on a bracket wider than tol), so
+    # a tol of 4 HINT_ERROR or more refines nothing: a test that needs no
+    # grid depth.
+    if tol_num * hint_den >= tol_den << 2 or 2 * x == n:
+        return 0
+    fine = bisect_depth(1, n + 3, tol_num, tol_den) + 1
+    if n * fine < _REFINE_MIN or (n + 3) << fine <= hint_den:
+        return 0
+    return fine + (n + 3).bit_length() + 1
+
+
+def _bisect_estimate(value: Callable[[int, int], int], obs: BinomialObs,
+                     tol: Union[float, Fraction], tol_ratio: Tuple[int, int],
+                     label: object) -> Estimate:
+    """Bisect the degree-(n+2) polynomial whose homogeneous evaluator is
+    ``value`` on the solver bracket of ``obs``, from the hint of
+    :func:`_root_hint`; ``tol_ratio`` is ``tol``'s integer ratio, as
+    ``check_tol`` returned it.  An absent sign change raises BracketFailure
+    naming ``label``, formatted only then."""
+    lo, hi = solver_bracket(obs)
+    n, x = obs.n, obs.x
+    near, error = _root_hint(n, x, _hint_bits(n, x, tol_ratio))
+    try:
+        return bisect_root(value, n + 2, lo, hi, tol=tol, near=near, near_error=error)
     except ValueError as exc:
         raise BracketFailure(f"no sign change over {lo}..{hi} for {label}: {exc}") from exc
 
@@ -342,8 +489,8 @@ def solve_iterative_bayes(obs: BinomialObs, tol: Union[float, Fraction] = 1e-12)
     residual: that is |J| at the bracket's midpoint, the reported point, as a
     float, and at most (tol/2) max |J'| over the bracket.
     """
-    check_tol(tol, obs)
-    return _bisect_estimate(_estimating_value(obs), obs, tol, obs)
+    tol_ratio = check_tol(tol, obs)
+    return _bisect_estimate(_estimating_value(obs), obs, tol, tol_ratio, obs)
 
 
 def mirrored_values(n: int, tol: Union[float, Fraction]) -> Tuple[float, ...]:
@@ -415,10 +562,10 @@ def geometric_estimate(x: int, tol: Union[float, Fraction] = 1e-12) -> Estimate:
     if x < 0:
         raise ValueError("geometric_estimate: x must be >= 0")
     label = f"geometric x={x}"
-    check_tol(tol, label)
+    tol_ratio = check_tol(tol, label)
     obs = BinomialObs(x + 1, x)
     value = _estimating_value(obs)
-    return _bisect_estimate(lambda u, v: value(u, v) // -2, obs, tol, label)
+    return _bisect_estimate(lambda u, v: value(u, v) // -2, obs, tol, tol_ratio, label)
 
 
 def negative_binomial_estimate(r: int, x: int, tol: Union[float, Fraction] = 1e-12) -> Estimate:

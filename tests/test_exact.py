@@ -1,3 +1,4 @@
+import decimal
 import math
 import random
 from fractions import Fraction
@@ -173,6 +174,11 @@ class TestBisectRoot:
         assert (self.message((-1, 1, 1), 0, 1, tol)
                 == f"bisect_root: tol must be positive and finite, got {shown}")
 
+    def test_hint_needs_its_error(self):
+        # An estimate of the root comes with the bound on its error.
+        with pytest.raises(TypeError, match="bisect_root: near needs near_error"):
+            exact.bisect_root(lambda u, v: 2 * u - v, 1, 0, 1, near=0.5)
+
 
 # Tolerances the refinement is held to bisection at: decimal, binary-unfriendly
 # and far below double precision.
@@ -302,22 +308,47 @@ class TestEvaluationCount:
              for x in range(n + 1)]
 
     # The measured maxima over every n <= 120, residual included: it is read
-    # from the refined grid and costs no evaluation of its own.  Both ends,
-    # then one pair per doubling of the bits known, from the hint's level:
-    # one pair at 1e-12, three at 1e-30.  At 5e-324, whose solves cost the
-    # most, every third case.
-    @pytest.mark.parametrize("tol, most, stride", [(1e-12, 4, 1), (1e-15, 6, 1), (1e-30, 8, 1),
-                                                   (1e-50, 10, 1), (1e-100, 12, 1),
-                                                   (5e-324, 14, 3)],
+    # from the refined grid and costs no evaluation of its own.  With the
+    # float hint: both ends, then one pair per doubling of the bits known,
+    # from the hint's level: one pair at 1e-12, three at 1e-30.  Where the
+    # solve refines its hint (n * fine >= _REFINE_MIN: n >= 128 at 1e-30,
+    # 75 at 1e-50, 37 at 1e-100 and 12 at 5e-324 here) both ends and one
+    # pair on the fine level.  At 5e-324, whose solves cost the most, every
+    # third case.
+    @pytest.mark.parametrize("tol, most, refined, stride",
+                             [(1e-12, 4, None, 1), (1e-15, 6, None, 1), (1e-30, 8, None, 1),
+                              (1e-50, 10, 4, 1), (1e-100, 12, 4, 1), (5e-324, 14, 4, 3)],
                              ids=["1e-12", "1e-15", "1e-30", "1e-50", "1e-100", "5e-324"])
-    def test_exact_evaluations_per_solve(self, monkeypatch, tol, most, stride):
+    def test_exact_evaluations_per_solve(self, monkeypatch, tol, most, refined, stride):
         calls = _count_evaluations(monkeypatch)
-        worst = 0
+        worst = {False: 0, True: 0}
         for n, x in self.CASES[::stride]:
             calls[0] = 0
             solve_iterative_bayes(BinomialObs(n, x), tol=tol)
-            worst = max(worst, calls[0])
-        assert 0 < worst <= most
+            kind = triangle._hint_bits(n, x, tol.as_integer_ratio()) > 0
+            worst[kind] = max(worst[kind], calls[0])
+        assert 0 < worst[False] <= most
+        assert worst[True] == 0 if refined is None else 0 < worst[True] <= refined
+
+    # Above the refinement's threshold, every solve takes 4 at every tol
+    # from 1e-15 on: seeded n up to 1029 (5e-324 up to 300, where a solve
+    # takes up to 0.1 s), at four x each.
+    @pytest.mark.parametrize("tol, n_max", [(1e-15, 1029), (1e-30, 1029), (1e-50, 1029),
+                                            (1e-100, 600), (5e-324, 300)],
+                             ids=["1e-15", "1e-30", "1e-50", "1e-100", "5e-324"])
+    def test_refined_solves_take_four(self, monkeypatch, tol, n_max):
+        calls = _count_evaluations(monkeypatch)
+        rng = random.Random(f"refined {tol}")
+        fine = triangle.bisect_depth(1, n_max + 3, *tol.as_integer_ratio()) + 1
+        refined = 0
+        for n in rng.sample(range(triangle._REFINE_MIN // fine + 1, n_max + 1), 4):
+            for x in (0, rng.randrange(n + 1), n // 3, n - 1):
+                calls[0] = 0
+                solve_iterative_bayes(BinomialObs(n, x), tol=tol)
+                if triangle._hint_bits(n, x, tol.as_integer_ratio()):
+                    refined += 1
+                    assert calls[0] == 4, (n, x)
+        assert refined == 16
 
     def test_first_probe_is_the_grid_point_nearest_the_hint(self, monkeypatch):
         # Every n <= 120 at 1e-13, the tol of risk and compare.  A first probe
@@ -333,7 +364,7 @@ class TestEvaluationCount:
         assert max(worst.values()) <= 4
         assert worst[59, 24] == worst[83, 13] == 4
 
-    @pytest.mark.parametrize("tol, most", [(1e-13, 4), (1e-30, 8)], ids=["1e-13", "1e-30"])
+    @pytest.mark.parametrize("tol, most", [(1e-13, 4), (1e-30, 4)], ids=["1e-13", "1e-30"])
     def test_seeded_n_up_to_1029(self, monkeypatch, tol, most):
         calls = _count_evaluations(monkeypatch)
         rng = random.Random(1029)
@@ -352,7 +383,8 @@ class TestEvaluationCount:
             assert 0 < calls[0] <= 4, x
 
     # Without a usable hint the search starts from the secant at e = 2; a
-    # hint 2**-30 from the root, past HINT_ERROR, misses with its first pair.
+    # float hint 2**-30 from the root, past HINT_ERROR, misses with its first
+    # pair.
     # Over every n <= 120 the maxima are 14 and 16 without a hint, 9 and 12
     # from the poor one (13 at 1e-30 outside CASES).
     @pytest.mark.parametrize("tol, most, poor", [(1e-12, 14, 9), (1e-30, 16, 12)],
@@ -363,10 +395,11 @@ class TestEvaluationCount:
         for n, x in self.CASES:
             obs = BinomialObs(n, x)
             lo, hi = solver_bracket(obs)
-            off = Fraction(triangle._root_hint(n, x)) + Fraction(1, 2**30)
+            off = Fraction(triangle._root_hint(n, x)[0]) + Fraction(1, 2**30)
             for kind, near in ((None, None), ("poor", float(min(off, (lo + 3 * hi) / 4)))):
                 calls[0] = 0
-                exact.bisect_root(triangle._estimating_value(obs), n + 2, lo, hi, tol, near=near)
+                exact.bisect_root(triangle._estimating_value(obs), n + 2, lo, hi, tol, near=near,
+                                  near_error=None if near is None else triangle.HINT_ERROR)
                 worst[kind] = max(worst[kind], calls[0])
         assert 0 < worst[None] <= most and 0 < worst["poor"] <= poor
 
@@ -422,6 +455,51 @@ class TestEvaluationCount:
         lo, hi = result.bracket
         assert lo < Fraction(1, 3) < hi
         assert hi - lo == Fraction(1, 2**MAX_ITER)
+
+
+class TestRefinedHint:
+    """The decimal refinement of the hint runs in its own context and only
+    where the grid's fine cell is narrower than the float hint's error."""
+
+    def test_caller_decimal_context_is_untouched(self, monkeypatch):
+        # A caller's context of 3 digits with every trap on changes no
+        # Estimate and no evaluation count, and comes back as it was: with
+        # the default 28 digits the iteration would stop near 2**-93.
+        calls = _count_evaluations(monkeypatch)
+        cases = [(n, x, tol) for tol in (1e-30, 5e-324) for n, x in ((150, 40), (150, 110), (301, 7))]
+
+        def solve_all():
+            out = []
+            for n, x, tol in cases:
+                calls[0] = 0
+                out.append((solve_iterative_bayes(BinomialObs(n, x), tol), calls[0]))
+            return out
+
+        want = solve_all()
+        assert [count for _, count in want] == [4] * len(cases)
+        with decimal.localcontext() as caller:
+            caller.prec = 3
+            for signal in caller.traps:
+                caller.traps[signal] = True
+            caller.clear_flags()
+            before = repr(caller)
+            assert solve_all() == want
+            assert decimal.getcontext() is caller and repr(caller) == before
+
+    def test_default_tols_never_refine(self, monkeypatch):
+        # Every n <= 60 at 1e-12 and every n <= 120 at 1e-13, the tols of
+        # table2, estimate, risk and compare, solve from the float hint:
+        # their fine cell is wider than HINT_ERROR.  The size threshold is
+        # lifted, so that test alone keeps them there.
+        def refine(*args):
+            raise AssertionError("hint refined")
+
+        monkeypatch.setattr(triangle, "_refine", refine)
+        monkeypatch.setattr(triangle, "_REFINE_MIN", 0)
+        for n_max, tol in ((60, 1e-12), (120, 1e-13)):
+            for n in range(1, n_max + 1):
+                for x in range(n + 1):
+                    solve_iterative_bayes(BinomialObs(n, x), tol)
 
 
 class TestFractionsPerSolve:

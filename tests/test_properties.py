@@ -1,8 +1,10 @@
 """Property-based checks of the library's algebraic invariants (exact, no
 tolerances except where a float boundary is part of the contract)."""
 
+import decimal
 import math
 from fractions import Fraction
+from unittest.mock import patch
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -119,12 +121,30 @@ def test_hint_never_changes_the_solve(n, data, tol):
                        (BinomialObs(x + 1, x), lambda u, v: geometric(u, v) // -2)):
         lo, hi = solver_bracket(obs)
         want = bisect_root(value, obs.n + 2, lo, hi, tol)
-        hint = triangle._root_hint(obs.n, obs.x)
+        hint = triangle._root_hint(obs.n, obs.x)[0]
         edge = (hi - lo) / 2**60
         for near in (hint, hint + 2**-30, hint - 2**-30, float(lo + edge), float(hi - edge),
                      float((lo + hi) / 2), math.nan, math.inf, float(lo - 1)):
-            assert bisect_root(value, obs.n + 2, lo, hi, tol, near=near) == want, (obs, near)
+            assert bisect_root(value, obs.n + 2, lo, hi, tol, near=near,
+                               near_error=triangle.HINT_ERROR) == want, (obs, near)
     assert geometric_estimate(x, tol) == want
+    # So does a refinement that is wrong (2**-30 off while claiming 2**-200),
+    # absent, outside the bracket, or stopped by a decimal trap (Inexact
+    # trapped): the solve falls back or searches on, and raises nothing.
+    # The size threshold is lifted, so every tol below HINT_ERROR refines.
+    obs = BinomialObs(n, x)
+    lo, hi = solver_bracket(obs)
+    want = bisect_root(dense, n + 2, lo, hi, tol)
+    off = min(Fraction(triangle._root_hint(n, x)[0]) + Fraction(1, 2**30), (lo + 3 * hi) / 4)
+    claim = Fraction(1, 2**200)
+    refinements = [lambda *args: (off, claim), lambda *args: None,
+                   lambda *args: (hi + claim, claim), lambda *args: (lo - 1, claim)]
+    with patch.object(triangle, "_REFINE_MIN", 0):
+        for refine in refinements:
+            with patch.object(triangle, "_refine", refine):
+                assert solve_iterative_bayes(obs, tol) == want
+        with patch.object(triangle, "_TRAPS", [decimal.Inexact]):
+            assert solve_iterative_bayes(obs, tol) == want
 
 
 @settings(max_examples=100, deadline=None)
@@ -135,9 +155,31 @@ def test_hint_is_within_the_trusted_error(n, data):
     # bracket and negative above it, and J's exact signs at hint -/+
     # HINT_ERROR are + and -.
     x = data.draw(st.integers(min_value=0, max_value=n))
-    hint = Fraction(triangle._root_hint(n, x))
+    hint, error = triangle._root_hint(n, x)
     lo, hi = solver_bracket(BinomialObs(n, x))
-    below, above = hint - exact.HINT_ERROR, hint + exact.HINT_ERROR
+    below, above = Fraction(hint) - error, Fraction(hint) + error
+    assert error == triangle.HINT_ERROR and lo < below and above < hi
+    value = triangle._estimating_value(BinomialObs(n, x))
+    assert value(below.numerator, below.denominator) > 0 > value(above.numerator, above.denominator)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(1029, 1e-30), (120, 5e-324)]), st.data())
+def test_refined_hint_is_within_its_error(case, data):
+    # The refined hint comes with the error it reached, under half the fine
+    # cell, so bisect_root's first pair encloses the root.  J's exact signs
+    # at the hint -/+ that error are + and -, so the claim holds.  The size
+    # threshold is lifted, so every (n, x) with x != n/2 refines.
+    n_max, tol = case
+    n = data.draw(st.integers(min_value=1, max_value=n_max))
+    x = data.draw(st.integers(min_value=0, max_value=n))
+    assume(2 * x != n)
+    with patch.object(triangle, "_REFINE_MIN", 0):
+        bits = triangle._hint_bits(n, x, tol.as_integer_ratio())
+    hint, error = triangle._root_hint(n, x, bits)
+    assert isinstance(hint, decimal.Decimal) and 0 < error < Fraction(1, 2 ** (bits - 1))
+    lo, hi = solver_bracket(BinomialObs(n, x))
+    below, above = Fraction(hint) - Fraction(error), Fraction(hint) + Fraction(error)
     assert lo < below and above < hi
     value = triangle._estimating_value(BinomialObs(n, x))
     assert value(below.numerator, below.denominator) > 0 > value(above.numerator, above.denominator)
@@ -154,9 +196,9 @@ def test_argument_types_never_change_the_result(n, data, tol, start, width):
     obs = BinomialObs(n, x)
     value = triangle._estimating_value(obs)
     lo, hi = solver_bracket(obs)
-    hint = triangle._root_hint(n, x)
-    want = bisect_root(value, n + 2, lo, hi, tol, near=hint)
-    assert bisect_root(value, n + 2, lo, hi, Fraction(tol), near=hint) == want
+    hint, error = triangle._root_hint(n, x)
+    want = bisect_root(value, n + 2, lo, hi, tol, near=hint, near_error=error)
+    assert bisect_root(value, n + 2, lo, hi, Fraction(tol), near=hint, near_error=error) == want
     assert solve_iterative_bayes(obs, Fraction(tol)) == want
     # 3a - (3 start + 1) has its root start + 1/3 in (start, start + width);
     # a^2 + a - 1 has its root (sqrt(5) - 1)/2 in (0, 1).

@@ -6,10 +6,11 @@ import pytest
 
 import iterbayes
 import iterbayes.triangle as triangle
-from iterbayes.exact import HINT_ERROR, ExactPoly, eval_rational, sign_at
+from iterbayes.exact import ExactPoly, eval_rational, sign_at
 from iterbayes.identities import factorization_sides
 from iterbayes.conjugate import ConjugateFamily, ConjugateModel, SampleStats, conjugate_iterative_limit
 from iterbayes.triangle import (
+    HINT_ERROR,
     estimating_polynomial,
     fixed_point_iterate,
     geometric_estimate,
@@ -308,8 +309,8 @@ class TestRootHint:
 
     @pytest.mark.parametrize("n, x", CASES)
     def test_finite_inside_the_bracket_and_near_the_root(self, n, x):
-        hint = triangle._root_hint(n, x)
-        assert math.isfinite(hint)
+        hint, error = triangle._root_hint(n, x)
+        assert math.isfinite(hint) and error is HINT_ERROR
         lo, hi = solver_bracket(BinomialObs(n, x))
         assert lo < hint < hi
         # J is positive below its one root in the bracket and negative above
@@ -325,7 +326,7 @@ class TestRootHint:
     def test_a_gap_that_rounds_to_zero_gives_no_hint(self, n, x):
         # (n+3) a - (x+1) at the start (x+1.5)/(n+3) rounds to 0 in floats
         # when n is far above 2**53; the hint is then absent, not an error.
-        assert triangle._root_hint(n, x) is None
+        assert triangle._root_hint(n, x) == (None, HINT_ERROR)
 
 
 class TestSolveIterativeBayes:
