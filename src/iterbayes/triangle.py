@@ -364,16 +364,15 @@ def _refine(n: int, x: int, hint: float, slope: float, bits: int,
     S(r) = sum_k w_k r^k the core form :func:`_root_hint` sums.  The
     iteration runs on d = (m+1) gap t = 2 a^(n+2) S(r) - (m+1) gap, which is
     J itself through the positive core form: the same zero, one division
-    fewer.  Every operation runs in one local decimal
-    context of ``digits`` digits, never in the thread's: its precision
-    follows ``bits``, not the caller's context (whose 28 default digits
-    would stop the iteration near 2**-93).  The weights 2 w_k are made once
-    by the ratio recurrence, S by Horner's rule with one fused multiply-add
-    per weight.  The first step divides d by (m+1) gap times the float
-    ``slope``, the derivative of log(2 a^(n+2) S / ((m+1) gap)) and so of t
-    at its zero; then secant steps run until one is below 2**-bits.  The
-    secant converges with order 1.6 from the float hint's 2**-46, so
-    bit_length(bits) steps suffice.
+    fewer.  Every operation runs in one local decimal context of ``digits``
+    digits, never in the thread's: its precision follows ``bits``, not the
+    caller's context (whose 28 default digits would stop the iteration near
+    2**-93).  The weights 2 w_k are made once by the ratio recurrence, S by
+    Horner's rule with one fused multiply-add per weight.  The first step
+    divides d by (m+1) gap times the float ``slope``, the derivative of
+    log(2 a^(n+2) S / ((m+1) gap)) and so of t at its zero; then secant
+    steps run until one is below 2**-bits.  The secant converges with order
+    1.6 from the float hint's 2**-46, so bit_length(bits) steps suffice.
 
     A value of d is rounded at most about 5m + 8 times, relative to either
     side, so the root it gives moves by under (8m + 16) units of
