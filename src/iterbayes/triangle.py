@@ -12,22 +12,51 @@ estimate.  Its defining equation balances the strictly increasing weight
     balance(a) = a^(x+2) * integral_0^1 t^(x+1) (1-t) (1-a t)^(n-x) dt
 
 for (a, x) against (1-a, n-x), which after clearing denominators is a single
-integer-coefficient polynomial (the *estimating polynomial*) with exactly one
-root in (0, 1).  Each of its coefficients has a closed form, a product of two
-binomial coefficients, so it is written directly as a tuple of integers;
+integer-coefficient polynomial J (the *estimating polynomial*) with exactly
+one root in (0, 1).  Each of its coefficients has a closed form, a product of
+two binomial coefficients, so it is written directly as a tuple of integers;
 ``identities`` re-derives it from the balance integrals and checks the two
-agree.  The root always lies in the open interval
-((x+1)/(n+3), (x+2)/(n+3)), so the authoritative solver isolates it there with
-exact rational sign tests, correct unconditionally on floating-point
-behaviour.  It returns the bracket plain bisection of that interval would,
-found by quadratic interval refinement on bisection's grid refined once
-(``exact.bisect_root``).  A float Newton estimate of the root (``_root_hint``)
-chooses where that search starts, but never decides a sign, so a solve takes
-at most 4 exact evaluations at tol 1e-12 and 1e-13, residual included,
-instead of forty or more.  At finer tols a large enough solve refines that
-estimate by secant steps in a local decimal context (``_refine``) to under
-half of bisection's last cell, and again takes 4; smaller ones keep the
-float estimate (at most 8 evaluations at 1e-30 for n <= 120).  Each
+agree.
+
+That root is unique by Descartes' rule of signs in the Bernstein basis
+(Basu, Pollack & Roy, *Algorithms in Real Algebraic Geometry*, ch. 10).
+With d = n + 2, m = n - x and J = sum_i w_i a^i (1-a)^(d-i), each weight
+has a closed form,
+
+    d w_i = 2d C(n+3, d-i) C(i-x, 2) + (m+1) ((x+1)d - (n+3)i) C(d, i),
+
+with C(i-x, 2) = 0 for i <= x + 1.  There only the linear part enters, and
+(x+1)d/(n+3) lies strictly between x and x + 1: w_i > 0 for i <= x and
+w_(x+1) < 0.  For x + 2 <= i <= n + 1 (none if x = n), C(n+3, d-i) = (n+3) C(d, i)/(i+1)
+gives w_i = -C(d, i) D(i) / ((i+1) d), where
+
+    D(i) = (i+1)(m+1)((n+3)i - (x+1)d) - d(n+3)(i-x)(i-x-1)
+
+is concave in i (its i^2 coefficient is -(n+3)(x+1)), D(n+1) =
+d(m+1)(x+1) > 0 and D(x+2) = (x+3)(m+1)(n+x+4) - 2d(n+3) > 0, because
+(x+3)(m+1) >= 2d for 0 <= x <= n - 1 (concave in x, and true at both
+ends).  So w_i < 0 there too, and w_d = J(1) = 0.  J/(1 - a) has the
+weights w_0 .. w_(d-1) in degree d - 1: one sign change, so J has exactly
+one root in (0, 1), a simple one.  The tests hold the closed form to
+``estimating_polynomial`` for n <= 100 and the sign pattern up to
+n = 10,000.
+
+The root always lies in the open interval ((x+1)/(n+3), (x+2)/(n+3)), where
+J falls from positive to negative, so the authoritative solver isolates it
+there with exact rational sign tests, correct unconditionally on
+floating-point behaviour.  It returns the bracket plain bisection of that
+interval would, found by quadratic interval refinement on bisection's grid
+refined once (``exact.bisect_root``).  The solver states J's orientation,
+so ``bisect_root`` evaluates a bracket end only when a secant or the final
+cell needs it, and checks its sign then: the cell it returns is still
+certified by two exact signs, and by the lemma above it holds the one
+root.  A float Newton estimate of the root (``_root_hint``) chooses where
+that search starts, but never decides a sign, so a solve takes at most 2
+exact evaluations at tol 1e-12 and 1e-13, residual included, instead of
+forty or more.  At finer tols a large enough solve refines that estimate
+by secant steps in a local decimal context (``_refine``) to under half of
+bisection's last cell, and again takes 2; smaller ones keep the float
+estimate (at most 6 evaluations at 1e-30 for n <= 120).  Each
 evaluation is exact in big integers and reads only the polynomial's short
 side: the core of (n, max(x, n - x)), min(x, n - x) + 1 coefficients, for
 x < n/2 through the mirror identity a J_{n,x}(a) = -(1-a) J_{n,n-x}(1-a).
@@ -45,7 +74,8 @@ Golden Ratio.
 
 The geometric model (x successes before the first failure) is the binomial
 one at n = x + 1: its estimate solves that estimating polynomial divided by
--2, (x+1) a^(x+3) - (x+4) a^(x+2) + (x+4) a - (x+1), and reports its residual.
+-2, (x+1) a^(x+3) - (x+4) a^(x+2) + (x+4) a - (x+1), which rises through
+the root, and reports its residual.
 """
 
 from __future__ import annotations
@@ -463,17 +493,20 @@ def _hint_bits(n: int, x: int, tol_ratio: Tuple[int, int]) -> int:
 
 def _bisect_estimate(value: Callable[[int, int], int], obs: BinomialObs,
                      tol: Union[float, Fraction], tol_ratio: Tuple[int, int],
-                     label: object) -> Estimate:
+                     label: object, rising: bool) -> Estimate:
     """Bisect the degree-(n+2) polynomial whose homogeneous evaluator is
     ``value`` on the solver bracket of ``obs``, from the hint of
     :func:`_root_hint`; ``tol_ratio`` is ``tol``'s integer ratio, as
-    ``check_tol`` returned it.  An absent sign change raises BracketFailure
-    naming ``label``, formatted only then."""
+    ``check_tol`` returned it, and ``rising`` the polynomial's orientation
+    there, so that ``bisect_root`` evaluates the bracket ends only when it
+    needs them.  An absent sign change raises BracketFailure naming
+    ``label``, formatted only then."""
     lo, hi = solver_bracket(obs)
     n, x = obs.n, obs.x
     near, error = _root_hint(n, x, _hint_bits(n, x, tol_ratio))
     try:
-        return bisect_root(value, n + 2, lo, hi, tol=tol, near=near, near_error=error)
+        return bisect_root(value, n + 2, lo, hi, tol=tol, near=near, near_error=error,
+                           rising=rising)
     except ValueError as exc:
         raise BracketFailure(f"no sign change over {lo}..{hi} for {label}: {exc}") from exc
 
@@ -489,7 +522,7 @@ def solve_iterative_bayes(obs: BinomialObs, tol: Union[float, Fraction] = 1e-12)
     float, and at most (tol/2) max |J'| over the bracket.
     """
     tol_ratio = check_tol(tol, obs)
-    return _bisect_estimate(_estimating_value(obs), obs, tol, tol_ratio, obs)
+    return _bisect_estimate(_estimating_value(obs), obs, tol, tol_ratio, obs, rising=False)
 
 
 def mirrored_values(n: int, tol: Union[float, Fraction]) -> Tuple[float, ...]:
@@ -564,7 +597,8 @@ def geometric_estimate(x: int, tol: Union[float, Fraction] = 1e-12) -> Estimate:
     tol_ratio = check_tol(tol, label)
     obs = BinomialObs(x + 1, x)
     value = _estimating_value(obs)
-    return _bisect_estimate(lambda u, v: value(u, v) // -2, obs, tol, tol_ratio, label)
+    return _bisect_estimate(lambda u, v: value(u, v) // -2, obs, tol, tol_ratio, label,
+                            rising=True)
 
 
 def negative_binomial_estimate(r: int, x: int, tol: Union[float, Fraction] = 1e-12) -> Estimate:

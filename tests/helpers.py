@@ -290,6 +290,31 @@ def reference_estimating_coeffs(obs):
     return tuple(int(c) for c in poly.coeffs)
 
 
+def bernstein_weights(n, x):
+    """d times the weights w_i of J = sum_i w_i a^i (1-a)^(d-i), d = n + 2, in
+    closed form: 2d C(n+3, d-i) C(i-x, 2) + (m+1)((x+1)d - (n+3)i) C(d, i),
+    m = n - x, with C(i-x, 2) = 0 for i <= x + 1."""
+    d, m = n + 2, n - x
+    return tuple(2 * d * comb(n + 3, d - i) * (comb(i - x, 2) if i > x else 0)
+                 + (m + 1) * ((x + 1) * d - (n + 3) * i) * comb(d, i) for i in range(d + 1))
+
+
+def uniqueness_margin(n, x, i):
+    """D(i) = (i+1)(m+1)((n+3)i - (x+1)d) - d(n+3)(i-x)(i-x-1), d = n + 2 and
+    m = n - x.  For x <= i <= n + 1 it is -(i+1) d w_i / C(d, i), w_i the
+    Bernstein weight of :func:`bernstein_weights`, since C(n+3, d-i) =
+    (n+3) C(d, i)/(i+1): the weight is negative exactly where D(i) > 0."""
+    d = n + 2
+    return (i + 1) * (n - x + 1) * ((n + 3) * i - (x + 1) * d) - d * (n + 3) * (i - x) * (i - x - 1)
+
+
+def from_bernstein(weights):
+    """Monomial coefficients of sum_i weights[i] a^i (1-a)^(d-i)."""
+    d = len(weights) - 1
+    return tuple(sum(weights[i] * comb(d - i, k - i) * (-1) ** (k - i) for i in range(k + 1))
+                 for k in range(d + 1))
+
+
 def geometric_polynomial(x):
     """(x+1) a^(x+3) - (x+4) a^(x+2) + (x+4) a - (x+1) for x >= 0, as
     integer coefficients lowest degree first."""

@@ -1,6 +1,7 @@
 import decimal
 import math
 import random
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -21,7 +22,7 @@ from iterbayes.triangle import (
     solve_iterative_bayes,
     solver_bracket,
 )
-from iterbayes.types import METHOD_BISECTION, BinomialObs, Estimate
+from iterbayes.types import METHOD_BISECTION, BinomialObs, BracketFailure, Estimate
 
 from helpers import (
     dense_bisect_root,
@@ -308,16 +309,17 @@ class TestEvaluationCount:
              for x in range(n + 1)]
 
     # The measured maxima over every n <= 120, residual included: it is read
-    # from the refined grid and costs no evaluation of its own.  With the
-    # float hint: both ends, then one pair per doubling of the bits known,
-    # from the hint's level: one pair at 1e-12, three at 1e-30.  Where the
-    # solve refines its hint (n * fine >= _REFINE_MIN: n >= 128 at 1e-30,
-    # 75 at 1e-50, 37 at 1e-100 and 12 at 5e-324 here) both ends and one
-    # pair on the fine level.  At 5e-324, whose solves cost the most, every
-    # third case.
+    # from the refined grid and costs no evaluation of its own.  The solves
+    # state J's orientation, so the bracket ends are evaluated only when a
+    # secant or the final cell needs them, and none is here.  With the float
+    # hint: one pair per doubling of the bits known, from the hint's level:
+    # one pair at 1e-12, three at 1e-30.  Where the solve refines its hint
+    # (n * fine >= _REFINE_MIN: n >= 128 at 1e-30, 75 at 1e-50, 37 at 1e-100
+    # and 12 at 5e-324 here) one pair on the fine level.  At 5e-324, whose
+    # solves cost the most, every third case.
     @pytest.mark.parametrize("tol, most, refined, stride",
-                             [(1e-12, 4, None, 1), (1e-15, 6, None, 1), (1e-30, 8, None, 1),
-                              (1e-50, 10, 4, 1), (1e-100, 12, 4, 1), (5e-324, 14, 4, 3)],
+                             [(1e-12, 2, None, 1), (1e-15, 4, None, 1), (1e-30, 6, None, 1),
+                              (1e-50, 8, 2, 1), (1e-100, 10, 2, 1), (5e-324, 12, 2, 3)],
                              ids=["1e-12", "1e-15", "1e-30", "1e-50", "1e-100", "5e-324"])
     def test_exact_evaluations_per_solve(self, monkeypatch, tol, most, refined, stride):
         calls = _count_evaluations(monkeypatch)
@@ -330,13 +332,13 @@ class TestEvaluationCount:
         assert 0 < worst[False] <= most
         assert worst[True] == 0 if refined is None else 0 < worst[True] <= refined
 
-    # Above the refinement's threshold, every solve takes 4 at every tol
+    # Above the refinement's threshold, every solve takes 2 at every tol
     # from 1e-15 on: seeded n up to 1029 (5e-324 up to 300, where a solve
     # takes up to 0.1 s), at four x each.
     @pytest.mark.parametrize("tol, n_max", [(1e-15, 1029), (1e-30, 1029), (1e-50, 1029),
                                             (1e-100, 600), (5e-324, 300)],
                              ids=["1e-15", "1e-30", "1e-50", "1e-100", "5e-324"])
-    def test_refined_solves_take_four(self, monkeypatch, tol, n_max):
+    def test_refined_solves_take_two(self, monkeypatch, tol, n_max):
         calls = _count_evaluations(monkeypatch)
         rng = random.Random(f"refined {tol}")
         fine = triangle.bisect_depth(1, n_max + 3, *tol.as_integer_ratio()) + 1
@@ -347,13 +349,15 @@ class TestEvaluationCount:
                 solve_iterative_bayes(BinomialObs(n, x), tol=tol)
                 if triangle._hint_bits(n, x, tol.as_integer_ratio()):
                     refined += 1
-                    assert calls[0] == 4, (n, x)
+                    assert calls[0] == 2, (n, x)
         assert refined == 16
 
     def test_first_probe_is_the_grid_point_nearest_the_hint(self, monkeypatch):
         # Every n <= 120 at 1e-13, the tol of risk and compare.  A first probe
         # rounded down from the hint missed the root of (59, 24) and (83, 13),
-        # which lies just above the hint there, and took 10 evaluations.
+        # which lies just above the hint there, and took 10 evaluations.  A
+        # root the first probe meets, at x = n/2, takes 2 too: one bracket
+        # end is checked before an exact zero is returned.
         calls = _count_evaluations(monkeypatch)
         worst = {}
         for n in range(1, 121):
@@ -361,10 +365,10 @@ class TestEvaluationCount:
                 calls[0] = 0
                 solve_iterative_bayes(BinomialObs(n, x), tol=1e-13)
                 worst[n, x] = calls[0]
-        assert max(worst.values()) <= 4
-        assert worst[59, 24] == worst[83, 13] == 4
+        assert max(worst.values()) <= 2
+        assert worst[59, 24] == worst[83, 13] == 2
 
-    @pytest.mark.parametrize("tol, most", [(1e-13, 4), (1e-30, 4)], ids=["1e-13", "1e-30"])
+    @pytest.mark.parametrize("tol, most", [(1e-13, 2), (1e-30, 2)], ids=["1e-13", "1e-30"])
     def test_seeded_n_up_to_1029(self, monkeypatch, tol, most):
         calls = _count_evaluations(monkeypatch)
         rng = random.Random(1029)
@@ -380,11 +384,12 @@ class TestEvaluationCount:
         for x in (1, n // 3, n - 1):
             calls[0] = 0
             solve_iterative_bayes(BinomialObs(n, x), tol=1e-12)
-            assert 0 < calls[0] <= 4, x
+            assert 0 < calls[0] <= 2, x
 
     # Without a usable hint the search starts from the secant at e = 2; a
     # float hint 2**-30 from the root, past HINT_ERROR, misses with its first
-    # pair.
+    # pair.  These calls state no orientation, so both bracket ends are
+    # evaluated first: the path callers other than the solvers take.
     # Over every n <= 120 the maxima are 14 and 16 without a hint, 9 and 12
     # from the poor one (13 at 1e-30 outside CASES).
     @pytest.mark.parametrize("tol, most, poor", [(1e-12, 14, 9), (1e-30, 16, 12)],
@@ -403,15 +408,36 @@ class TestEvaluationCount:
                 worst[kind] = max(worst[kind], calls[0])
         assert 0 < worst[None] <= most and 0 < worst["poor"] <= poor
 
+    # geometric_estimate solves J/-2, which rises through the root, and
+    # says so: at most 2 evaluations at 1e-12, and at 1e-30, where no
+    # geometric solve below x = 150 refines its hint, two fewer than the 8
+    # with both ends first.  Its Estimate is, field for field, that of the
+    # same search told no orientation, which reads it from the two ends.
+    @pytest.mark.parametrize("tol, most", [(1e-12, 2), (1e-30, 6)], ids=["1e-12", "1e-30"])
+    def test_geometric_solves_rise(self, monkeypatch, tol, most):
+        calls = _count_evaluations(monkeypatch)
+        worst = 0
+        for x in range(150):
+            calls[0] = 0
+            got = geometric_estimate(x, tol)
+            worst = max(worst, calls[0])
+            obs = BinomialObs(x + 1, x)
+            value = triangle._estimating_value(obs)
+            near, error = triangle._root_hint(x + 1, x, triangle._hint_bits(x + 1, x, tol.as_integer_ratio()))
+            assert got == exact.bisect_root(lambda u, v: value(u, v) // -2, x + 3, *solver_bracket(obs),
+                                            tol, near=near, near_error=error), x
+        assert 0 < worst <= most
+
     def test_total_over_every_solve_up_to_n60(self, monkeypatch):
-        # All 1,890 (n, x) with n <= 60 at 1e-12, the paper's table: 7,530
-        # evaluations from the float hint, 21,628 without it and 23,426 when
-        # the residual took an evaluation of its own.
+        # All 1,890 (n, x) with n <= 60 at 1e-12, the paper's table: 3,780
+        # evaluations from the float hint, 2 per solve, 7,530 when both
+        # bracket ends were evaluated first, 21,628 without the hint and
+        # 23,426 when the residual took an evaluation of its own.
         calls = _count_evaluations(monkeypatch)
         for n in range(1, 61):
             for x in range(n + 1):
                 solve_iterative_bayes(BinomialObs(n, x), tol=1e-12)
-        assert calls[0] <= 7_530
+        assert calls[0] <= 3_780
 
     def test_each_evaluation_is_one_call(self, monkeypatch):
         # The solvers' evaluator, mirrored or not, makes exactly one
@@ -476,7 +502,7 @@ class TestRefinedHint:
             return out
 
         want = solve_all()
-        assert [count for _, count in want] == [4] * len(cases)
+        assert [count for _, count in want] == [2] * len(cases)
         with decimal.localcontext() as caller:
             caller.prec = 3
             for signal in caller.traps:
@@ -500,6 +526,101 @@ class TestRefinedHint:
             for n in range(1, n_max + 1):
                 for x in range(n + 1):
                     solve_iterative_bayes(BinomialObs(n, x), tol)
+
+
+class TestLazyEnds:
+    """Told the polynomial's orientation, ``bisect_root`` evaluates a bracket
+    end only when a secant or the final cell needs it, and checks that end's
+    sign then.  A polynomial that does not change sign as stated raises the
+    "signs" ValueError, never ZeroDivisionError, and returns no Estimate."""
+
+    CASES = [(1, 0), (7, 3), (20, 10), (40, 13), (90, 80)]
+
+    @staticmethod
+    def isolate(value, n, x, tol, hinted, rising):
+        lo, hi = solver_bracket(BinomialObs(n, x))
+        near, error = triangle._root_hint(n, x) if hinted else (None, None)
+        return exact.bisect_root(value, n + 2, lo, hi, tol, near=near, near_error=error, rising=rising)
+
+    def rejected(self, value, n, x, tol, hinted, rising):
+        with pytest.raises(ValueError) as info:
+            self.isolate(value, n, x, tol, hinted, rising)
+        lo, hi = solver_bracket(BinomialObs(n, x))
+        prefix, _, signs = str(info.value).partition(f" over ({lo}, {hi}): ")
+        return prefix, signs
+
+    @pytest.mark.parametrize("hinted", [True, False], ids=["hint", "no-hint"])
+    @pytest.mark.parametrize("tol", [1e-12, 1e-30], ids=["1e-12", "1e-30"])
+    def test_wrong_orientation(self, tol, hinted):
+        # J falls through its root; stated as rising, it is rejected when the
+        # search first needs an end.
+        for n, x in self.CASES:
+            value = triangle._estimating_value(BinomialObs(n, x))
+            assert (self.rejected(value, n, x, tol, hinted, rising=True)
+                    == ("bisect_root: no rising sign change", "signs (1, -1)")), (n, x)
+
+    @pytest.mark.parametrize("hinted", [True, False], ids=["hint", "no-hint"])
+    @pytest.mark.parametrize("rising", [True, False], ids=["rising", "falling"])
+    def test_constants_and_the_zero_polynomial(self, rising, hinted):
+        # The zero polynomial vanishes at the first probe: an exact zero is
+        # returned only after one end is found nonzero.
+        for n, x in self.CASES:
+            for value, signs in ((lambda u, v: v ** (n + 2), "signs (1, 1)"),
+                                 (lambda u, v: -v ** (n + 2), "signs (-1, -1)"),
+                                 (lambda u, v: 0, "signs (0, 0)")):
+                assert (self.rejected(value, n, x, 1e-12, hinted, rising)
+                        == ("bisect_root: no strict sign change", signs)), (n, x)
+
+    @staticmethod
+    def shifted(n, x, below):
+        """The evaluator of J(a + s), a positive multiple of it, with s such
+        that the root lies one to two of bisection's last cells at tol 1e-12
+        outside the solver bracket: below lo, or above hi."""
+        obs = BinomialObs(n, x)
+        lo, hi = solver_bracket(obs)
+        c0, c1 = solve_iterative_bayes(obs).bracket
+        s = 2 * c1 - c0 - lo if below else 2 * c0 - c1 - hi
+        value = triangle._estimating_value(obs)
+        return lambda u, v: value(u * s.denominator + s.numerator * v, v * s.denominator)
+
+    @pytest.mark.parametrize("below", [True, False], ids=["below-lo", "above-hi"])
+    def test_root_just_outside_the_bracket(self, monkeypatch, below):
+        signs = "signs (-1, -1)" if below else "signs (1, 1)"
+        for n, x in self.CASES:
+            value = self.shifted(n, x, below)
+            lo, hi = solver_bracket(BinomialObs(n, x))
+            # From a hint in the bracket's first or last fine cell the final
+            # cell touches that end, whose evaluation fails the check.
+            fine = exact.bisect_depth(1, n + 3, *(1e-12).as_integer_ratio()) + 1
+            edge = lo + (hi - lo) / 2**(fine + 1) if below else hi - (hi - lo) / 2**(fine + 1)
+            with pytest.raises(ValueError, match=re.escape(signs)):
+                exact.bisect_root(value, n + 2, lo, hi, 1e-12, near=edge,
+                                  near_error=Fraction(1, 2**80), rising=False)
+            # From the solver's own hint, a secant needs the end first.
+            monkeypatch.setattr(triangle, "_estimating_value", lambda obs: value)
+            with pytest.raises(BracketFailure, match=re.escape(signs)):
+                solve_iterative_bayes(BinomialObs(n, x))
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("lower", [True, False], ids=["lower", "upper"])
+    def test_final_cell_at_an_end_evaluates_that_end_only(self, lower):
+        # A root in the first (last) fine cell of (0, 1) at tol 2**-10: fine =
+        # 12 levels, the first pair on the fine level, whose end probe is the
+        # bracket's end and is skipped.  One probe and that end certify the
+        # cell; the other end is never evaluated.
+        root = Fraction(1, 10_000) if lower else Fraction(9_999, 10_000)
+        seen = []
+
+        def value(u, v):
+            seen.append(Fraction(u, v))
+            return (v * root.numerator - u * root.denominator) * (1 if lower else -1)
+
+        tol = Fraction(1, 2**10)
+        got = exact.bisect_root(value, 1, 0, 1, tol, near=root, near_error=Fraction(1, 2**40),
+                                rising=not lower)
+        assert seen == ([Fraction(1, 4096), 0] if lower else [Fraction(4095, 4096), 1])
+        coeffs = (root.numerator, -root.denominator) if lower else (-root.numerator, root.denominator)
+        assert got == reference_bisect_root(coeffs, 0, 1, tol)
 
 
 class TestFractionsPerSolve:

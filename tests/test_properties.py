@@ -24,7 +24,9 @@ from iterbayes.triangle import (
 from iterbayes.types import BinomialObs
 
 from helpers import (
+    bernstein_weights,
     dense_bisect_root,
+    from_bernstein,
     geometric_polynomial,
     reference_bisect_root,
     reference_estimating_coeffs,
@@ -32,6 +34,7 @@ from helpers import (
     reference_homogeneous_value,
     reference_mean_ratio,
     reference_positive_core,
+    uniqueness_margin,
     weighted_posterior_mean,
 )
 
@@ -117,16 +120,20 @@ def test_hint_never_changes_the_solve(n, data, tol):
     x = data.draw(st.integers(min_value=0, max_value=n))
     dense = triangle._estimating_value(BinomialObs(n, x))
     geometric = triangle._estimating_value(BinomialObs(x + 1, x))
-    for obs, value in ((BinomialObs(n, x), dense),
-                       (BinomialObs(x + 1, x), lambda u, v: geometric(u, v) // -2)):
+    # So does stating the orientation, J falling and J/-2 rising, which
+    # leaves the bracket ends unevaluated until the search needs them.
+    for obs, value, rising in ((BinomialObs(n, x), dense, False),
+                               (BinomialObs(x + 1, x), lambda u, v: geometric(u, v) // -2, True)):
         lo, hi = solver_bracket(obs)
         want = bisect_root(value, obs.n + 2, lo, hi, tol)
+        assert bisect_root(value, obs.n + 2, lo, hi, tol, rising=rising) == want, obs
         hint = triangle._root_hint(obs.n, obs.x)[0]
         edge = (hi - lo) / 2**60
         for near in (hint, hint + 2**-30, hint - 2**-30, float(lo + edge), float(hi - edge),
                      float((lo + hi) / 2), math.nan, math.inf, float(lo - 1)):
-            assert bisect_root(value, obs.n + 2, lo, hi, tol, near=near,
-                               near_error=triangle.HINT_ERROR) == want, (obs, near)
+            for stated in (None, rising):
+                assert bisect_root(value, obs.n + 2, lo, hi, tol, near=near, near_error=triangle.HINT_ERROR,
+                                   rising=stated) == want, (obs, near, stated)
     assert geometric_estimate(x, tol) == want
     # So does a refinement that is wrong (2**-30 off while claiming 2**-200),
     # absent, outside the bracket, or stopped by a decimal trap (Inexact
@@ -261,6 +268,40 @@ def test_exact_root_on_the_refined_grid_equals_bisection(lo, width, tol, odd, ex
 def test_estimating_polynomial_matches_fraction_reference(n, data):
     obs = BinomialObs(n, data.draw(st.integers(min_value=0, max_value=n)))
     assert estimating_polynomial(obs).int_coeffs == reference_estimating_coeffs(obs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=1, max_value=100), st.data())
+def test_bernstein_weights_in_closed_form(n, data):
+    # J = sum_i w_i a^i (1-a)^(d-i), d = n + 2, with d w_i in closed form;
+    # converting back is O(d^2), hence n <= 100.  From i = x on, each weight
+    # is -C(d, i) D(i) / ((i+1) d), the reduction the uniqueness proof signs.
+    x = data.draw(st.integers(min_value=0, max_value=n))
+    d = n + 2
+    weights = bernstein_weights(n, x)
+    assert from_bernstein(weights) == tuple(d * c for c in estimating_polynomial(BinomialObs(n, x)).int_coeffs)
+    for i in range(x, d):
+        assert (i + 1) * weights[i] == -math.comb(d, i) * uniqueness_margin(n, x, i), i
+    assert weights[d] == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=10_000), st.data())
+def test_bernstein_weights_change_sign_once(n, data):
+    # The uniqueness lemma: J's weights are positive for i <= x, negative for
+    # x + 1 <= i <= n + 1 and 0 at i = d, so by Descartes' rule in the
+    # Bernstein basis J has exactly one root in (0, 1).  Below x + 2 the
+    # weight's sign is that of (x+1)d - (n+3)i; from x + 2 on it is -D(i),
+    # D concave (i^2 coefficient -(n+3)(x+1)) and positive at both ends.
+    x = data.draw(st.integers(min_value=0, max_value=n))
+    d = n + 2
+    margins = [uniqueness_margin(n, x, i) for i in range(x + 2, d)]
+    assert uniqueness_margin(n, x, 1) - 2 * uniqueness_margin(n, x, 0) + uniqueness_margin(n, x, -1) \
+        == -2 * (n + 3) * (x + 1)
+    assert x == n or margins[0] > 0 < margins[-1]
+    signs = [(t > 0) - (t < 0) for t in [(x + 1) * d - (n + 3) * i for i in range(x + 2)]]
+    signs += [(t < 0) - (t > 0) for t in margins]
+    assert signs == [1] * (x + 1) + [-1] * (d - x - 1)
 
 
 @settings(max_examples=40, deadline=None)
