@@ -27,8 +27,8 @@ has a closed form,
 
 with C(i-x, 2) = 0 for i <= x + 1.  There only the linear part enters, and
 (x+1)d/(n+3) lies strictly between x and x + 1: w_i > 0 for i <= x and
-w_(x+1) < 0.  For x + 2 <= i <= n + 1 (none if x = n), C(n+3, d-i) = (n+3) C(d, i)/(i+1)
-gives w_i = -C(d, i) D(i) / ((i+1) d), where
+w_(x+1) < 0.  For x + 2 <= i <= n + 1 (none if x = n), C(n+3, d-i) =
+(n+3) C(d, i)/(i+1) gives w_i = -C(d, i) D(i) / ((i+1) d), where
 
     D(i) = (i+1)(m+1)((n+3)i - (x+1)d) - d(n+3)(i-x)(i-x-1)
 

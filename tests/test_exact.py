@@ -389,7 +389,7 @@ class TestEvaluationCount:
     # Without a usable hint the search starts from the secant at e = 2; a
     # float hint 2**-30 from the root, past HINT_ERROR, misses with its first
     # pair.  These calls state no orientation, so both bracket ends are
-    # evaluated first: the path callers other than the solvers take.
+    # evaluated first.
     # Over every n <= 120 the maxima are 14 and 16 without a hint, 9 and 12
     # from the poor one (13 at 1e-30 outside CASES).
     @pytest.mark.parametrize("tol, most, poor", [(1e-12, 14, 9), (1e-30, 16, 12)],
@@ -409,10 +409,11 @@ class TestEvaluationCount:
         assert 0 < worst[None] <= most and 0 < worst["poor"] <= poor
 
     # geometric_estimate solves J/-2, which rises through the root, and
-    # says so: at most 2 evaluations at 1e-12, and at 1e-30, where no
-    # geometric solve below x = 150 refines its hint, two fewer than the 8
-    # with both ends first.  Its Estimate is, field for field, that of the
-    # same search told no orientation, which reads it from the two ends.
+    # says so: at most 2 evaluations at 1e-12, and at 1e-30, where the
+    # solves below x = 127 keep the float hint, at most 6, two fewer than
+    # with both ends first (the refined ones take 2).  Its Estimate is,
+    # field for field, that of the same search told no orientation, which
+    # reads it from the two ends.
     @pytest.mark.parametrize("tol, most", [(1e-12, 2), (1e-30, 6)], ids=["1e-12", "1e-30"])
     def test_geometric_solves_rise(self, monkeypatch, tol, most):
         calls = _count_evaluations(monkeypatch)
