@@ -15,10 +15,11 @@ value the search has already computed.  One rule chooses its probes: each
 pair that encloses the root doubles the grid levels the bracket holds, and
 an estimate of the root with a bound on its error, when the caller has
 them, only set where and on which level the first pair falls; they decide
-no sign.  An error under half the fine cell leaves one pair to make, and a
-caller that states the polynomial's orientation spares the bracket ends
-unless the search needs them.  ``bisect_depth`` gives the grid's depth, for
-callers that choose their estimate's precision by it.  ``bisect_root`` takes
+no sign.  An error under half the fine cell leaves one pair to make, and
+the bracket ends are evaluated only when the search needs them.  It
+isolates a falling sign change; a caller negates a polynomial that rises.
+``bisect_depth`` gives the grid's depth, for callers that choose their
+estimate's precision by it.  ``bisect_root`` takes
 the polynomial as a homogeneous evaluator, value(u, v) = v**degree * P(u/v), so
 that a caller can evaluate a sparse or mirrored form of it.  ``sign_at`` and
 ``eval_rational`` take the dense coefficient tuple; no package code calls
@@ -39,7 +40,7 @@ from __future__ import annotations
 import math
 from decimal import Decimal
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, Sequence, Tuple, Union
 
 from .types import METHOD_BISECTION, Estimate
 
@@ -259,52 +260,50 @@ def bisect_root(
     *,
     near: Union[Rational, float, Decimal, None] = None,
     near_error: Union[Rational, float, Decimal, None] = None,
-    rising: Optional[bool] = None,
 ) -> Estimate:
-    """Isolate the sign change of a polynomial P of degree ``degree`` in
-    (lo, hi), given as its homogeneous evaluator: ``value(u, v)`` is the
-    integer v**degree * P(u/v) for integers u and v > 0.
+    """Isolate the falling sign change of a polynomial P of degree
+    ``degree`` in (lo, hi), given as its homogeneous evaluator:
+    ``value(u, v)`` is the integer v**degree * P(u/v) for integers u and
+    v > 0.
 
-    The endpoints must evaluate to nonzero values of opposite sign (ValueError
-    otherwise), P(lo) < 0 < P(hi) if ``rising`` is True and P(lo) > 0 > P(hi)
-    if it is False.  The result is what bisection with exact rational midpoints
-    gives when it halves the interval until it is narrower than ``tol``:
-    after K halvings, the cell of width (hi - lo) / 2**K that holds the
-    root as the Estimate's ``bracket``, its midpoint p/q as ``value_exact``,
-    ``iterations`` K + 1 and the ``residual`` |P(p/q)| of the polynomial P:
-    the integer |q**degree P(p/q)| over q**degree, rounded once by int true
-    division, with no gcd to reduce the fraction.  A grid point that is an exact root
-    comes back as bisection meets it: with zero residual, and with the
-    strict-sign interval bisection holds at that step as the bracket.
+    P must fall through the root, P(lo) > 0 > P(hi) (ValueError otherwise); a
+    polynomial that rises is passed negated, which changes no field of the
+    result.  The result is what bisection with exact rational midpoints gives
+    when it halves the interval until it is narrower than ``tol``: after K
+    halvings, the cell of width (hi - lo) / 2**K that holds the root as the
+    Estimate's ``bracket``, its midpoint p/q as ``value_exact``, ``iterations``
+    K + 1 and the ``residual`` |P(p/q)| of the polynomial P: the integer
+    |q**degree P(p/q)| over q**degree, rounded once by int true division, with
+    no gcd to reduce the fraction.  A grid point that is an exact root comes
+    back as bisection meets it: with zero residual, and with the strict-sign
+    interval bisection holds at that step as the bracket.
 
     The cell is found by quadratic interval refinement (Abbott, 2006) on
-    bisection's grid refined once, with fine = K + 1 halvings, instead of by
-    K halvings.  A bracket [a, b] of grid indices is kept with the exact
-    values of the polynomial at its ends, and a gain e.  With span the
-    largest power of two at most (b - a) / 2**e, the multiple of span nearest
-    a guess is probed, then its neighbour on the root's side; their exact
-    signs narrow the bracket whether or not they enclose the root.  When they
-    do, the bracket is narrower than two cells of grid level L = fine + 1 -
-    bit_length(b - a), and e becomes L, so the next span is a cell of level
-    2L: the bits known double per pair.  Otherwise e halves and the bracket
-    is halved once.  The guess is the zero of the secant through the
-    bracket's values, except for the first pair when ``near`` is given.  No
-    guess decides a sign, so every bracket is certified by exact signs; with
-    one root in (lo, hi) the final cell, and so every field, is bisection's.
-    The search ends in a unit cell of the refined grid; its odd end is the
-    midpoint of bisection's cell, whose value it already holds, so the
-    residual costs no evaluation.
+    bisection's grid refined once, with fine = K + 1 halvings, instead of by K
+    halvings.  A bracket [a, b] of grid indices is kept with the exact values
+    of the polynomial at its ends, once known, and a gain e.  With span the
+    largest power of two at most (b - a) / 2**e, the multiple of span nearest a
+    guess is probed, then its neighbour on the root's side; their exact signs
+    narrow the bracket whether or not they enclose the root.  When they do, the
+    bracket is narrower than two cells of grid level L = fine + 1 -
+    bit_length(b - a), and e becomes L, so the next span is a cell of level 2L:
+    the bits known double per pair.  Otherwise e halves and the bracket is
+    halved once.  The guess is the zero of the secant through the bracket's
+    values, except for the first pair when ``near`` is given.  No guess decides
+    a sign, so every bracket is certified by exact signs; with one root in
+    (lo, hi) the final cell, and so every field, is bisection's.  The search
+    ends in a unit cell of the refined grid; its odd end is the midpoint of
+    bisection's cell, whose value it already holds, so the residual costs no
+    evaluation.
 
-    ``rising`` states the orientation: None (the default) reads it from lo
-    and hi, which are evaluated first.  Given True or False, an end of
-    (lo, hi) is evaluated only when a secant needs its value or the final
-    cell touches it, and its sign is checked then: each sign the search
-    compares is exact, so the final cell is still certified by two exact
-    signs.  A probe that meets an exact zero before any value is known is
-    returned only once lo is found to have its stated sign, so the zero
-    polynomial is rejected too.  A polynomial that does not change sign as
-    stated raises the same ValueError, naming the orientation when its
-    ends do change sign the other way.
+    An end of (lo, hi) is evaluated only when a secant needs its value or
+    the final cell touches it, and its sign is checked then: each sign the
+    search compares is exact, so the final cell is still certified by two
+    exact signs.  A probe that meets an exact zero before any value is
+    known is returned only once P(lo) is found positive, so the zero
+    polynomial is rejected too.  An end of the wrong sign raises the
+    ValueError with the signs of both ends, and names a "falling" sign
+    change as the one missing when they change sign the other way.
 
     ``lo``, ``hi`` and ``tol`` may each be an int, a float or a Fraction;
     each is read once as its exact integer ratio, so equal values of any
@@ -320,18 +319,17 @@ def bisect_root(
     ceil(fine / 2), ... whose cell is at least ``near_error``; without it e
     starts at 2.  A ``near`` that is None, NaN or outside (lo, hi) is
     ignored.  An error under half the fine cell puts the first pair on the
-    fine level, where it encloses the root: with ``rising`` given, that
-    pair is the whole search.  The package's solves state their
-    orientation and pass their float hint, trusted to 2**-46, where
+    fine level, where it encloses the root: that pair is the whole search.
+    The package's solves pass their float hint, trusted to 2**-46, where
     bisection's cell is wider than that (tol 1e-13 and above), and take at
     most 2 exact evaluations there for n <= 120, where bisection takes
     K + 3, K being about 40.  Below, large enough solves pass a hint
     refined to under half the fine cell, with the error it reached, and
     take 2 at any tol; the rest take at most 6 at 1e-30 for n <= 120 from
-    the float hint.  Told no orientation, a search evaluates both ends
-    first and takes up to 2 more: at most 14 at 1e-12 and 16 at 1e-30
-    without a hint.  Early probes, on multiples of a large span, are
-    evaluated on a coarse grid with short integers.  Each exact evaluation
+    the float hint.  Without a hint the first secant reads both ends: at
+    most 14 evaluations at 1e-12 and 16 at 1e-30.  Early probes, on
+    multiples of a large span, are evaluated on a coarse grid with short
+    integers.  Each exact evaluation
     is one call of ``value``.
     """
     tol_num, tol_den = check_tol(tol, "bisect_root")
@@ -368,25 +366,19 @@ def bisect_root(
 
     def reject(fa: int, fb: int) -> ValueError:
         s, t = (fa > 0) - (fa < 0), (fb > 0) - (fb < 0)
-        kind = "strict" if s * t >= 0 else "rising" if rising else "falling"
+        kind = "strict" if s * t >= 0 else "falling"
         return ValueError(f"bisect_root: no {kind} sign change over "
                           f"({Fraction(lo)}, {Fraction(hi)}): signs ({s}, {t})")
 
     top = 1 << fine
     a, b = 0, top
-    if rising is None:
-        fa, fb = grid_value(a), grid_value(b)
-        if fa == 0 or fb == 0 or (fa > 0) == (fb > 0):
-            raise reject(fa, fb)
-        rising = fb > 0
-    else:
-        fa = fb = None
+    fa = fb = None
 
     def end_value(i: int) -> int:
         """The value at the bracket end i, 0 or top, evaluated on demand:
-        ValueError unless its sign is the one ``rising`` gives that end."""
+        ValueError unless it is positive at lo and negative at hi."""
         fi = grid_value(i)
-        if fi == 0 or (fi > 0) != (rising == (i == top)):
+        if fi == 0 or (fi > 0) != (i == 0):
             raise reject(*((fi, grid_value(top)) if i == 0 else (grid_value(0), fi)))
         return fi
 
@@ -407,10 +399,10 @@ def bisect_root(
                 if fa is None and fb is None:
                     end_value(0)  # no nonzero value known: P may vanish everywhere
                 return True
-            if (fi > 0) == rising:
-                b, fb = i, fi
-            else:
+            if fi > 0:
                 a, fa = i, fi
+            else:
+                b, fb = i, fi
         return False
 
     def estimate(m: int, residual: float = 0.0) -> Estimate:

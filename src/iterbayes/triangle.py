@@ -46,8 +46,8 @@ J falls from positive to negative, so the authoritative solver isolates it
 there with exact rational sign tests, correct unconditionally on
 floating-point behaviour.  It returns the bracket plain bisection of that
 interval would, found by quadratic interval refinement on bisection's grid
-refined once (``exact.bisect_root``).  The solver states J's orientation,
-so ``bisect_root`` evaluates a bracket end only when a secant or the final
+refined once (``exact.bisect_root``), which isolates exactly such a falling
+sign change, so it evaluates a bracket end only when a secant or the final
 cell needs it, and checks its sign then: the cell it returns is still
 certified by two exact signs, and by the lemma above it holds the one
 root.  A float Newton estimate of the root (``_root_hint``) chooses where
@@ -74,8 +74,8 @@ Golden Ratio.
 
 The geometric model (x successes before the first failure) is the binomial
 one at n = x + 1: its estimate solves that estimating polynomial divided by
--2, (x+1) a^(x+3) - (x+4) a^(x+2) + (x+4) a - (x+1), which rises through
-the root, and reports its residual.
+2, (x+1) - (x+4) a + (x+4) a^(x+2) - (x+1) a^(x+3), which falls through
+the root like J, and reports its residual.
 """
 
 from __future__ import annotations
@@ -493,20 +493,19 @@ def _hint_bits(n: int, x: int, tol_ratio: Tuple[int, int]) -> int:
 
 def _bisect_estimate(value: Callable[[int, int], int], obs: BinomialObs,
                      tol: Union[float, Fraction], tol_ratio: Tuple[int, int],
-                     label: object, rising: bool) -> Estimate:
+                     label: object) -> Estimate:
     """Bisect the degree-(n+2) polynomial whose homogeneous evaluator is
     ``value`` on the solver bracket of ``obs``, from the hint of
     :func:`_root_hint`; ``tol_ratio`` is ``tol``'s integer ratio, as
-    ``check_tol`` returned it, and ``rising`` the polynomial's orientation
-    there, so that ``bisect_root`` evaluates the bracket ends only when it
-    needs them.  An absent sign change raises BracketFailure naming
-    ``label``, formatted only then."""
+    ``check_tol`` returned it.  The polynomial must fall through its root
+    there, as J does, so that ``bisect_root`` evaluates the bracket ends
+    only when it needs them.  An absent sign change raises BracketFailure
+    naming ``label``, formatted only then."""
     lo, hi = solver_bracket(obs)
     n, x = obs.n, obs.x
     near, error = _root_hint(n, x, _hint_bits(n, x, tol_ratio))
     try:
-        return bisect_root(value, n + 2, lo, hi, tol=tol, near=near, near_error=error,
-                           rising=rising)
+        return bisect_root(value, n + 2, lo, hi, tol=tol, near=near, near_error=error)
     except ValueError as exc:
         raise BracketFailure(f"no sign change over {lo}..{hi} for {label}: {exc}") from exc
 
@@ -522,7 +521,7 @@ def solve_iterative_bayes(obs: BinomialObs, tol: Union[float, Fraction] = 1e-12)
     float, and at most (tol/2) max |J'| over the bracket.
     """
     tol_ratio = check_tol(tol, obs)
-    return _bisect_estimate(_estimating_value(obs), obs, tol, tol_ratio, obs, rising=False)
+    return _bisect_estimate(_estimating_value(obs), obs, tol, tol_ratio, obs)
 
 
 def mirrored_values(n: int, tol: Union[float, Fraction]) -> Tuple[float, ...]:
@@ -586,10 +585,10 @@ def geometric_estimate(x: int, tol: Union[float, Fraction] = 1e-12) -> Estimate:
     before the first failure, the binomial likelihood of x + 1 trials.
 
     That estimating polynomial J = 2(x+1) - 2(x+4) a + 2(x+4) a^(x+2) -
-    2(x+1) a^(x+3) is solved divided by -2, exactly: the geometric polynomial
-    (x+1) a^(x+3) - (x+4) a^(x+2) + (x+4) a - (x+1), with J's root, bracket
-    and iterations.  The division stays because the geometric estimate
-    prints the residual on this scale, half of J's.
+    2(x+1) a^(x+3) is solved divided by 2, exactly: the geometric polynomial
+    (x+1) - (x+4) a + (x+4) a^(x+2) - (x+1) a^(x+3), with J's root, bracket,
+    iterations and orientation.  The division stays because the geometric
+    estimate prints the residual on this scale, half of J's.
     """
     if x < 0:
         raise ValueError("geometric_estimate: x must be >= 0")
@@ -597,8 +596,7 @@ def geometric_estimate(x: int, tol: Union[float, Fraction] = 1e-12) -> Estimate:
     tol_ratio = check_tol(tol, label)
     obs = BinomialObs(x + 1, x)
     value = _estimating_value(obs)
-    return _bisect_estimate(lambda u, v: value(u, v) // -2, obs, tol, tol_ratio, label,
-                            rising=True)
+    return _bisect_estimate(lambda u, v: value(u, v) // 2, obs, tol, tol_ratio, label)
 
 
 def negative_binomial_estimate(r: int, x: int, tol: Union[float, Fraction] = 1e-12) -> Estimate:

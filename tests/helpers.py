@@ -27,9 +27,9 @@ writes each coefficient in closed form, and must give the same integers.
 
 The geometric polynomial is the closed form for x successes before the
 first failure, (x+1) a^(x+3) - (x+4) a^(x+2) + (x+4) a - (x+1), written term
-by term.  The package divides the binomial estimating polynomial for
-(n, x) = (x+1, x) by -2 instead, and must give the same integers and the same
-solve.
+by term: it rises through its root.  The package divides the binomial
+estimating polynomial for (n, x) = (x+1, x) by 2 instead, the same
+polynomial negated, and must give the same solve.
 
 The power and antiderivative helpers integrate a polynomial in plain
 Fraction arithmetic: the independent route to the balance integral.  The
@@ -50,9 +50,10 @@ give the same integer.
 The bisection reference is the plain halving loop of exact-sign bisection:
 the package's root isolation must return every field of its result, so it
 stays here as the definition the faster search is held to.  The package's
-root isolation takes a homogeneous evaluator; ``dense_bisect_root`` hands it
-one over a dense coefficient tuple, so that tests can compare the two on the
-same polynomial.
+root isolation takes a homogeneous evaluator of a polynomial that falls
+through its root; ``dense_bisect_root`` hands it one over a dense coefficient
+tuple, negated where the polynomial rises, so that tests can compare the two
+on the same polynomial.
 
 The quadrature error target is relative, which needs a realistic estimate
 of the integral's magnitude up front: sharply peaked integrands can make a
@@ -383,8 +384,18 @@ def reference_homogeneous_value(coeffs, u, v):
 
 def dense_bisect_root(coeffs, lo, hi, tol=Fraction(1, 10**12)):
     """``bisect_root`` on an integer coefficient tuple: each evaluation is one
-    ``exact._homogeneous_value`` call, looked up on the module."""
-    return bisect_root(lambda u, v: exact._homogeneous_value(coeffs, u, v), len(coeffs) - 1, lo, hi, tol)
+    ``exact._homogeneous_value`` call, looked up on the module.  A polynomial
+    that rises from a negative value at lo to a positive one at hi is passed
+    negated, so that the search sees a falling sign change; every field of
+    the Estimate is the same for both.  The ends' signs are read with the
+    reference Horner loop, so that only the search's evaluations count.  Every
+    other input, falling or with a zero or like signs at the ends, is passed
+    as it is."""
+    at_lo, at_hi = (reference_homogeneous_value(coeffs, *Fraction(end).as_integer_ratio())
+                    for end in (lo, hi))
+    sign = -1 if at_lo < 0 < at_hi else 1
+    return bisect_root(lambda u, v: sign * exact._homogeneous_value(coeffs, u, v),
+                       len(coeffs) - 1, lo, hi, tol)
 
 
 def reference_bisect_root(coeffs, lo, hi, tol=Fraction(1, 10**12)):

@@ -136,7 +136,8 @@ class TestBisectRoot:
         assert result.residual == 0
 
     def test_orientation_agnostic(self):
-        # falling and rising sign changes both bisect to the same root
+        # falling and rising sign changes both bisect to the same root; the
+        # rising one reaches bisect_root negated
         falling = dense_bisect_root((1, -1, -1), 0, 1, tol=Fraction(1, 10**12))
         rising = dense_bisect_root((-1, 1, 1), 0, 1, tol=Fraction(1, 10**12))
         assert falling.value == rising.value
@@ -310,10 +311,10 @@ class TestEvaluationCount:
 
     # The measured maxima over every n <= 120, residual included: it is read
     # from the refined grid and costs no evaluation of its own.  The solves
-    # state J's orientation, so the bracket ends are evaluated only when a
-    # secant or the final cell needs them, and none is here.  With the float
-    # hint: one pair per doubling of the bits known, from the hint's level:
-    # one pair at 1e-12, three at 1e-30.  Where the solve refines its hint
+    # isolate J's falling sign change, so the bracket ends are evaluated only
+    # when a secant or the final cell needs them, and none is here.  With the
+    # float hint: one pair per doubling of the bits known, from the hint's
+    # level: one pair at 1e-12, three at 1e-30.  Where the solve refines its hint
     # (n * fine >= _REFINE_MIN: n >= 128 at 1e-30, 75 at 1e-50, 37 at 1e-100
     # and 12 at 5e-324 here) one pair on the fine level.  At 5e-324, whose
     # solves cost the most, every third case.
@@ -386,13 +387,13 @@ class TestEvaluationCount:
             solve_iterative_bayes(BinomialObs(n, x), tol=1e-12)
             assert 0 < calls[0] <= 2, x
 
-    # Without a usable hint the search starts from the secant at e = 2; a
-    # float hint 2**-30 from the root, past HINT_ERROR, misses with its first
-    # pair.  These calls state no orientation, so both bracket ends are
-    # evaluated first.
-    # Over every n <= 120 the maxima are 14 and 16 without a hint, 9 and 12
-    # from the poor one (13 at 1e-30 outside CASES).
-    @pytest.mark.parametrize("tol, most, poor", [(1e-12, 14, 9), (1e-30, 16, 12)],
+    # Without a usable hint the search starts from the secant at e = 2,
+    # which reads both bracket ends; a float hint 2**-30 from the root, past
+    # HINT_ERROR, misses with its first pair, and the ends are evaluated
+    # only when a later secant or the final cell needs them.
+    # Over every n <= 120 the maxima are 14 and 16 without a hint, 7 and 10
+    # from the poor one (11 at 1e-30 outside CASES).
+    @pytest.mark.parametrize("tol, most, poor", [(1e-12, 14, 7), (1e-30, 16, 10)],
                              ids=["1e-12", "1e-30"])
     def test_without_a_good_hint(self, monkeypatch, tol, most, poor):
         calls = _count_evaluations(monkeypatch)
@@ -408,25 +409,20 @@ class TestEvaluationCount:
                 worst[kind] = max(worst[kind], calls[0])
         assert 0 < worst[None] <= most and 0 < worst["poor"] <= poor
 
-    # geometric_estimate solves J/-2, which rises through the root, and
-    # says so: at most 2 evaluations at 1e-12, and at 1e-30, where the
-    # solves below x = 127 keep the float hint, at most 6, two fewer than
-    # with both ends first (the refined ones take 2).  Its Estimate is,
-    # field for field, that of the same search told no orientation, which
-    # reads it from the two ends.
+    # geometric_estimate solves J/2, which falls through the root like J:
+    # at most 2 evaluations at 1e-12, and at 1e-30, where the solves below
+    # x = 127 keep the float hint, at most 6 (the refined ones take 2).  Its
+    # Estimate is, field for field, plain bisection's of the geometric
+    # polynomial.
     @pytest.mark.parametrize("tol, most", [(1e-12, 2), (1e-30, 6)], ids=["1e-12", "1e-30"])
-    def test_geometric_solves_rise(self, monkeypatch, tol, most):
+    def test_geometric_solves(self, monkeypatch, tol, most):
         calls = _count_evaluations(monkeypatch)
         worst = 0
         for x in range(150):
             calls[0] = 0
             got = geometric_estimate(x, tol)
             worst = max(worst, calls[0])
-            obs = BinomialObs(x + 1, x)
-            value = triangle._estimating_value(obs)
-            near, error = triangle._root_hint(x + 1, x, triangle._hint_bits(x + 1, x, tol.as_integer_ratio()))
-            assert got == exact.bisect_root(lambda u, v: value(u, v) // -2, x + 3, *solver_bracket(obs),
-                                            tol, near=near, near_error=error), x
+            assert got == reference_bisect_root(*_geometric_case(x), tol), x
         assert 0 < worst <= most
 
     def test_total_over_every_solve_up_to_n60(self, monkeypatch):
@@ -530,22 +526,22 @@ class TestRefinedHint:
 
 
 class TestLazyEnds:
-    """Told the polynomial's orientation, ``bisect_root`` evaluates a bracket
-    end only when a secant or the final cell needs it, and checks that end's
-    sign then.  A polynomial that does not change sign as stated raises the
-    "signs" ValueError, never ZeroDivisionError, and returns no Estimate."""
+    """``bisect_root`` evaluates a bracket end only when a secant or the
+    final cell needs it, and checks that end's sign then.  A polynomial
+    without a falling sign change raises the "signs" ValueError, never
+    ZeroDivisionError, and returns no Estimate."""
 
     CASES = [(1, 0), (7, 3), (20, 10), (40, 13), (90, 80)]
 
     @staticmethod
-    def isolate(value, n, x, tol, hinted, rising):
+    def isolate(value, n, x, tol, hinted):
         lo, hi = solver_bracket(BinomialObs(n, x))
         near, error = triangle._root_hint(n, x) if hinted else (None, None)
-        return exact.bisect_root(value, n + 2, lo, hi, tol, near=near, near_error=error, rising=rising)
+        return exact.bisect_root(value, n + 2, lo, hi, tol, near=near, near_error=error)
 
-    def rejected(self, value, n, x, tol, hinted, rising):
+    def rejected(self, value, n, x, tol, hinted):
         with pytest.raises(ValueError) as info:
-            self.isolate(value, n, x, tol, hinted, rising)
+            self.isolate(value, n, x, tol, hinted)
         lo, hi = solver_bracket(BinomialObs(n, x))
         prefix, _, signs = str(info.value).partition(f" over ({lo}, {hi}): ")
         return prefix, signs
@@ -553,23 +549,22 @@ class TestLazyEnds:
     @pytest.mark.parametrize("hinted", [True, False], ids=["hint", "no-hint"])
     @pytest.mark.parametrize("tol", [1e-12, 1e-30], ids=["1e-12", "1e-30"])
     def test_wrong_orientation(self, tol, hinted):
-        # J falls through its root; stated as rising, it is rejected when the
-        # search first needs an end.
+        # -J rises through J's root: it is rejected when the search first
+        # needs an end.
         for n, x in self.CASES:
             value = triangle._estimating_value(BinomialObs(n, x))
-            assert (self.rejected(value, n, x, tol, hinted, rising=True)
-                    == ("bisect_root: no rising sign change", "signs (1, -1)")), (n, x)
+            assert (self.rejected(lambda u, v: -value(u, v), n, x, tol, hinted)
+                    == ("bisect_root: no falling sign change", "signs (-1, 1)")), (n, x)
 
     @pytest.mark.parametrize("hinted", [True, False], ids=["hint", "no-hint"])
-    @pytest.mark.parametrize("rising", [True, False], ids=["rising", "falling"])
-    def test_constants_and_the_zero_polynomial(self, rising, hinted):
+    def test_constants_and_the_zero_polynomial(self, hinted):
         # The zero polynomial vanishes at the first probe: an exact zero is
         # returned only after one end is found nonzero.
         for n, x in self.CASES:
             for value, signs in ((lambda u, v: v ** (n + 2), "signs (1, 1)"),
                                  (lambda u, v: -v ** (n + 2), "signs (-1, -1)"),
                                  (lambda u, v: 0, "signs (0, 0)")):
-                assert (self.rejected(value, n, x, 1e-12, hinted, rising)
+                assert (self.rejected(value, n, x, 1e-12, hinted)
                         == ("bisect_root: no strict sign change", signs)), (n, x)
 
     @staticmethod
@@ -596,7 +591,7 @@ class TestLazyEnds:
             edge = lo + (hi - lo) / 2**(fine + 1) if below else hi - (hi - lo) / 2**(fine + 1)
             with pytest.raises(ValueError, match=re.escape(signs)):
                 exact.bisect_root(value, n + 2, lo, hi, 1e-12, near=edge,
-                                  near_error=Fraction(1, 2**80), rising=False)
+                                  near_error=Fraction(1, 2**80))
             # From the solver's own hint, a secant needs the end first.
             monkeypatch.setattr(triangle, "_estimating_value", lambda obs: value)
             with pytest.raises(BracketFailure, match=re.escape(signs)):
@@ -614,14 +609,12 @@ class TestLazyEnds:
 
         def value(u, v):
             seen.append(Fraction(u, v))
-            return (v * root.numerator - u * root.denominator) * (1 if lower else -1)
+            return v * root.numerator - u * root.denominator
 
         tol = Fraction(1, 2**10)
-        got = exact.bisect_root(value, 1, 0, 1, tol, near=root, near_error=Fraction(1, 2**40),
-                                rising=not lower)
+        got = exact.bisect_root(value, 1, 0, 1, tol, near=root, near_error=Fraction(1, 2**40))
         assert seen == ([Fraction(1, 4096), 0] if lower else [Fraction(4095, 4096), 1])
-        coeffs = (root.numerator, -root.denominator) if lower else (-root.numerator, root.denominator)
-        assert got == reference_bisect_root(coeffs, 0, 1, tol)
+        assert got == reference_bisect_root((root.numerator, -root.denominator), 0, 1, tol)
 
 
 class TestFractionsPerSolve:

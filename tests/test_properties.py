@@ -120,20 +120,16 @@ def test_hint_never_changes_the_solve(n, data, tol):
     x = data.draw(st.integers(min_value=0, max_value=n))
     dense = triangle._estimating_value(BinomialObs(n, x))
     geometric = triangle._estimating_value(BinomialObs(x + 1, x))
-    # So does stating the orientation, J falling and J/-2 rising, which
-    # leaves the bracket ends unevaluated until the search needs them.
-    for obs, value, rising in ((BinomialObs(n, x), dense, False),
-                               (BinomialObs(x + 1, x), lambda u, v: geometric(u, v) // -2, True)):
+    for obs, value in ((BinomialObs(n, x), dense),
+                       (BinomialObs(x + 1, x), lambda u, v: geometric(u, v) // 2)):
         lo, hi = solver_bracket(obs)
         want = bisect_root(value, obs.n + 2, lo, hi, tol)
-        assert bisect_root(value, obs.n + 2, lo, hi, tol, rising=rising) == want, obs
         hint = triangle._root_hint(obs.n, obs.x)[0]
         edge = (hi - lo) / 2**60
         for near in (hint, hint + 2**-30, hint - 2**-30, float(lo + edge), float(hi - edge),
                      float((lo + hi) / 2), math.nan, math.inf, float(lo - 1)):
-            for stated in (None, rising):
-                assert bisect_root(value, obs.n + 2, lo, hi, tol, near=near, near_error=triangle.HINT_ERROR,
-                                   rising=stated) == want, (obs, near, stated)
+            assert bisect_root(value, obs.n + 2, lo, hi, tol, near=near,
+                               near_error=triangle.HINT_ERROR) == want, (obs, near)
     assert geometric_estimate(x, tol) == want
     # So does a refinement that is wrong (2**-30 off while claiming 2**-200),
     # absent, outside the bracket, or stopped by a decimal trap (Inexact
@@ -322,8 +318,9 @@ def test_solution_symmetry_and_bracket(n, data, tol):
 @settings(max_examples=20, deadline=None)
 @given(st.sampled_from([1e-12, 1e-30, 5e-324]), st.data())
 def test_geometric_estimate_solves_the_geometric_polynomial(tol, data):
-    # The package divides J(x + 1, x) by -2; the closed form must give the
-    # same solve, residual included, for x = 0 as for every other x.
+    # The package divides J(x + 1, x) by 2; the closed form, which is that
+    # polynomial negated, must give the same solve, residual included, for
+    # x = 0 as for every other x.
     x = data.draw(st.integers(min_value=0, max_value=60 if tol == 5e-324 else 300))
     est = geometric_estimate(x, tol)
     ref = dense_bisect_root(geometric_polynomial(x), *solver_bracket(BinomialObs(x + 1, x)), tol)

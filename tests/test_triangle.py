@@ -500,7 +500,7 @@ class TestGeometricAndNegativeBinomial:
             assert tuple(-2 * c for c in geometric_polynomial(x)) == jn
 
     def test_geometric_x0_residual_is_half_the_binomial_one(self):
-        # x = 0 is solved like every other x: J(1, 0) / -2, so its residual
+        # x = 0 is solved like every other x: J(1, 0) / 2, so its residual
         # is half of the binomial solve's, with every other field equal.
         geo = geometric_estimate(0, tol=1e-12)
         nb = negative_binomial_estimate(1, 0, tol=1e-12)
