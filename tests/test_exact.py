@@ -567,6 +567,28 @@ class TestLazyEnds:
                 assert (self.rejected(value, n, x, 1e-12, hinted)
                         == ("bisect_root: no strict sign change", signs)), (n, x)
 
+    @pytest.mark.parametrize("lower", [True, False], ids=["lower", "upper"])
+    def test_root_at_an_end(self, lower):
+        # P(t) = (r - t)(1 + t) with r = 0 (1) falls through its root at the
+        # lower (upper) end of (0, 1) and has no sign change inside.  The end
+        # that holds the root evaluates to an exact 0 and is rejected as no
+        # strict sign change: without a hint, where the first secant reads
+        # both ends, from a hint at the middle, and from one beside that end,
+        # where the final cell needs that end only.
+        r = 0 if lower else 1
+        signs = "signs (0, -1)" if lower else "signs (1, 0)"
+
+        def value(u, v):
+            return (v * r - u) * (v + u)
+
+        tol = Fraction(1, 2**10)
+        edge = Fraction(1, 10_000) if lower else Fraction(9_999, 10_000)
+        for near in (None, Fraction(1, 2), edge):
+            error = None if near is None else Fraction(1, 2**40)
+            with pytest.raises(ValueError) as info:
+                exact.bisect_root(value, 2, 0, 1, tol, near=near, near_error=error)
+            assert str(info.value) == f"bisect_root: no strict sign change over (0, 1): {signs}", near
+
     @staticmethod
     def shifted(n, x, below):
         """The evaluator of J(a + s), a positive multiple of it, with s such
