@@ -16,7 +16,10 @@ pair that encloses the root doubles the grid levels the bracket holds, and
 an estimate of the root with a bound on its error, when the caller has
 them, only set where and on which level the first pair falls; they decide
 no sign.  An error under half the fine cell leaves one pair to make, and
-the bracket ends are evaluated only when the search needs them.  It
+the bracket ends are evaluated only when the search needs them.  A caller
+may also pass ``certify``, which decides a probe's sign and residual when
+it can prove them, for instance from a directed-rounding enclosure of the
+value that excludes 0; every other probe is evaluated exactly.  It
 isolates a falling sign change; a caller negates a polynomial that rises.
 ``bisect_depth`` gives the grid's depth, for callers that choose their
 estimate's precision by it.  ``bisect_root`` takes
@@ -28,7 +31,8 @@ them.  The benchmark tracer wraps both by name, the tests use both, and
 with zero residual is an exact root.
 
 Everything in this module is computed without rounding but the float residual
-of ``bisect_root``, rounded once from an exact integer quotient.  Scalars are
+of ``bisect_root``, rounded once from an exact integer quotient or taken from
+``certify``, which proves it equal to that rounding.  Scalars are
 ``fractions.Fraction`` at the API boundary (arbitrary precision, always in
 lowest terms with a positive denominator), so identity checks elsewhere in
 the package can assert equality instead of closeness.  Inside ``bisect_root``
@@ -40,7 +44,7 @@ from __future__ import annotations
 import math
 from decimal import Decimal
 from fractions import Fraction
-from typing import Callable, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 from .types import METHOD_BISECTION, Estimate
 
@@ -260,6 +264,7 @@ def bisect_root(
     *,
     near: Union[Rational, float, Decimal, None] = None,
     near_error: Union[Rational, float, Decimal, None] = None,
+    certify: Optional[Callable[[int, int], Optional[Tuple[int, float]]]] = None,
 ) -> Estimate:
     """Isolate the falling sign change of a polynomial P of degree
     ``degree`` in (lo, hi), given as its homogeneous evaluator:
@@ -299,9 +304,10 @@ def bisect_root(
     An end of (lo, hi) is evaluated only when a secant needs its value or
     the final cell touches it, and its sign is checked then: each sign the
     search compares is exact, so the final cell is still certified by two
-    exact signs.  A probe that meets an exact zero before any value is
-    known is returned only once P(lo) is found positive, so the zero
-    polynomial is rejected too.  An end of the wrong sign raises the
+    exact signs.  A probe that meets an exact zero is returned only once
+    each end of (lo, hi) that still bounds the bracket is found of the
+    right sign, so the zero polynomial, and one that only touches 0 there,
+    are rejected too.  An end of the wrong sign raises the
     ValueError with the signs of both ends, and names a "falling" sign
     change as the one missing when they change sign the other way.
 
@@ -331,6 +337,23 @@ def bisect_root(
     multiples of a large span, are evaluated on a coarse grid with short
     integers.  Each exact evaluation
     is one call of ``value``.
+
+    ``certify``, when given, is asked first at each probe, with the same
+    (u, v) ``value`` would get.  It returns None or (sign, residual): the
+    sign of P(u/v), +1 or -1, and |P(u/v)| rounded to the nearest float,
+    both proven, for instance by lower and upper bounds of P(u/v) that
+    exclude 0 and whose absolute values round to the same float (rounding
+    to nearest is monotone).  A decided probe narrows the bracket as an
+    exact sign does, and a decided odd end of the final cell gives the
+    residual, which then equals the exact one.  Where it returns None, at
+    an exact root or a near-tie, the probe is evaluated by ``value``, so
+    the zero test stays exact; so are the bracket ends, and any point whose
+    value a secant needs, lazily, as above.  Every sign the search compares
+    is exact or proven; with a ``certify`` that decides every probe it makes
+    no exact evaluation at all where the first pair ends the search.  An
+    exact zero is returned only once the ends of (lo, hi) that still bound
+    the bracket are checked, so a polynomial that touches 0 at a probe
+    without changing sign is rejected as it is without a hint.
     """
     tol_num, tol_den = check_tol(tol, "bisect_root")
     if near is not None and near_error is None:
@@ -356,10 +379,16 @@ def bisect_root(
     step = hi_u - lo_u
     den = lcm << fine
 
-    def grid_value(i: int) -> int:
+    def coarsest(i: int) -> Tuple[int, int, int]:
+        """Grid point i as u / v on the coarsest grid that holds it, and
+        the shift from that grid to the fine one."""
         u = base + i * step
         shift = min((u & -u).bit_length() - 1, fine) if u else fine
-        return value(u >> shift, den >> shift) << shift * degree
+        return u >> shift, den >> shift, shift
+
+    def grid_value(i: int) -> int:
+        u, v, shift = coarsest(i)
+        return value(u, v) << shift * degree
 
     def point(i: int) -> Fraction:
         return Fraction(base + i * step, den)
@@ -373,6 +402,8 @@ def bisect_root(
     top = 1 << fine
     a, b = 0, top
     fa = fb = None
+    # Residuals of the probes whose sign ``certify`` decided, by grid index.
+    residuals = {}
 
     def end_value(i: int) -> int:
         """The value at the bracket end i, 0 or top, evaluated on demand:
@@ -382,22 +413,40 @@ def bisect_root(
             raise reject(*((fi, grid_value(top)) if i == 0 else (grid_value(0), fi)))
         return fi
 
-    def know_ends() -> None:
+    def check_ends() -> None:
+        """Evaluate and check each end of (lo, hi) that still bounds [a, b]."""
         nonlocal fa, fb
-        if fa is None:
+        if fa is None and a == 0:
             fa = end_value(0)
-        if fb is None:
+        if fb is None and b == top:
             fb = end_value(top)
+
+    def know_ends() -> None:
+        """The exact values at a and b, for a secant."""
+        nonlocal fa, fb
+        check_ends()
+        if fa is None:
+            fa = grid_value(a)
+        if fb is None:
+            fb = grid_value(b)
 
     def cut(i: int) -> bool:
         """Narrow [a, b] to the side of grid point i that holds the root;
         True if the polynomial vanishes at i."""
         nonlocal a, b, fa, fb
         if a < i < b:
+            if certify is not None:
+                decided = certify(*coarsest(i)[:2])
+                if decided is not None:
+                    residuals[i] = decided[1]
+                    if decided[0] > 0:
+                        a, fa = i, None
+                    else:
+                        b, fb = i, None
+                    return False
             fi = grid_value(i)
             if fi == 0:
-                if fa is None and fb is None:
-                    end_value(0)  # no nonzero value known: P may vanish everywhere
+                check_ends()  # P may touch 0 there, or vanish everywhere
                 return True
             if fi > 0:
                 a, fa = i, fi
@@ -448,9 +497,12 @@ def bisect_root(
         mid = (a + b) // 2
         if cut(mid):
             return estimate(mid)
-    know_ends()  # the final cell's own two signs certify it
+    check_ends()  # the final cell's own two signs certify it
     # The odd end of the unit cell [a, b] is the midpoint of bisection's last
-    # cell, and its value is already known.  den**degree is lcm**degree
-    # shifted: a power of den itself would square its zero bits too.
+    # cell, and its value or certified residual is already known.
+    # den**degree is lcm**degree shifted: a power of den itself would square
+    # its zero bits too.
     m, fm = (a, fa) if a & 1 else (b, fb)
+    if fm is None:
+        return estimate(m, residuals[m])
     return estimate(m, abs(fm) / (lcm**degree << fine * degree))

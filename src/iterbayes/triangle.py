@@ -43,20 +43,28 @@ n = 10,000.
 
 The root always lies in the open interval ((x+1)/(n+3), (x+2)/(n+3)), where
 J falls from positive to negative, so the authoritative solver isolates it
-there with exact rational sign tests, correct unconditionally on
-floating-point behaviour.  It returns the bracket plain bisection of that
+there with sign tests that are exact, or proven by a directed-rounding
+enclosure (below), correct unconditionally on floating-point behaviour.  It returns the bracket plain bisection of that
 interval would, found by quadratic interval refinement on bisection's grid
 refined once (``exact.bisect_root``), which isolates exactly such a falling
 sign change, so it evaluates a bracket end only when a secant or the final
 cell needs it, and checks its sign then: the cell it returns is still
-certified by two exact signs, and by the lemma above it holds the one
-root.  A float Newton estimate of the root (``_root_hint``) chooses where
+certified by two exact or proven signs, and by the lemma above it holds
+the one root.  A float Newton estimate of the root (``_root_hint``) chooses where
 that search starts, but never decides a sign, so a solve takes at most 2
 exact evaluations at tol 1e-12 and 1e-13, residual included, instead of
-forty or more.  At finer tols a large enough solve refines that estimate
+forty or more (3 at x = n/2, where the first probe meets the root 1/2 and
+both bracket ends are checked).  At finer tols a large enough solve refines that estimate
 by secant steps in a local decimal context (``_refine``) to under half of
 bisection's last cell, and again takes 2; smaller ones keep the float
-estimate (at most 6 evaluations at 1e-30 for n <= 120).  Each
+estimate (at most 6 evaluations at 1e-30 for n <= 120).  Above a
+crossover in n, tol and the core's length (``_certify_bits``), the two
+probes are decided without exact evaluation: ``_enclosure`` bounds J
+between two Decimals, computed on the cancellation-free positive core
+form with rounding toward -inf and +inf in two local contexts
+(``_bounds``), and its sign is the bounds' when they exclude 0, its
+residual their common float.  Only an exact root or a near-tie falls
+back to exact evaluation, so no sign rests on rounding.  Each exact
 evaluation is exact in big integers and reads only the polynomial's short
 side: the core of (n, max(x, n - x)), min(x, n - x) + 1 coefficients, for
 x < n/2 through the mirror identity a J_{n,x}(a) = -(1-a) J_{n,n-x}(1-a).
@@ -320,8 +328,13 @@ HINT_ERROR = Fraction(1, 2**46)
 # and took 1.12 times as long at n = 9, 5e-324.
 _REFINE_MIN = 12_000
 
-# Traps of _refine's decimal context: any of them abandons the refinement.
+# Traps of _refine's and _bounds' decimal contexts: any of them abandons the
+# refinement or the enclosure.
 _TRAPS = [decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow]
+
+# Formats the enclosure's bounds for float(): a Decimal's own str reads the
+# thread's context.
+_CONVERT = decimal.Context(capitals=1)
 
 
 def _root_hint(n: int, x: int, bits: int = 0) -> Tuple[Union[float, decimal.Decimal, None],
@@ -381,6 +394,23 @@ def _root_hint(n: int, x: int, bits: int = 0) -> Tuple[Union[float, decimal.Deci
     return (a if big == x else 1.0 - a), HINT_ERROR
 
 
+def _core_weights(ctx: decimal.Context, n: int, m: int) -> Tuple[decimal.Decimal, list]:
+    """The weights 2 w_0 .. 2 w_m of the positive core form
+    S(r) = sum_k w_k r^k of (n, n - m), w_0 = C(m+2, 2), made in ``ctx`` by
+    the ratio recurrence w_(k+1)/w_k = (n+3-k)(m-k) / ((k+1)(m-k+2)), two
+    roundings a step: 2 w_m and the rest from 2 w_(m-1) down, in the order
+    Horner's rule reads them."""
+    mul, div = ctx.multiply, ctx.divide
+    weight = ctx.create_decimal((m + 2) * (m + 1))
+    weights = [weight]
+    for k in range(m):
+        weight = div(mul(weight, (n + 3 - k) * (m - k)), (k + 1) * (m - k + 2))
+        weights.append(weight)
+    top = weights.pop()
+    weights.reverse()
+    return top, weights
+
+
 def _refine(n: int, x: int, hint: float, slope: float, bits: int,
             mirror: bool) -> Optional[Tuple[decimal.Decimal, decimal.Decimal]]:
     """The float hint of the short side x >= n/2, carried to within 2**-bits
@@ -420,13 +450,7 @@ def _refine(n: int, x: int, hint: float, slope: float, bits: int,
                           capitals=1, clamp=0, flags=[], traps=_TRAPS)
     mul, div, sub, fma = ctx.multiply, ctx.divide, ctx.subtract, ctx.fma
     try:
-        weight = ctx.create_decimal((m + 2) * (m + 1))
-        weights = [weight]
-        for k in range(m):
-            weight = div(mul(weight, (n + 3 - k) * (m - k)), (k + 1) * (m - k + 2))
-            weights.append(weight)
-        top = weights.pop()
-        weights.reverse()
+        top, weights = _core_weights(ctx, n, m)
 
         def balance(a: decimal.Decimal) -> Tuple[decimal.Decimal, decimal.Decimal]:
             """(m+1) gap and d at a; ValueError if a is outside the
@@ -491,20 +515,186 @@ def _hint_bits(n: int, x: int, tol_ratio: Tuple[int, int]) -> int:
     return fine + (n + 3).bit_length() + 1
 
 
+# The n * bits, past _REFINE_MIN, that one core coefficient costs the
+# enclosure: see _certify_bits.
+_CERTIFY_PER_TERM = 64
+
+
+def _certify_bits(n: int, x: int, tol_ratio: Tuple[int, int], hint_bits: int) -> int:
+    """The bit length of the fine grid's denominator (n+3) 2**fine, on which
+    a solve of (n, x) at the tol whose integer ratio is ``tol_ratio`` decides
+    its probes by :func:`_enclosure`; 0 where it evaluates them exactly.
+    ``hint_bits`` is :func:`_hint_bits`'s for the same solve.
+
+    The enclosure costs a solve about 8 Decimal operations per core
+    coefficient, min(x, n - x) + 1 of them: 4 to build the weights in both
+    directions and 2 fused steps per probe and direction, for the two probes
+    a solve makes (about 0.35 us each at 50-70 digits, 2-vCPU Linux host),
+    plus about 0.1 ms for the powers and contexts.  The exact pair grows
+    with n times bits, the size of its big products.  Timed per solve
+    (n 40-800, x from n/2 to n, tol 1e-12, 1e-30, 1e-100 and 5e-324; best
+    of 5), the enclosure won where n * bits >= _REFINE_MIN +
+    _CERTIFY_PER_TERM * min(x, n - x), by up to 7 times at 1e-30 near the
+    ends of x, and lost by up to 1.7 times at 1e-12 with cores of about 130
+    coefficients just below it; the one loss above it, 10% at n = 12 and
+    5e-324, is at the rule's edge.  A solve counts only where its first
+    pair is expected to end the search, so that no secant needs exact
+    values: where the float hint is fine enough or the hint is refined, and
+    never at x = n/2, whose root 1/2 the enclosure cannot decide.  A first
+    test on ``tol``'s denominator alone, of which bits is at most the bit
+    length plus 2, keeps the solves far below the rule, every one at n <= 60
+    and 1e-12, from any further work.
+    """
+    tol_num, tol_den = tol_ratio
+    terms = min(x, n - x)
+    if n * (tol_den.bit_length() + 2) < _REFINE_MIN + _CERTIFY_PER_TERM * terms or 2 * x == n:
+        return 0
+    if not hint_bits and tol_num * HINT_ERROR.denominator < tol_den << 2:
+        return 0
+    bits = ((n + 3) << bisect_depth(1, n + 3, tol_num, tol_den) + 1).bit_length()
+    return bits if n * bits >= _REFINE_MIN + _CERTIFY_PER_TERM * terms else 0
+
+
+def _bounds(n: int, x: int, bits: int) -> Callable[[int, int], Tuple[decimal.Decimal, decimal.Decimal]]:
+    """Directed-rounding bounds of J for (n, x): (u, v) -> (lo, hi) with
+    lo <= J(u/v) <= hi, for u/v in the solver bracket and v of at most
+    ``bits`` bits.  A decimal trap, here or in the evaluator, raises its
+    DecimalException.
+
+    On the short side x >= n/2, with m = n - x, r = (v - u)/u and
+    G = (n+3)u - (x+1)v,
+
+        J(u/v) = 2 a^(n+2) S(r) - (m+1) G/v,   a = u/v,
+
+    S(r) = sum_k w_k r^k the positive core form that :func:`_root_hint` and
+    :func:`_refine` sum.  Every factor of the first term is positive, so every
+    operation on it is monotone: one pass in a context that rounds toward
+    -inf gives a lower bound of J, and one that rounds toward +inf an upper
+    bound, with (m+1) G/v divided in the other context.  The weights 2 w_k
+    come from :func:`_core_weights`, once in each direction.  a^(n+2) is
+    taken by repeated multiplication, each product rounded in the bound's
+    direction; a context's power is not guaranteed to round so.  Below n/2
+    the mirror identity gives J(u/v) = -(u'/u) J_{n,n-x}(u'/v) with
+    u' = v - u, and the bounds of J_{n,n-x} are multiplied by -u'/u as an
+    interval.  Both contexts are local, with _refine's exponent range and
+    traps; no operation reads or changes the thread's context, so negation
+    is ``copy_negate``, which rounds nothing.
+
+    Precision.  A bound passes through at most N = 4m + n + 2 bit_length(n+2)
+    + 4 <= 4n + 8 directed roundings of relative size under 10**(1-digits),
+    all on positive quantities: the weights (2 per step of the recurrence),
+    r and a (one each, raised to powers up to m and n + 2), Horner's m fused
+    steps, the power's products, the final product and the subtraction.  So
+    the bounds are about (8n + 16) 10**(1-digits) times the first term
+    apart, and that term is about (m+1) G/v, below m + 1.  Next to the root,
+    on a grid of denominator v, |J| is about |J'| / v at least, and |J'| is
+    above m + 1, so the bounds exclude 0 once 10**digits exceeds
+    (8n + 16) 10 v, and give |J|'s float, which needs 53 bits of |J| more,
+    once it exceeds (8n + 16) 10 v 2**53.  ``digits`` carries bits + 93
+    bits, bits the bit length of v, plus the digits of 8n + 16 and 4 more:
+    40 bits beyond that need.
+    """
+    big = max(x, n - x)
+    m = n - big
+    digits = (bits + 93) * 30103 // 100000 + len(str(8 * n + 16)) + 4
+    low, high = (decimal.Context(prec=digits, rounding=rounding,
+                                 Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX,
+                                 capitals=1, clamp=0, flags=[], traps=_TRAPS)
+                 for rounding in (decimal.ROUND_FLOOR, decimal.ROUND_CEILING))
+    low_core, high_core = _core_weights(low, n, m), _core_weights(high, n, m)
+    exponent = bin(n + 2)[3:]
+
+    def first_term(ctx: decimal.Context, top: decimal.Decimal, weights: list,
+                   u: int, v: int) -> decimal.Decimal:
+        """2 a^(n+2) S(r) at a = u/v, rounded in ``ctx``'s direction."""
+        mul, fma = ctx.multiply, ctx.fma
+        r = ctx.divide(v - u, u)
+        s = top
+        for w in weights:
+            s = fma(s, r, w)
+        a = ctx.divide(u, v)
+        power = a
+        for bit in exponent:
+            power = mul(power, power)
+            if bit == "1":
+                power = mul(power, a)
+        return mul(power, s)
+
+    def bounds(u: int, v: int) -> Tuple[decimal.Decimal, decimal.Decimal]:
+        mirror = big != x
+        if mirror:
+            u = v - u
+        linear = (m + 1) * ((n + 3) * u - (big + 1) * v)
+        lo = low.subtract(first_term(low, *low_core, u, v), high.divide(linear, v))
+        hi = high.subtract(first_term(high, *high_core, u, v), low.divide(linear, v))
+        if mirror:
+            return (high.divide(high.multiply(hi, u), v - u).copy_negate(),
+                    low.divide(low.multiply(lo, u), v - u).copy_negate())
+        return lo, hi
+
+    return bounds
+
+
+def _enclosure(n: int, x: int,
+               bits: int) -> Optional[Callable[[int, int], Optional[Tuple[int, float]]]]:
+    """A certified sign evaluator of J for (n, x), for ``bisect_root``'s
+    ``certify``: (u, v) -> (sign, residual) of J at u/v from
+    :func:`_bounds`, or None when those cannot decide them.
+
+    The sign is the bounds' when they exclude 0; the residual |J| rounded
+    to a float is float(|lo|) when that equals float(|hi|), since rounding
+    to nearest is monotone.  Otherwise, at an exact root or a near-tie, the
+    result is None and the caller evaluates J exactly; by the precision of
+    :func:`_bounds` a near-tie is |J| within about 2**-40 of the grid
+    cell's scale, or of a rounding boundary of the float.  A decimal trap
+    gives None too, and while the weights are built, None for the evaluator
+    itself: the solve then evaluates every probe exactly.
+    """
+    try:
+        bounds = _bounds(n, x, bits)
+    except decimal.DecimalException:
+        return None
+
+    def certify(u: int, v: int) -> Optional[Tuple[int, float]]:
+        try:
+            lo, hi = bounds(u, v)
+        except decimal.DecimalException:
+            return None
+        if not (lo.is_signed() or lo.is_zero()):
+            sign = 1
+        elif hi.is_signed() and not hi.is_zero():
+            sign = -1
+        else:
+            return None
+        residual = float(_CONVERT.to_sci_string(lo.copy_abs()))
+        if residual != float(_CONVERT.to_sci_string(hi.copy_abs())):
+            return None
+        return sign, residual
+
+    return certify
+
+
 def _bisect_estimate(value: Callable[[int, int], int], obs: BinomialObs,
                      tol: Union[float, Fraction], tol_ratio: Tuple[int, int],
-                     label: object) -> Estimate:
+                     label: object, certified: bool = False) -> Estimate:
     """Bisect the degree-(n+2) polynomial whose homogeneous evaluator is
     ``value`` on the solver bracket of ``obs``, from the hint of
     :func:`_root_hint`; ``tol_ratio`` is ``tol``'s integer ratio, as
     ``check_tol`` returned it.  The polynomial must fall through its root
     there, as J does, so that ``bisect_root`` evaluates the bracket ends
-    only when it needs them.  An absent sign change raises BracketFailure
+    only when it needs them.  If it is J itself and ``certified``, probes
+    above the crossover of :func:`_certify_bits` are decided by
+    :func:`_enclosure` first.  An absent sign change raises BracketFailure
     naming ``label``, formatted only then."""
     lo, hi = solver_bracket(obs)
     n, x = obs.n, obs.x
-    near, error = _root_hint(n, x, _hint_bits(n, x, tol_ratio))
+    hint_bits = _hint_bits(n, x, tol_ratio)
+    near, error = _root_hint(n, x, hint_bits)
     try:
+        bits = certified and _certify_bits(n, x, tol_ratio, hint_bits)
+        if bits:
+            return bisect_root(value, n + 2, lo, hi, tol=tol, near=near, near_error=error,
+                               certify=_enclosure(n, x, bits))
         return bisect_root(value, n + 2, lo, hi, tol=tol, near=near, near_error=error)
     except ValueError as exc:
         raise BracketFailure(f"no sign change over {lo}..{hi} for {label}: {exc}") from exc
@@ -521,7 +711,7 @@ def solve_iterative_bayes(obs: BinomialObs, tol: Union[float, Fraction] = 1e-12)
     float, and at most (tol/2) max |J'| over the bracket.
     """
     tol_ratio = check_tol(tol, obs)
-    return _bisect_estimate(_estimating_value(obs), obs, tol, tol_ratio, obs)
+    return _bisect_estimate(_estimating_value(obs), obs, tol, tol_ratio, obs, True)
 
 
 def mirrored_values(n: int, tol: Union[float, Fraction]) -> Tuple[float, ...]:

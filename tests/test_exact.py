@@ -253,6 +253,35 @@ class TestBisectRootEqualsBisection:
                     assert negative_binomial_estimate(n - x, x, 5e-324) == want, (n, x)
             assert geometric_estimate(n - 1, 5e-324) == reference_bisect_root(*_geometric_case(n - 1), 5e-324)
 
+    @pytest.mark.parametrize("tol", [1e-12, 1e-30], ids=["1e-12", "1e-30"])
+    def test_any_certified_sign_gives_the_same_estimate(self, tol):
+        # A ``certify`` that decides every probe by the exact value (an
+        # oracle), one that decides none, and one that decides only
+        # probes off the root's cell change no field, from the solver's
+        # hint, from a poor one (whose secants then evaluate certified
+        # points exactly) and without one.
+        for n, x in [(1, 0), (7, 3), (20, 10), (40, 13), (90, 80)]:
+            obs = BinomialObs(n, x)
+            value = triangle._estimating_value(obs)
+            lo, hi = solver_bracket(obs)
+            want = solve_iterative_bayes(obs, tol)
+            c0, c1 = want.bracket
+
+            def oracle(u, v):
+                fu = value(u, v)
+                return ((fu > 0) - (fu < 0), abs(fu) / v ** (n + 2)) if fu else None
+
+            def outside(u, v):
+                return oracle(u, v) if not c0 <= Fraction(u, v) <= c1 else None
+
+            hint = triangle._root_hint(n, x)[0]
+            for certify in (oracle, lambda u, v: None, outside):
+                for near in (hint, hint + 2**-30, None):
+                    got = exact.bisect_root(value, n + 2, lo, hi, tol, near=near,
+                                            near_error=None if near is None else triangle.HINT_ERROR,
+                                            certify=certify)
+                    assert got == want, (n, x, near)
+
     def test_residual_needs_no_fraction(self, monkeypatch):
         def no_fraction(*args):
             raise AssertionError("eval_rational called")
@@ -304,6 +333,31 @@ def _count_evaluations(monkeypatch):
     return calls
 
 
+def _count_probes(monkeypatch):
+    """Count the calls of every certified sign evaluator that
+    ``triangle._enclosure`` builds: the probes a solve asks it first."""
+    calls = [0]
+    enclosure = triangle._enclosure
+
+    def counted_enclosure(*args):
+        certify = enclosure(*args)
+
+        def counted(u, v):
+            calls[0] += 1
+            return certify(u, v)
+        return counted
+
+    monkeypatch.setattr(triangle, "_enclosure", counted_enclosure)
+    return calls
+
+
+def _certified(n, x, tol):
+    """True where a solve of (n, x) at ``tol`` decides its probes by the
+    enclosure."""
+    ratio = tol.as_integer_ratio()
+    return triangle._certify_bits(n, x, ratio, triangle._hint_bits(n, x, ratio)) > 0
+
+
 class TestEvaluationCount:
     # n <= 20 in full, then every x of seven larger n up to 120.
     CASES = [(n, x) for n in list(range(1, 21)) + [30, 45, 60, 75, 90, 105, 120]
@@ -316,49 +370,67 @@ class TestEvaluationCount:
     # float hint: one pair per doubling of the bits known, from the hint's
     # level: one pair at 1e-12, three at 1e-30.  Where the solve refines its hint
     # (n * fine >= _REFINE_MIN: n >= 128 at 1e-30, 75 at 1e-50, 37 at 1e-100
-    # and 12 at 5e-324 here) one pair on the fine level.  At 5e-324, whose
-    # solves cost the most, every third case.
+    # and 12 at 5e-324 here) one pair on the fine level, and above the
+    # enclosure's crossover (_certify_bits) that pair is two certified
+    # probes and no exact evaluation: every refined solve here at 1e-100
+    # and 5e-324, and 336 of 392 at 1e-50.  At x = n/2 the first probe meets the
+    # root 1/2, and both bracket ends are checked before it is returned: 3
+    # at every tol.  At 5e-324, whose solves cost the most, every third case.
     @pytest.mark.parametrize("tol, most, refined, stride",
                              [(1e-12, 2, None, 1), (1e-15, 4, None, 1), (1e-30, 6, None, 1),
-                              (1e-50, 8, 2, 1), (1e-100, 10, 2, 1), (5e-324, 12, 2, 3)],
+                              (1e-50, 8, 2, 1), (1e-100, 10, None, 1), (5e-324, 12, None, 3)],
                              ids=["1e-12", "1e-15", "1e-30", "1e-50", "1e-100", "5e-324"])
     def test_exact_evaluations_per_solve(self, monkeypatch, tol, most, refined, stride):
         calls = _count_evaluations(monkeypatch)
-        worst = {False: 0, True: 0}
+        probes = _count_probes(monkeypatch)
+        worst = {"float": 0, "refined": 0, "certified": 0, "half": 0}
         for n, x in self.CASES[::stride]:
-            calls[0] = 0
+            calls[0] = probes[0] = 0
             solve_iterative_bayes(BinomialObs(n, x), tol=tol)
-            kind = triangle._hint_bits(n, x, tol.as_integer_ratio()) > 0
+            if 2 * x == n:
+                kind = "half"
+            elif _certified(n, x, tol):
+                kind = "certified"
+                assert (probes[0], calls[0]) == (2, 0), (n, x)
+            else:
+                assert probes[0] == 0, (n, x)
+                kind = "refined" if triangle._hint_bits(n, x, tol.as_integer_ratio()) else "float"
             worst[kind] = max(worst[kind], calls[0])
-        assert 0 < worst[False] <= most
-        assert worst[True] == 0 if refined is None else 0 < worst[True] <= refined
+        assert 0 < worst["float"] <= most and worst["half"] == 3
+        assert worst["refined"] == 0 if refined is None else 0 < worst["refined"] <= refined
 
-    # Above the refinement's threshold, every solve takes 2 at every tol
-    # from 1e-15 on: seeded n up to 1029 (5e-324 up to 300, where a solve
-    # takes up to 0.1 s), at four x each.
+    # Above the refinement's threshold, every solve makes one pair at every
+    # tol from 1e-15 on: 2 exact evaluations, or 2 certified probes and none
+    # where the enclosure decides them.  Seeded n up to 1029 (5e-324 up to
+    # 300, where a solve takes up to 0.1 s), at four x each.
     @pytest.mark.parametrize("tol, n_max", [(1e-15, 1029), (1e-30, 1029), (1e-50, 1029),
                                             (1e-100, 600), (5e-324, 300)],
                              ids=["1e-15", "1e-30", "1e-50", "1e-100", "5e-324"])
     def test_refined_solves_take_two(self, monkeypatch, tol, n_max):
         calls = _count_evaluations(monkeypatch)
+        probes = _count_probes(monkeypatch)
         rng = random.Random(f"refined {tol}")
         fine = triangle.bisect_depth(1, n_max + 3, *tol.as_integer_ratio()) + 1
-        refined = 0
+        refined = certified = 0
         for n in rng.sample(range(triangle._REFINE_MIN // fine + 1, n_max + 1), 4):
             for x in (0, rng.randrange(n + 1), n // 3, n - 1):
-                calls[0] = 0
+                calls[0] = probes[0] = 0
                 solve_iterative_bayes(BinomialObs(n, x), tol=tol)
                 if triangle._hint_bits(n, x, tol.as_integer_ratio()):
                     refined += 1
-                    assert calls[0] == 2, (n, x)
-        assert refined == 16
+                    if _certified(n, x, tol):
+                        certified += 1
+                        assert (probes[0], calls[0]) == (2, 0), (n, x)
+                    else:
+                        assert (probes[0], calls[0]) == (0, 2), (n, x)
+        assert refined == 16 and certified > 8
 
     def test_first_probe_is_the_grid_point_nearest_the_hint(self, monkeypatch):
         # Every n <= 120 at 1e-13, the tol of risk and compare.  A first probe
         # rounded down from the hint missed the root of (59, 24) and (83, 13),
         # which lies just above the hint there, and took 10 evaluations.  A
-        # root the first probe meets, at x = n/2, takes 2 too: one bracket
-        # end is checked before an exact zero is returned.
+        # root the first probe meets, at x = n/2, takes 3: both bracket ends
+        # are checked before an exact zero is returned.
         calls = _count_evaluations(monkeypatch)
         worst = {}
         for n in range(1, 121):
@@ -366,26 +438,36 @@ class TestEvaluationCount:
                 calls[0] = 0
                 solve_iterative_bayes(BinomialObs(n, x), tol=1e-13)
                 worst[n, x] = calls[0]
-        assert max(worst.values()) <= 2
+        assert max(count for (n, x), count in worst.items() if 2 * x != n) <= 2
         assert worst[59, 24] == worst[83, 13] == 2
+        assert all(worst[2 * x, x] == 3 for x in range(1, 61))
 
-    @pytest.mark.parametrize("tol, most", [(1e-13, 2), (1e-30, 2)], ids=["1e-13", "1e-30"])
-    def test_seeded_n_up_to_1029(self, monkeypatch, tol, most):
+    # Each solve makes one pair: 2 certified probes and no exact evaluation
+    # above the enclosure's crossover, 2 exact evaluations below it: 41 of
+    # the 48 solves at 1e-13, all 48 at 1e-30.
+    @pytest.mark.parametrize("tol, certified", [(1e-13, 41), (1e-30, 48)],
+                             ids=["1e-13", "1e-30"])
+    def test_seeded_n_up_to_1029(self, monkeypatch, tol, certified):
         calls = _count_evaluations(monkeypatch)
+        probes = _count_probes(monkeypatch)
         rng = random.Random(1029)
+        counts = []
         for n in rng.sample(range(121, 1030), 12):
             for x in (0, rng.randrange(n + 1), n // 3, n):
-                calls[0] = 0
+                calls[0] = probes[0] = 0
                 solve_iterative_bayes(BinomialObs(n, x), tol=tol)
-                assert 0 < calls[0] <= most, (n, x)
+                counts.append((probes[0], calls[0]))
+                assert counts[-1] == ((2, 0) if _certified(n, x, tol) else (0, 2)), (n, x)
+        assert counts.count((2, 0)) == certified
 
     @pytest.mark.parametrize("n", [2000, 5000, 10_000])
     def test_large_n(self, monkeypatch, n):
         calls = _count_evaluations(monkeypatch)
+        probes = _count_probes(monkeypatch)
         for x in (1, n // 3, n - 1):
-            calls[0] = 0
+            calls[0] = probes[0] = 0
             solve_iterative_bayes(BinomialObs(n, x), tol=1e-12)
-            assert 0 < calls[0] <= 2, x
+            assert (probes[0], calls[0]) == (2, 0), x
 
     # Without a usable hint the search starts from the secant at e = 2,
     # which reads both bracket ends; a float hint 2**-30 from the root, past
@@ -409,32 +491,37 @@ class TestEvaluationCount:
                 worst[kind] = max(worst[kind], calls[0])
         assert 0 < worst[None] <= most and 0 < worst["poor"] <= poor
 
-    # geometric_estimate solves J/2, which falls through the root like J:
-    # at most 2 evaluations at 1e-12, and at 1e-30, where the solves below
-    # x = 127 keep the float hint, at most 6 (the refined ones take 2).  Its
-    # Estimate is, field for field, plain bisection's of the geometric
-    # polynomial.
+    # geometric_estimate solves J/2, which falls through the root like J,
+    # always by exact evaluation: at most 2 evaluations at 1e-12, and at
+    # 1e-30, where the solves below x = 127 keep the float hint, at most 6
+    # (the refined ones take 2); x = 1, n = 2x, takes 3.  Its Estimate is,
+    # field for field, plain bisection's of the geometric polynomial.
     @pytest.mark.parametrize("tol, most", [(1e-12, 2), (1e-30, 6)], ids=["1e-12", "1e-30"])
     def test_geometric_solves(self, monkeypatch, tol, most):
         calls = _count_evaluations(monkeypatch)
-        worst = 0
+        probes = _count_probes(monkeypatch)
+        worst = {}
         for x in range(150):
             calls[0] = 0
             got = geometric_estimate(x, tol)
-            worst = max(worst, calls[0])
+            worst[x] = calls[0]
             assert got == reference_bisect_root(*_geometric_case(x), tol), x
-        assert 0 < worst <= most
+        assert worst.pop(1) == 3 and 0 < max(worst.values()) <= most
+        assert probes[0] == 0
 
     def test_total_over_every_solve_up_to_n60(self, monkeypatch):
-        # All 1,890 (n, x) with n <= 60 at 1e-12, the paper's table: 3,780
-        # evaluations from the float hint, 2 per solve, 7,530 when both
-        # bracket ends were evaluated first, 21,628 without the hint and
-        # 23,426 when the residual took an evaluation of its own.
+        # All 1,890 (n, x) with n <= 60 at 1e-12, the paper's table: 3,810
+        # evaluations from the float hint, 2 per solve and 3 for the 30 at
+        # x = n/2, whose exact root is returned once both bracket ends are
+        # checked; 7,530 when both bracket ends were evaluated first, 21,628
+        # without the hint and 23,426 when the residual took an evaluation of
+        # its own.  All are below the enclosure's crossover.
         calls = _count_evaluations(monkeypatch)
+        probes = _count_probes(monkeypatch)
         for n in range(1, 61):
             for x in range(n + 1):
                 solve_iterative_bayes(BinomialObs(n, x), tol=1e-12)
-        assert calls[0] <= 3_780
+        assert calls[0] <= 3_810 and probes[0] == 0
 
     def test_each_evaluation_is_one_call(self, monkeypatch):
         # The solvers' evaluator, mirrored or not, makes exactly one
@@ -486,20 +573,23 @@ class TestRefinedHint:
 
     def test_caller_decimal_context_is_untouched(self, monkeypatch):
         # A caller's context of 3 digits with every trap on changes no
-        # Estimate and no evaluation count, and comes back as it was: with
-        # the default 28 digits the iteration would stop near 2**-93.
+        # Estimate and no count of probes or evaluations, and comes back as
+        # it was: with the default 28 digits the iteration would stop near
+        # 2**-93.  Every case refines its hint and decides both probes by
+        # the enclosure, whose two contexts are local too.
         calls = _count_evaluations(monkeypatch)
+        probes = _count_probes(monkeypatch)
         cases = [(n, x, tol) for tol in (1e-30, 5e-324) for n, x in ((150, 40), (150, 110), (301, 7))]
 
         def solve_all():
             out = []
             for n, x, tol in cases:
-                calls[0] = 0
-                out.append((solve_iterative_bayes(BinomialObs(n, x), tol), calls[0]))
+                calls[0] = probes[0] = 0
+                out.append((solve_iterative_bayes(BinomialObs(n, x), tol), probes[0], calls[0]))
             return out
 
         want = solve_all()
-        assert [count for _, count in want] == [2] * len(cases)
+        assert [counts for _, *counts in want] == [[2, 0]] * len(cases)
         with decimal.localcontext() as caller:
             caller.prec = 3
             for signal in caller.traps:
@@ -566,6 +656,21 @@ class TestLazyEnds:
                                  (lambda u, v: 0, "signs (0, 0)")):
                 assert (self.rejected(value, n, x, 1e-12, hinted)
                         == ("bisect_root: no strict sign change", signs)), (n, x)
+
+    def test_a_zero_that_is_no_sign_change(self):
+        # (2t - 1)**2 touches 0 at 1/2 without changing sign.  A hint there
+        # puts the first probe on that zero, which is returned only once
+        # both bracket ends are checked: the hinted call raises what the
+        # call without a hint does.
+        def value(u, v):
+            return 4 * u * u - 4 * u * v + v * v
+
+        messages = []
+        for near, error in ((None, None), (0.5, 1e-3)):
+            with pytest.raises(ValueError) as info:
+                exact.bisect_root(value, 2, 0, 1, tol=1e-6, near=near, near_error=error)
+            messages.append(str(info.value))
+        assert messages == ["bisect_root: no strict sign change over (0, 1): signs (1, 1)"] * 2
 
     @pytest.mark.parametrize("lower", [True, False], ids=["lower", "upper"])
     def test_root_at_an_end(self, lower):

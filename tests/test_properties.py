@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import iterbayes.exact as exact
 import iterbayes.triangle as triangle
+from iterbayes.cli import MAX_TRIAL_BITS
 from iterbayes.exact import ExactPoly, bisect_root, sign_at
 from iterbayes.identities import factorization_sides, positive_core_value
 from iterbayes.triangle import (
@@ -148,6 +149,53 @@ def test_hint_never_changes_the_solve(n, data, tol):
                 assert solve_iterative_bayes(obs, tol) == want
         with patch.object(triangle, "_TRAPS", [decimal.Inexact]):
             assert solve_iterative_bayes(obs, tol) == want
+
+
+def _check_enclosure(n, x, tol, data, draws):
+    """At the grid points next to J's root and at ``draws`` random points
+    of the solver bracket, on bisect_root's fine grid at ``tol``, the
+    bounds of ``triangle._bounds`` hold J, and a sign and residual that
+    ``triangle._enclosure`` decides are J's own: the residual as
+    bisect_root rounds it from the exact value."""
+    fine = exact.bisect_depth(1, n + 3, *tol.as_integer_ratio()) + 1
+    v = (n + 3) << fine
+    bounds = triangle._bounds(n, x, v.bit_length())
+    certify = triangle._enclosure(n, x, v.bit_length())
+    value = triangle._estimating_value(BinomialObs(n, x))
+    scale = v ** (n + 2)
+    mid = solve_iterative_bayes(BinomialObs(n, x), tol).value_exact
+    centre = mid.numerator * (v // mid.denominator)
+    start, stop = (x + 1) << fine, (x + 2) << fine
+    points = {centre - 1, centre, centre + 1}
+    points |= {data.draw(st.integers(min_value=start + 1, max_value=stop - 1)) for _ in range(draws)}
+    for u in sorted(points):
+        if not start < u < stop:
+            continue
+        fu = value(u, v)
+        lo, hi = bounds(u, v)
+        (lo_num, lo_den), (hi_num, hi_den) = lo.as_integer_ratio(), hi.as_integer_ratio()
+        assert lo_num * scale <= fu * lo_den and fu * hi_den <= hi_num * scale, (n, x, tol, u)
+        got = certify(u, v)
+        # Undecided only at an exact root: a near-tie is about 2**-40 likely.
+        assert got == ((fu > 0) - (fu < 0), abs(fu) / scale) if fu else got is None, (n, x, tol, u)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=1, max_value=1029), st.data(),
+       st.sampled_from([1e-12, 1e-13, 1e-30, 1e-100, 5e-324]))
+def test_enclosure_holds_j_on_both_sides(n, data, tol):
+    # 5e-324 only where the CLI's ceiling on trials x log2(1/tol) admits it.
+    assume(n * -math.log2(tol) <= MAX_TRIAL_BITS)
+    x = data.draw(st.integers(min_value=0, max_value=n))
+    for side in {x, n - x}:
+        _check_enclosure(n, side, tol, data, 3)
+
+
+@settings(max_examples=3, deadline=None)
+@given(st.data(), st.sampled_from([1e-12, 1e-13, 1e-30]),
+       st.sampled_from([1, 3333, 4999, 6667, 9999]))
+def test_enclosure_holds_j_at_n_10000(data, tol, x):
+    _check_enclosure(10_000, x, tol, data, 1)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,3 +1,4 @@
+import decimal
 import math
 import random
 from fractions import Fraction
@@ -327,6 +328,82 @@ class TestRootHint:
         # (n+3) a - (x+1) at the start (x+1.5)/(n+3) rounds to 0 in floats
         # when n is far above 2**53; the hint is then absent, not an error.
         assert triangle._root_hint(n, x) == (None, HINT_ERROR)
+
+
+def _fine_grid(n, tol):
+    """The denominator (n+3) 2**fine of bisect_root's fine grid on the
+    solver bracket of n trials at ``tol``."""
+    return (n + 3) << triangle.bisect_depth(1, n + 3, *tol.as_integer_ratio()) + 1
+
+
+class TestEnclosure:
+    """The directed-rounding bounds of J (``triangle._bounds``) and the
+    certified signs built on them (``triangle._enclosure``)."""
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-30, 5e-324], ids=["1e-12", "1e-30", "5e-324"])
+    @pytest.mark.parametrize("n", [2, 10, 100, 600])
+    def test_the_root_half_is_undecided(self, n, tol):
+        # At x = n/2 the root 1/2 is a grid point: the bounds hold 0 there
+        # (both are 0 where every operation is exact) and the probe is left
+        # to exact evaluation.
+        v = _fine_grid(n, tol)
+        x = n // 2
+        lo, hi = triangle._bounds(n, x, v.bit_length())(v // 2, v)
+        assert lo <= 0 <= hi
+        assert triangle._enclosure(n, x, v.bit_length())(v // 2, v) is None
+        # Beside it the signs are J's: positive below, negative above.
+        certify = triangle._enclosure(n, x, v.bit_length())
+        assert certify(v // 2 - 1, v)[0] == 1 and certify(v // 2 + 1, v)[0] == -1
+
+    @pytest.mark.parametrize("n", [1, 7, 40, 100])
+    def test_weights_bracket_the_exact_ones(self, n):
+        # Rounded down and up, the recurrence's weights enclose the integers
+        # 2 C(n+3, k) C(m-k+2, 2); with digits enough for every product of
+        # the recurrence (60 and 400 here) they are those integers.
+        for m in range(n // 2 + 1):
+            want = [2 * math.comb(n + 3, k) * math.comb(m - k + 2, 2) for k in range(m + 1)]
+            for prec in (12, 60, 400):
+                got = []
+                for rounding in (decimal.ROUND_FLOOR, decimal.ROUND_CEILING):
+                    ctx = decimal.Context(prec=prec, rounding=rounding, traps=[])
+                    top, rest = triangle._core_weights(ctx, n, m)
+                    got.append([top] + rest)
+                low, high = [[Fraction(w) for w in reversed(side)] for side in got]
+                assert all(lo <= w <= hi for lo, w, hi in zip(low, want, high)), (n, m, prec)
+                if max(want) * (n + 3) * (m + 2) < 10**prec:
+                    assert low == want == high, (n, m, prec)
+
+    def test_only_operations_that_round_as_asked(self, monkeypatch):
+        # The decimal specification rounds add, subtract, multiply, divide
+        # and fma correctly in every rounding mode, but not power: the
+        # bounds use only the former, and create_decimal for the first
+        # weight.
+        used = set()
+
+        class Recording(decimal.Context):
+            def __getattribute__(self, name):
+                used.add(name)
+                return super().__getattribute__(name)
+
+        monkeypatch.setattr(decimal, "Context", Recording)
+        for n, x, tol in [(120, 100, 1e-12), (120, 20, 1e-30), (30, 29, 5e-324)]:
+            v = _fine_grid(n, tol)
+            u = (2 * x + 3) * v // (2 * (n + 3))
+            triangle._bounds(n, x, v.bit_length())(u, v)
+        assert used == {"create_decimal", "multiply", "divide", "fma", "subtract"}
+
+    @pytest.mark.parametrize("n", [300, 801])
+    def test_both_sides_of_half_mirror(self, n):
+        # Below n/2 the bounds are those of (n, n - x) at 1 - a, times
+        # -(1 - a)/a as an interval; they hold J of (n, x) itself.
+        tol = 1e-30
+        v = _fine_grid(n, tol)
+        for x in (1, n // 3, (n - 1) // 2):
+            value = triangle._estimating_value(BinomialObs(n, x))
+            for u in ((x + 1) * v // (n + 3) + 1, (2 * x + 3) * v // (2 * (n + 3)), (x + 2) * v // (n + 3) - 1):
+                lo, hi = triangle._bounds(n, x, v.bit_length())(u, v)
+                exact_value = Fraction(value(u, v), v ** (n + 2))
+                assert Fraction(lo) <= exact_value <= Fraction(hi), (x, u)
 
 
 class TestSolveIterativeBayes:
