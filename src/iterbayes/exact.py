@@ -379,16 +379,10 @@ def bisect_root(
     step = hi_u - lo_u
     den = lcm << fine
 
-    def coarsest(i: int) -> Tuple[int, int, int]:
-        """Grid point i as u / v on the coarsest grid that holds it, and
-        the shift from that grid to the fine one."""
+    def grid_value(i: int) -> int:
         u = base + i * step
         shift = min((u & -u).bit_length() - 1, fine) if u else fine
-        return u >> shift, den >> shift, shift
-
-    def grid_value(i: int) -> int:
-        u, v, shift = coarsest(i)
-        return value(u, v) << shift * degree
+        return value(u >> shift, den >> shift) << shift * degree
 
     def point(i: int) -> Fraction:
         return Fraction(base + i * step, den)
@@ -402,8 +396,6 @@ def bisect_root(
     top = 1 << fine
     a, b = 0, top
     fa = fb = None
-    # Residuals of the probes whose sign ``certify`` decided, by grid index.
-    residuals = {}
 
     def end_value(i: int) -> int:
         """The value at the bracket end i, 0 or top, evaluated on demand:
@@ -435,15 +427,6 @@ def bisect_root(
         True if the polynomial vanishes at i."""
         nonlocal a, b, fa, fb
         if a < i < b:
-            if certify is not None:
-                decided = certify(*coarsest(i)[:2])
-                if decided is not None:
-                    residuals[i] = decided[1]
-                    if decided[0] > 0:
-                        a, fa = i, None
-                    else:
-                        b, fb = i, None
-                    return False
             fi = grid_value(i)
             if fi == 0:
                 check_ends()  # P may touch 0 there, or vanish everywhere
@@ -453,6 +436,27 @@ def bisect_root(
             else:
                 b, fb = i, fi
         return False
+
+    if certify is not None:
+        exact_cut = cut
+        residuals = {}  # of the probes certify decided, by grid index
+
+        def cut(i: int) -> bool:
+            """``cut`` by the sign certify decides at i, where it does: the
+            value there stays unknown and its residual is kept."""
+            nonlocal a, b, fa, fb
+            if a < i < b:
+                u = base + i * step
+                shift = min((u & -u).bit_length() - 1, fine) if u else fine
+                decided = certify(u >> shift, den >> shift)
+                if decided is not None:
+                    residuals[i] = decided[1]
+                    if decided[0] > 0:
+                        a, fa = i, None
+                    else:
+                        b, fb = i, None
+                    return False
+            return exact_cut(i)
 
     def estimate(m: int, residual: float = 0.0) -> Estimate:
         # Bisection meets m at step fine - v, v the 2-adic order of m; an odd

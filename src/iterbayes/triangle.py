@@ -44,31 +44,31 @@ n = 10,000.
 The root always lies in the open interval ((x+1)/(n+3), (x+2)/(n+3)), where
 J falls from positive to negative, so the authoritative solver isolates it
 there with sign tests that are exact, or proven by a directed-rounding
-enclosure (below), correct unconditionally on floating-point behaviour.  It returns the bracket plain bisection of that
-interval would, found by quadratic interval refinement on bisection's grid
-refined once (``exact.bisect_root``), which isolates exactly such a falling
-sign change, so it evaluates a bracket end only when a secant or the final
-cell needs it, and checks its sign then: the cell it returns is still
-certified by two exact or proven signs, and by the lemma above it holds
-the one root.  A float Newton estimate of the root (``_root_hint``) chooses where
-that search starts, but never decides a sign, so a solve takes at most 2
-exact evaluations at tol 1e-12 and 1e-13, residual included, instead of
-forty or more (3 at x = n/2, where the first probe meets the root 1/2 and
-both bracket ends are checked).  At finer tols a large enough solve refines that estimate
-by secant steps in a local decimal context (``_refine``) to under half of
-bisection's last cell, and again takes 2; smaller ones keep the float
-estimate (at most 6 evaluations at 1e-30 for n <= 120).  Above a
+enclosure (below), correct unconditionally on floating-point behaviour.  It
+returns the bracket plain bisection of that interval would, found by
+quadratic interval refinement on bisection's grid refined once
+(``exact.bisect_root``), which isolates exactly such a falling sign change,
+so it evaluates a bracket end only when a secant or the final cell needs it,
+and checks its sign then: the cell it returns is still certified by two
+exact or proven signs, and by the lemma above it holds the one root.  A
+float Newton estimate of the root (``_root_hint``) chooses where that search
+starts, but never decides a sign, so a solve takes at most 2 exact
+evaluations at tol 1e-12 and 1e-13, residual included, instead of forty or
+more (3 at x = n/2, where the first probe meets the root 1/2 and both
+bracket ends are checked).  At finer tols a large enough solve refines that
+estimate by secant steps in a local decimal context (``_refine``) to under
+half of bisection's last cell, and again takes 2; smaller ones keep the
+float estimate (at most 6 evaluations at 1e-30 for n <= 120).  Above a
 crossover in n, tol and the core's length (``_certify_bits``), the two
-probes are decided without exact evaluation: ``_enclosure`` bounds J
-between two Decimals, computed on the cancellation-free positive core
-form with rounding toward -inf and +inf in two local contexts
-(``_bounds``), and its sign is the bounds' when they exclude 0, its
-residual their common float.  Only an exact root or a near-tie falls
-back to exact evaluation, so no sign rests on rounding.  Each exact
-evaluation is exact in big integers and reads only the polynomial's short
-side: the core of (n, max(x, n - x)), min(x, n - x) + 1 coefficients, for
-x < n/2 through the mirror identity a J_{n,x}(a) = -(1-a) J_{n,n-x}(1-a).
-The core goes through ``exact._homogeneous_value``: a Horner loop up to 64
+probes are decided without exact evaluation: ``_enclosure`` bounds J between
+two Decimals, computed on the cancellation-free positive core form with
+rounding toward -inf and +inf in two local contexts (``_bounds``), and its
+sign is the bounds' when they exclude 0, its residual their common float.
+Only an exact root or a near-tie falls back to exact evaluation, so no sign
+rests on rounding.  Each exact evaluation is exact in big integers and reads
+only the polynomial's short side: the core of (n, max(x, n - x)),
+min(x, n - x) + 1 coefficients, for x < n/2 through the mirror identity
+a J_{n,x}(a) = -(1-a) J_{n,n-x}(1-a).  The core goes through ``exact._homogeneous_value``: a Horner loop up to 64
 coefficients, and above that a balanced split whose large products run in
 Karatsuba time, with the grid's power of two applied by shifts.
 Fixed-point iteration of the posterior-mean map is provided as a secondary,
@@ -533,12 +533,15 @@ def _certify_bits(n: int, x: int, tol_ratio: Tuple[int, int], hint_bits: int) ->
     plus about 0.1 ms for the powers and contexts.  The exact pair grows
     with n times bits, the size of its big products.  Timed per solve
     (n 40-800, x from n/2 to n, tol 1e-12, 1e-30, 1e-100 and 5e-324; best
-    of 5), the enclosure won where n * bits >= _REFINE_MIN +
-    _CERTIFY_PER_TERM * min(x, n - x), by up to 7 times at 1e-30 near the
-    ends of x, and lost by up to 1.7 times at 1e-12 with cores of about 130
-    coefficients just below it; the one loss above it, 10% at n = 12 and
-    5e-324, is at the rule's edge.  A solve counts only where its first
-    pair is expected to end the search, so that no secant needs exact
+    of 5), the enclosure won where
+
+        n * bits >= _REFINE_MIN + _CERTIFY_PER_TERM * min(x, n - x),
+
+    by up to 7 times at 1e-30 near the ends of x, and lost by up to 1.7
+    times at 1e-12 with cores of about 130 coefficients below it; the
+    losses above it, 10% at n = 12 and 5e-324 and 2% at n = 480, x = 360
+    and 1e-12, are at the rule's edge.  A solve counts only where its
+    first pair is expected to end the search, so that no secant needs exact
     values: where the float hint is fine enough or the hint is refined, and
     never at x = n/2, whose root 1/2 the enclosure cannot decide.  A first
     test on ``tol``'s denominator alone, of which bits is at most the bit
@@ -546,13 +549,13 @@ def _certify_bits(n: int, x: int, tol_ratio: Tuple[int, int], hint_bits: int) ->
     and 1e-12, from any further work.
     """
     tol_num, tol_den = tol_ratio
-    terms = min(x, n - x)
-    if n * (tol_den.bit_length() + 2) < _REFINE_MIN + _CERTIFY_PER_TERM * terms or 2 * x == n:
+    least = _REFINE_MIN + _CERTIFY_PER_TERM * min(x, n - x)
+    if n * (tol_den.bit_length() + 2) < least or 2 * x == n:
         return 0
     if not hint_bits and tol_num * HINT_ERROR.denominator < tol_den << 2:
         return 0
     bits = ((n + 3) << bisect_depth(1, n + 3, tol_num, tol_den) + 1).bit_length()
-    return bits if n * bits >= _REFINE_MIN + _CERTIFY_PER_TERM * terms else 0
+    return bits if n * bits >= least else 0
 
 
 def _bounds(n: int, x: int, bits: int) -> Callable[[int, int], Tuple[decimal.Decimal, decimal.Decimal]]:
@@ -691,7 +694,11 @@ def _bisect_estimate(value: Callable[[int, int], int], obs: BinomialObs,
     hint_bits = _hint_bits(n, x, tol_ratio)
     near, error = _root_hint(n, x, hint_bits)
     try:
-        bits = certified and _certify_bits(n, x, tol_ratio, hint_bits)
+        # The first test of _certify_bits, inline: small solves make no call.
+        if certified and n * (tol_ratio[1].bit_length() + 2) >= _REFINE_MIN:
+            bits = _certify_bits(n, x, tol_ratio, hint_bits)
+        else:
+            bits = 0
         if bits:
             return bisect_root(value, n + 2, lo, hi, tol=tol, near=near, near_error=error,
                                certify=_enclosure(n, x, bits))
