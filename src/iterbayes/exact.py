@@ -405,22 +405,13 @@ def bisect_root(
             raise reject(*((fi, grid_value(top)) if i == 0 else (grid_value(0), fi)))
         return fi
 
-    def check_ends() -> None:
-        """Evaluate and check each end of (lo, hi) that still bounds [a, b]."""
-        nonlocal fa, fb
-        if fa is None and a == 0:
-            fa = end_value(0)
-        if fb is None and b == top:
-            fb = end_value(top)
-
     def know_ends() -> None:
-        """The exact values at a and b, for a secant."""
+        """The exact values at a and b; an end of (lo, hi) is checked too."""
         nonlocal fa, fb
-        check_ends()
         if fa is None:
-            fa = grid_value(a)
+            fa = end_value(0) if a == 0 else grid_value(a)
         if fb is None:
-            fb = grid_value(b)
+            fb = end_value(top) if b == top else grid_value(b)
 
     def cut(i: int) -> bool:
         """Narrow [a, b] to the side of grid point i that holds the root;
@@ -429,7 +420,7 @@ def bisect_root(
         if a < i < b:
             fi = grid_value(i)
             if fi == 0:
-                check_ends()  # P may touch 0 there, or vanish everywhere
+                know_ends()  # P may touch 0 there, or vanish everywhere
                 return True
             if fi > 0:
                 a, fa = i, fi
@@ -501,7 +492,11 @@ def bisect_root(
         mid = (a + b) // 2
         if cut(mid):
             return estimate(mid)
-    check_ends()  # the final cell's own two signs certify it
+    # The final cell's own two signs certify it: check an end of (lo, hi).
+    if fa is None and a == 0:
+        fa = end_value(0)
+    if fb is None and b == top:
+        fb = end_value(top)
     # The odd end of the unit cell [a, b] is the midpoint of bisection's last
     # cell, and its value or certified residual is already known.
     # den**degree is lcm**degree shifted: a power of den itself would square

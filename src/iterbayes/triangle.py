@@ -695,11 +695,8 @@ def _bisect_estimate(value: Callable[[int, int], int], obs: BinomialObs,
     near, error = _root_hint(n, x, hint_bits)
     try:
         # The first test of _certify_bits, inline: small solves make no call.
-        if certified and n * (tol_ratio[1].bit_length() + 2) >= _REFINE_MIN:
-            bits = _certify_bits(n, x, tol_ratio, hint_bits)
-        else:
-            bits = 0
-        if bits:
+        if (certified and n * (tol_ratio[1].bit_length() + 2) >= _REFINE_MIN
+                and (bits := _certify_bits(n, x, tol_ratio, hint_bits))):
             return bisect_root(value, n + 2, lo, hi, tol=tol, near=near, near_error=error,
                                certify=_enclosure(n, x, bits))
         return bisect_root(value, n + 2, lo, hi, tol=tol, near=near, near_error=error)

@@ -350,16 +350,16 @@ class TestEnclosure:
         x = n // 2
         lo, hi = triangle._bounds(n, x, v.bit_length())(v // 2, v)
         assert lo <= 0 <= hi
-        assert triangle._enclosure(n, x, v.bit_length())(v // 2, v) is None
-        # Beside it the signs are J's: positive below, negative above.
         certify = triangle._enclosure(n, x, v.bit_length())
+        assert certify(v // 2, v) is None
+        # Beside it the signs are J's: positive below, negative above.
         assert certify(v // 2 - 1, v)[0] == 1 and certify(v // 2 + 1, v)[0] == -1
 
     @pytest.mark.parametrize("n", [1, 7, 40, 100])
     def test_weights_bracket_the_exact_ones(self, n):
         # Rounded down and up, the recurrence's weights enclose the integers
         # 2 C(n+3, k) C(m-k+2, 2); with digits enough for every product of
-        # the recurrence (60 and 400 here) they are those integers.
+        # the recurrence they are those integers.
         for m in range(n // 2 + 1):
             want = [2 * math.comb(n + 3, k) * math.comb(m - k + 2, 2) for k in range(m + 1)]
             for prec in (12, 60, 400):
@@ -400,8 +400,10 @@ class TestEnclosure:
         v = _fine_grid(n, tol)
         for x in (1, n // 3, (n - 1) // 2):
             value = triangle._estimating_value(BinomialObs(n, x))
-            for u in ((x + 1) * v // (n + 3) + 1, (2 * x + 3) * v // (2 * (n + 3)), (x + 2) * v // (n + 3) - 1):
-                lo, hi = triangle._bounds(n, x, v.bit_length())(u, v)
+            bounds = triangle._bounds(n, x, v.bit_length())
+            for u in ((x + 1) * v // (n + 3) + 1, (2 * x + 3) * v // (2 * (n + 3)),
+                      (x + 2) * v // (n + 3) - 1):
+                lo, hi = bounds(u, v)
                 exact_value = Fraction(value(u, v), v ** (n + 2))
                 assert Fraction(lo) <= exact_value <= Fraction(hi), (x, u)
 
