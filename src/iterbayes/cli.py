@@ -25,13 +25,15 @@ FORMATS = ("plain", "csv", "json")
 
 # Largest trial count that one command solves: --n, or the x + 1 and x + R
 # trials that --geometric and --neg-binomial imply, or a table's sum over its
-# solves.  A solve costs about the square of n (0.18-0.22 s for one estimate
-# command at n = 10000, x = n/3, and the default --tol on a 2-vCPU Linux
-# host, interpreter start included) and grows as --tol shrinks, so trials
-# times log2(1/tol) is bounded too, by its value at MAX_TRIALS and tol 1e-30
-# (0.29-0.40 s there, eight runs; its hint is refined to the last cell, and
-# the search evaluates two points).  The host's speed drifts by up to 2x
-# between sittings.
+# solves.  An exact evaluation costs about the square of n, and grows as
+# --tol shrinks, so trials times log2(1/tol) is bounded too, by its value at
+# MAX_TRIALS and tol 1e-30.  At n = 10000 every solve but x = n/2 decides its
+# two probes by the enclosure instead (one estimate command at x = n/3 took
+# 0.08-0.13 s at the default --tol and 0.09 s at 1e-30, against 0.14-0.21 s
+# and 0.25-0.27 s with exact probes, eight runs each, interpreter start
+# included, 2-vCPU Linux host); x = n/2 evaluates three points exactly,
+# 0.17-0.20 s at 1e-30.  The host's speed drifts by up to 2x between
+# sittings.
 MAX_TRIALS = 10_000
 MAX_TRIAL_BITS = MAX_TRIALS * -math.log2(1e-30)
 

@@ -350,10 +350,7 @@ def bisect_root(
     the zero test stays exact; so are the bracket ends, and any point whose
     value a secant needs, lazily, as above.  Every sign the search compares
     is exact or proven; with a ``certify`` that decides every probe it makes
-    no exact evaluation at all where the first pair ends the search.  An
-    exact zero is returned only once the ends of (lo, hi) that still bound
-    the bracket are checked, so a polynomial that touches 0 at a probe
-    without changing sign is rejected as it is without a hint.
+    no exact evaluation at all where the first pair ends the search.
     """
     tol_num, tol_den = check_tol(tol, "bisect_root")
     if near is not None and near_error is None:
