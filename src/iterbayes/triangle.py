@@ -61,9 +61,10 @@ half of bisection's last cell, and again takes 2; smaller ones keep the
 float estimate (at most 6 evaluations at 1e-30 for n <= 120).  Above a
 crossover in n, tol and the core's length (``_certify_bits``), the two
 probes are decided without exact evaluation: ``_enclosure`` bounds J between
-two Decimals, computed on the cancellation-free positive core form with
-rounding toward -inf and +inf in two local contexts (``_bounds``), and its
-sign is the bounds' when they exclude 0, its residual their common float.
+two Decimals, computed on the cancellation-free positive core form in one
+pass rounded toward +inf, the lower bound from an a-priori count of its
+roundings (``_bounds``), and its sign is the bounds' when they exclude 0,
+its residual their common float.
 Only an exact root or a near-tie falls back to exact evaluation, so no sign
 rests on rounding.  Each exact evaluation is exact in big integers and reads
 only the polynomial's short side: the core of (n, max(x, n - x)),
@@ -286,17 +287,21 @@ def _estimating_value(obs: BinomialObs) -> Callable[[int, int], int]:
     evaluator's split, v's power of two is applied to v**(n+1) by a shift.
     Every grid point of one solve has the odd part of n + 3, so the power
     of the odd part is kept in a one-entry memo, an (odd, odd**(n+1)) pair
-    replaced whole, and computed again only when the odd part changes.
+    replaced whole, and computed again only when the odd part changes.  The
+    polynomial is built on the first evaluation, not before: a solve whose
+    probes are all certified by :func:`_enclosure` builds none.
     """
     n, x = obs.n, obs.x
     big = max(x, n - x)
-    coeffs = estimating_polynomial(BinomialObs(n, big)).int_coeffs
-    c0, c1, core = coeffs[0], coeffs[1], coeffs[big + 2:]
-
+    parts = None  # (c0, c1, core), built on the first evaluation
     memo = (1, 1)  # (odd, odd ** (n + 1))
 
     def value(u: int, v: int) -> int:
-        nonlocal memo
+        nonlocal parts, memo
+        if parts is None:
+            coeffs = estimating_polynomial(BinomialObs(n, big)).int_coeffs
+            parts = coeffs[0], coeffs[1], coeffs[big + 2:]
+        c0, c1, core = parts
         k = (v & -v).bit_length() - 1
         odd = v >> k
         memo_odd, power = memo
@@ -515,9 +520,11 @@ def _hint_bits(n: int, x: int, tol_ratio: Tuple[int, int]) -> int:
     return fine + (n + 3).bit_length() + 1
 
 
-# The n * bits, past _REFINE_MIN, that one core coefficient costs the
-# enclosure: see _certify_bits.
-_CERTIFY_PER_TERM = 64
+# The crossover of _certify_bits: a solve decides its probes by the
+# enclosure where n * bits + _CERTIFY_PER_TERM * min(x, n - x) reaches
+# _CERTIFY_MIN.
+_CERTIFY_MIN = 7_000
+_CERTIFY_PER_TERM = 32
 
 
 def _certify_bits(n: int, x: int, tol_ratio: Tuple[int, int], hint_bits: int) -> int:
@@ -526,36 +533,45 @@ def _certify_bits(n: int, x: int, tol_ratio: Tuple[int, int], hint_bits: int) ->
     its probes by :func:`_enclosure`; 0 where it evaluates them exactly.
     ``hint_bits`` is :func:`_hint_bits`'s for the same solve.
 
-    The enclosure costs a solve about 8 Decimal operations per core
-    coefficient, min(x, n - x) + 1 of them: 4 to build the weights in both
-    directions and 2 fused steps per probe and direction, for the two probes
-    a solve makes (about 0.35 us each at 50-70 digits, 2-vCPU Linux host),
-    plus about 0.1 ms for the powers and contexts.  The exact pair grows
-    with n times bits, the size of its big products.  Timed per solve
-    (n 40-800, x from n/2 to n, tol 1e-12, 1e-30, 1e-100 and 5e-324; best
-    of 5), the enclosure won where
+    The enclosure costs a solve about 4 Decimal operations per core
+    coefficient, min(x, n - x) + 1 of them: 2 to build the weights once,
+    rounded up, and one fused step per probe, for the two probes a solve
+    makes (about 0.35 us each at 50-70 digits, 2-vCPU Linux host), plus
+    about 0.05 ms for the contexts, the powers and the divisions.  The
+    exact pair grows with n times bits, the size of its big products, and
+    with the core's length, and builds the polynomial first.  Timed per
+    solve (n 12-350, x from n/2 to n, tol 1e-12, 1e-13, 1e-15, 1e-30,
+    1e-100 and 5e-324; best of 7, the two ways alternating), the enclosure
+    won where
 
-        n * bits >= _REFINE_MIN + _CERTIFY_PER_TERM * min(x, n - x),
+        n * bits + _CERTIFY_PER_TERM * min(x, n - x) >= _CERTIFY_MIN,
 
-    by up to 7 times at 1e-30 near the ends of x, and lost by up to 1.7
-    times at 1e-12 with cores of about 130 coefficients below it; the
-    losses above it, 10% at n = 12 and 5e-324 and 2% at n = 480, x = 360
-    and 1e-12, are at the rule's edge.  A solve counts only where its
-    first pair is expected to end the search, so that no secant needs exact
-    values: where the float hint is fine enough or the hint is refined, and
-    never at x = n/2, whose root 1/2 the enclosure cannot decide.  A first
-    test on ``tol``'s denominator alone, of which bits is at most the bit
-    length plus 2, keeps the solves far below the rule, every one at n <= 60
-    and 1e-12, from any further work.
+    by up to 11 times at 1e-100 and 3 times at 1e-30 (n = 300), and 1.1-1.7
+    times at 1e-12 from n = 200 to 350, and lost by up to 1.6 times at
+    1e-12 with n <= 100, below it; the losses above it, up to 12% at n = 12-16, x = n and
+    5e-324, are at the rule's edge, where the core has one coefficient.  A
+    solve counts only where its first pair is expected to end the search,
+    so that no secant needs exact values: where the float hint is fine
+    enough or the hint is refined, and never at x = n/2, whose root 1/2 the
+    enclosure cannot decide.  A first test on ``tol``'s denominator alone,
+    of which bits is at most the bit length plus 2, with min(x, n - x) at
+    most n/2, keeps the solves far below the rule, every one at n <= 60 and
+    1e-12, from any further work.
     """
     tol_num, tol_den = tol_ratio
-    least = _REFINE_MIN + _CERTIFY_PER_TERM * min(x, n - x)
-    if n * (tol_den.bit_length() + 2) < least or 2 * x == n:
+    if n * (tol_den.bit_length() + 2) + _CERTIFY_PER_TERM * min(x, n - x) < _CERTIFY_MIN or 2 * x == n:
         return 0
     if not hint_bits and tol_num * HINT_ERROR.denominator < tol_den << 2:
         return 0
     bits = ((n + 3) << bisect_depth(1, n + 3, tol_num, tol_den) + 1).bit_length()
-    return bits if n * bits >= least else 0
+    return bits if n * bits + _CERTIFY_PER_TERM * min(x, n - x) >= _CERTIFY_MIN else 0
+
+
+def _first_term_roundings(n: int, m: int) -> int:
+    """E = 4m + 2n + 4: the most roundings, counted with multiplicity, that
+    the first term of :func:`_bounds` on the core of length m + 1 passes
+    through."""
+    return 4 * m + 2 * n + 4
 
 
 def _bounds(n: int, x: int, bits: int) -> Callable[[int, int], Tuple[decimal.Decimal, decimal.Decimal]]:
@@ -567,35 +583,60 @@ def _bounds(n: int, x: int, bits: int) -> Callable[[int, int], Tuple[decimal.Dec
     On the short side x >= n/2, with m = n - x, r = (v - u)/u and
     G = (n+3)u - (x+1)v,
 
-        J(u/v) = 2 a^(n+2) S(r) - (m+1) G/v,   a = u/v,
+        J(u/v) = T - (m+1) G/v,   T = 2 a^(n+2) S(r),   a = u/v,
 
     S(r) = sum_k w_k r^k the positive core form that :func:`_root_hint` and
-    :func:`_refine` sum.  Every factor of the first term is positive, so every
-    operation on it is monotone: one pass in a context that rounds toward
-    -inf gives a lower bound of J, and one that rounds toward +inf an upper
-    bound, with (m+1) G/v divided in the other context.  The weights 2 w_k
-    come from :func:`_core_weights`, once in each direction.  a^(n+2) is
-    taken by repeated multiplication, each product rounded in the bound's
-    direction; a context's power is not guaranteed to round so.  Below n/2
-    the mirror identity gives J(u/v) = -(u'/u) J_{n,n-x}(u'/v) with
-    u' = v - u, and the bounds of J_{n,n-x} are multiplied by -u'/u as an
-    interval.  Both contexts are local, with _refine's exponent range and
-    traps; no operation reads or changes the thread's context, so negation
-    is ``copy_negate``, which rounds nothing.
+    :func:`_refine` sum.  Every factor of T is positive, so every operation
+    on it is monotone, and one pass in a context that rounds toward +inf
+    gives T_hi >= T.  The weights 2 w_k come from :func:`_core_weights`,
+    once per solve; a^(n+2) is taken by square-and-multiply, each product
+    rounded up, since a context's power is not guaranteed to round so.
 
-    Precision.  A bound passes through at most N = 4m + n + 2 bit_length(n+2)
-    + 4 <= 4n + 8 directed roundings of relative size under 10**(1-digits),
-    all on positive quantities: the weights (2 per step of the recurrence),
-    r and a (one each, raised to powers up to m and n + 2), Horner's m fused
-    steps, the power's products, the final product and the subtraction.  So
-    the bounds are about (8n + 16) 10**(1-digits) times the first term
-    apart, and that term is about (m+1) G/v, below m + 1.  Next to the root,
-    on a grid of denominator v, |J| is about |J'| / v at least, and |J'| is
-    above m + 1, so the bounds exclude 0 once 10**digits exceeds
-    (8n + 16) 10 v, and give |J|'s float, which needs 53 bits of |J| more,
-    once it exceeds (8n + 16) 10 v 2**53.  ``digits`` carries bits + 93
-    bits, bits the bit length of v, plus the digits of 8n + 16 and 4 more:
-    40 bits beyond that need.
+    A lower bound of T follows from T_hi by an a-priori bound (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2002, sec. 3.1).  A
+    result rounded up to ``digits`` digits is y (1 + d) with 0 <= d < eps,
+    eps = 10**(1 - digits), for every positive y above the context's Emin,
+    which no value here nears: a > 1/3 on the short side, so a^(n+2) >
+    3**-(n+2).  Counted with multiplicity,
+    so that a product adds its factors' counts and one more,
+    T_hi <= T (1 + eps)**E with E = :func:`_first_term_roundings`:
+
+    - 2 w_k by the recurrence takes 2k roundings (2 w_0 is an integer of
+      far fewer than ``digits`` digits, exact), r^k takes k, and Horner's
+      rule adds k + 1 to the term of w_k (m to that of w_m, which starts
+      it), so a term of S takes at most 4k + 1 <= 4m - 3 for k < m, and
+      4m for k = m: S takes at most 4m;
+    - the power takes 2(n+2) - 1: a takes 1 = 2 * 1 - 1; a square of a^j
+      within 2j - 1 takes 2(2j - 1) + 1 = 2(2j) - 1, each squaring doubling
+      the count before it, and a product by a 2j - 1 + 1 + 1 = 2(j+1) - 1;
+    - the product of the two takes 1.
+
+    So E = 4m + 2(n+2) - 1 + 1 = 4m + 2n + 4 <= 4n + 4, as m <= n/2.  As
+    E eps <= 1 and exp(t) <= 1 + 2t for 0 <= t <= 1, (1 + eps)**E <= 1 +
+    2 E eps, and T_lo = T_hi / (1 + 2 E eps), rounded down, is at most T.
+    The factor is made exactly from its digits, and divided in the
+    context that rounds down: nothing here reads the thread's context.
+    Then lo = T_lo - (m+1) G/v and hi = T_hi - (m+1) G/v, with (m+1) G/v
+    rounded up in lo and down in hi, each difference rounded in its
+    bound's direction.  Below n/2 the mirror identity gives
+    J(u/v) = -(u'/u) J_{n,n-x}(u'/v) with u' = v - u, and the bounds of
+    J_{n,n-x} are multiplied by -u'/u as an interval.  Both contexts are
+    local, with _refine's exponent range and traps; negation is
+    ``copy_negate``, which rounds nothing.
+
+    Precision.  T_hi - T_lo is at most (2E + 1) eps T_hi, and the
+    linear term's two roundings and the subtractions' add about 4 eps T
+    more, so the bounds are under (8n + 16) eps times T apart, and T is
+    about (m+1) G/v, below m + 1.  Next to the root, on a grid of
+    denominator v, |J| is about |J'| / v at least, and |J'| is above
+    m + 1, so the bounds exclude 0 once 10**digits exceeds (8n + 16) 10 v,
+    and give |J|'s float, which needs 53 bits of |J| more, once it exceeds
+    (8n + 16) 10 v 2**53.  ``digits`` carries bits + 93 bits, bits the bit
+    length of v, plus the digits of 8n + 16 and 4 more: 40 bits beyond that
+    need.  Two passes, one rounded each way, give a narrower interval, as a
+    directed rounding's own error averages about a fifth of eps: this one
+    is 4 to 30 times as wide (about 8 times in the median at n 100-3000),
+    and spends 2 to 5 of those 40 bits.
     """
     big = max(x, n - x)
     m = n - big
@@ -604,32 +645,31 @@ def _bounds(n: int, x: int, bits: int) -> Callable[[int, int], Tuple[decimal.Dec
                                  Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX,
                                  capitals=1, clamp=0, flags=[], traps=_TRAPS)
                  for rounding in (decimal.ROUND_FLOOR, decimal.ROUND_CEILING))
-    low_core, high_core = _core_weights(low, n, m), _core_weights(high, n, m)
+    top, weights = _core_weights(high, n, m)
+    # 1 + 2 E 10**(1 - digits), exact.
+    scale = 10 ** (digits - 1) + 2 * _first_term_roundings(n, m)
+    inflation = decimal.Decimal((0, tuple(map(int, str(scale))), 1 - digits))
     exponent = bin(n + 2)[3:]
+    mul, div, fma = high.multiply, high.divide, high.fma
+    mirror = big != x
 
-    def first_term(ctx: decimal.Context, top: decimal.Decimal, weights: list,
-                   u: int, v: int) -> decimal.Decimal:
-        """2 a^(n+2) S(r) at a = u/v, rounded in ``ctx``'s direction."""
-        mul, fma = ctx.multiply, ctx.fma
-        r = ctx.divide(v - u, u)
+    def bounds(u: int, v: int) -> Tuple[decimal.Decimal, decimal.Decimal]:
+        if mirror:
+            u = v - u
+        r = div(v - u, u)
         s = top
         for w in weights:
             s = fma(s, r, w)
-        a = ctx.divide(u, v)
+        a = div(u, v)
         power = a
         for bit in exponent:
             power = mul(power, power)
             if bit == "1":
                 power = mul(power, a)
-        return mul(power, s)
-
-    def bounds(u: int, v: int) -> Tuple[decimal.Decimal, decimal.Decimal]:
-        mirror = big != x
-        if mirror:
-            u = v - u
+        term = mul(power, s)
         linear = (m + 1) * ((n + 3) * u - (big + 1) * v)
-        lo = low.subtract(first_term(low, *low_core, u, v), high.divide(linear, v))
-        hi = high.subtract(first_term(high, *high_core, u, v), low.divide(linear, v))
+        lo = low.subtract(low.divide(term, inflation), high.divide(linear, v))
+        hi = high.subtract(term, low.divide(linear, v))
         if mirror:
             return (high.divide(high.multiply(hi, u), v - u).copy_negate(),
                     low.divide(low.multiply(lo, u), v - u).copy_negate())
@@ -694,8 +734,10 @@ def _bisect_estimate(value: Callable[[int, int], int], obs: BinomialObs,
     hint_bits = _hint_bits(n, x, tol_ratio)
     near, error = _root_hint(n, x, hint_bits)
     try:
-        # The first test of _certify_bits, inline: small solves make no call.
-        if (certified and n * (tol_ratio[1].bit_length() + 2) >= _REFINE_MIN
+        # The first test of _certify_bits, inline and with min(x, n - x) at
+        # most n/2: small solves make no call.
+        if (certified
+                and n * (tol_ratio[1].bit_length() + 2 + _CERTIFY_PER_TERM // 2) >= _CERTIFY_MIN
                 and (bits := _certify_bits(n, x, tol_ratio, hint_bits))):
             return bisect_root(value, n + 2, lo, hi, tol=tol, near=near, near_error=error,
                                certify=_enclosure(n, x, bits))

@@ -43,6 +43,14 @@ C(n+3, m-i) C(i+2, 2) of u^i (v-u)^(m-i), m = n - x, one observation at a
 time: the package builds a whole row for one n by three prefix passes and
 must give the same integer for every x.
 
+The two-pass bounds are the reference for the package's enclosure of J:
+the same positive core form evaluated twice, once in a context that rounds
+toward -inf and once in one that rounds toward +inf, so that each bound
+rests on the monotonicity of its operations alone.  The package makes one
+pass, rounding up, and takes the lower bound from an a-priori count of its
+roundings; its bounds must hold J and stay within a few times the width of
+these.
+
 The homogeneous-evaluation reference is the single Horner loop over all
 coefficients: the package splits long inputs into balanced halves and must
 give the same integer.
@@ -63,10 +71,12 @@ budget turns any would-be runaway recursion into a loud error.
 """
 
 import dataclasses
+import decimal
 from fractions import Fraction
 from math import comb, factorial
 
 import iterbayes.exact as exact
+import iterbayes.triangle as triangle
 from iterbayes.conjugate import ConjugateFamily
 from iterbayes.exact import MAX_ITER, ExactPoly, bisect_root, check_tol, eval_rational, sign_at
 from iterbayes.types import METHOD_BISECTION, BinomialObs, Estimate
@@ -369,6 +379,51 @@ def reference_positive_core(a, obs):
     m = obs.n - obs.x
     return sum(comb(obs.n + 3, m - i) * comb(i + 2, 2) * u**i * (v - u) ** (m - i)
                for i in range(m + 1))
+
+
+def reference_bounds(n, x, bits):
+    """Bounds (lo, hi) of J(u/v) for (n, x) as ``triangle._bounds`` gives
+    them, by two monotone passes over J = 2 a^(n+2) S(r) - (m+1) G/v on the
+    short side, one rounded toward -inf and one toward +inf, each with its
+    own weights; the linear term is rounded the other way, and below n/2
+    the mirror identity's factor -(v-u)/u is applied as an interval.  The
+    contexts carry ``triangle._bounds``' digits, exponent range and traps."""
+    big = max(x, n - x)
+    m = n - big
+    digits = (bits + 93) * 30103 // 100000 + len(str(8 * n + 16)) + 4
+    low, high = (decimal.Context(prec=digits, rounding=rounding,
+                                 Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX,
+                                 traps=triangle._TRAPS)
+                 for rounding in (decimal.ROUND_FLOOR, decimal.ROUND_CEILING))
+    cores = {ctx: triangle._core_weights(ctx, n, m) for ctx in (low, high)}
+
+    def first_term(ctx, u, v):
+        top, weights = cores[ctx]
+        r = ctx.divide(v - u, u)
+        s = top
+        for w in weights:
+            s = ctx.fma(s, r, w)
+        a = ctx.divide(u, v)
+        power = a
+        for bit in bin(n + 2)[3:]:
+            power = ctx.multiply(power, power)
+            if bit == "1":
+                power = ctx.multiply(power, a)
+        return ctx.multiply(power, s)
+
+    def bounds(u, v):
+        mirror = big != x
+        if mirror:
+            u = v - u
+        linear = (m + 1) * ((n + 3) * u - (big + 1) * v)
+        lo = low.subtract(first_term(low, u, v), high.divide(linear, v))
+        hi = high.subtract(first_term(high, u, v), low.divide(linear, v))
+        if mirror:
+            return (high.divide(high.multiply(hi, u), v - u).copy_negate(),
+                    low.divide(low.multiply(lo, u), v - u).copy_negate())
+        return lo, hi
+
+    return bounds
 
 
 def reference_homogeneous_value(coeffs, u, v):

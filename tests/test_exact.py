@@ -372,13 +372,13 @@ class TestEvaluationCount:
     # (n * fine >= _REFINE_MIN: n >= 128 at 1e-30, 75 at 1e-50, 37 at 1e-100
     # and 12 at 5e-324 here) one pair on the fine level, and above the
     # enclosure's crossover (_certify_bits) that pair is two certified
-    # probes and no exact evaluation: every refined solve here at 1e-100
-    # and 5e-324, and 336 of 392 at 1e-50.  At x = n/2 the first probe meets the
+    # probes and no exact evaluation: every refined solve here at 1e-50,
+    # 1e-100 and 5e-324.  At x = n/2 the first probe meets the
     # root 1/2, and both bracket ends are checked before it is returned: 3
     # at every tol.  At 5e-324, whose solves cost the most, every third case.
     @pytest.mark.parametrize("tol, most, refined, stride",
                              [(1e-12, 2, None, 1), (1e-15, 4, None, 1), (1e-30, 6, None, 1),
-                              (1e-50, 8, 2, 1), (1e-100, 10, None, 1), (5e-324, 12, None, 3)],
+                              (1e-50, 8, None, 1), (1e-100, 10, None, 1), (5e-324, 12, None, 3)],
                              ids=["1e-12", "1e-15", "1e-30", "1e-50", "1e-100", "5e-324"])
     def test_exact_evaluations_per_solve(self, monkeypatch, tol, most, refined, stride):
         calls = _count_evaluations(monkeypatch)
@@ -403,13 +403,11 @@ class TestEvaluationCount:
     # tol from 1e-15 on: 2 exact evaluations, or 2 certified probes and none
     # where the enclosure decides them.  Seeded n up to 1029 (5e-324 up to
     # 300, where a solve takes up to 0.1 s), at four x each: all 16 refine,
-    # and all but 2 are certified, (387, 129) and (387, 143) at 1e-15,
-    # whose cores of 130 and 144 coefficients put them just below the rule.
-    @pytest.mark.parametrize("tol, n_max, want", [(1e-15, 1029, 14), (1e-30, 1029, 16),
-                                                  (1e-50, 1029, 16), (1e-100, 600, 16),
-                                                  (5e-324, 300, 16)],
+    # and all 16 are certified.
+    @pytest.mark.parametrize("tol, n_max", [(1e-15, 1029), (1e-30, 1029), (1e-50, 1029),
+                                            (1e-100, 600), (5e-324, 300)],
                              ids=["1e-15", "1e-30", "1e-50", "1e-100", "5e-324"])
-    def test_refined_solves_take_two(self, monkeypatch, tol, n_max, want):
+    def test_refined_solves_take_two(self, monkeypatch, tol, n_max):
         calls = _count_evaluations(monkeypatch)
         probes = _count_probes(monkeypatch)
         rng = random.Random(f"refined {tol}")
@@ -426,7 +424,7 @@ class TestEvaluationCount:
                         assert (probes[0], calls[0]) == (2, 0), (n, x)
                     else:
                         assert (probes[0], calls[0]) == (0, 2), (n, x)
-        assert refined == 16 and certified == want
+        assert refined == certified == 16
 
     def test_first_probe_is_the_grid_point_nearest_the_hint(self, monkeypatch):
         # Every n <= 120 at 1e-13, the tol of risk and compare.  A first probe
@@ -446,11 +444,10 @@ class TestEvaluationCount:
         assert all(worst[2 * x, x] == 3 for x in range(1, 61))
 
     # Each solve makes one pair: 2 certified probes and no exact evaluation
-    # above the enclosure's crossover, 2 exact evaluations below it: 41 of
-    # the 48 solves at 1e-13, all 48 at 1e-30.
-    @pytest.mark.parametrize("tol, certified", [(1e-13, 41), (1e-30, 48)],
-                             ids=["1e-13", "1e-30"])
-    def test_seeded_n_up_to_1029(self, monkeypatch, tol, certified):
+    # above the enclosure's crossover, 2 exact evaluations below it: all 48
+    # solves at 1e-13 and at 1e-30.
+    @pytest.mark.parametrize("tol", [1e-13, 1e-30])
+    def test_seeded_n_up_to_1029(self, monkeypatch, tol):
         calls = _count_evaluations(monkeypatch)
         probes = _count_probes(monkeypatch)
         rng = random.Random(1029)
@@ -461,7 +458,7 @@ class TestEvaluationCount:
                 solve_iterative_bayes(BinomialObs(n, x), tol=tol)
                 counts.append((probes[0], calls[0]))
                 assert counts[-1] == ((2, 0) if _certified(n, x, tol) else (0, 2)), (n, x)
-        assert counts.count((2, 0)) == certified
+        assert counts.count((2, 0)) == 48
 
     @pytest.mark.parametrize("n", [2000, 5000, 10_000])
     def test_large_n(self, monkeypatch, n):

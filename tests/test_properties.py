@@ -30,6 +30,7 @@ from helpers import (
     from_bernstein,
     geometric_polynomial,
     reference_bisect_root,
+    reference_bounds,
     reference_estimating_coeffs,
     reference_factorization_rhs,
     reference_homogeneous_value,
@@ -156,11 +157,24 @@ def _check_enclosure(n, x, tol, data, draws):
     of the solver bracket, on bisect_root's fine grid at ``tol``, the
     bounds of ``triangle._bounds`` hold J, and a sign and residual that
     ``triangle._enclosure`` decides are J's own: the residual as
-    bisect_root rounds it from the exact value."""
+    bisect_root rounds it from the exact value.
+
+    The bounds are those of two passes rounded in opposite directions
+    (``reference_bounds``), which hold J too, but for the lower end of the
+    short side's first term T: one pass rounded up, divided by
+    1 + 2 E eps, is at most (2E + 1) eps T below the other pass's lower
+    end.  So on the short side the upper bound is the reference's and the
+    interval at most (2E + 3) eps T wider, counting the division's
+    rounding and the subtraction's; below n/2 the same holds of the
+    bounds' other ends, with T scaled by the mirror's (v - u)/u."""
     fine = exact.bisect_depth(1, n + 3, *tol.as_integer_ratio()) + 1
     v = (n + 3) << fine
     bounds = triangle._bounds(n, x, v.bit_length())
+    reference = reference_bounds(n, x, v.bit_length())
     certify = triangle._enclosure(n, x, v.bit_length())
+    big = max(x, n - x)
+    digits = (v.bit_length() + 93) * 30103 // 100000 + len(str(8 * n + 16)) + 4
+    share = (2 * triangle._first_term_roundings(n, n - big) + 3) * Fraction(1, 10 ** (digits - 1))
     value = triangle._estimating_value(BinomialObs(n, x))
     scale = v ** (n + 2)
     mid = solve_iterative_bayes(BinomialObs(n, x), tol).value_exact
@@ -173,8 +187,21 @@ def _check_enclosure(n, x, tol, data, draws):
             continue
         fu = value(u, v)
         lo, hi = bounds(u, v)
-        (lo_num, lo_den), (hi_num, hi_den) = lo.as_integer_ratio(), hi.as_integer_ratio()
-        assert lo_num * scale <= fu * lo_den and fu * hi_den <= hi_num * scale, (n, x, tol, u)
+        ref_lo, ref_hi = reference(u, v)
+        for low, high in ((lo, hi), (ref_lo, ref_hi)):
+            (lo_num, lo_den), (hi_num, hi_den) = low.as_integer_ratio(), high.as_integer_ratio()
+            assert lo_num * scale <= fu * lo_den and fu * hi_den <= hi_num * scale, (n, x, tol, u)
+        # T = J + (m+1) G/v on the short side, at u' = v - u below n/2,
+        # where J is -(u'/u) times the short side's; |J| <= max(|lo|, |hi|).
+        short = u if big == x else v - u
+        most = max(abs(Fraction(lo)), abs(Fraction(hi))) * Fraction(v - short if big != x else 1,
+                                                                   short if big != x else 1)
+        term = most + Fraction((n - big + 1) * ((n + 3) * short - (big + 1) * v), v)
+        widening = (Fraction(hi) - Fraction(lo)) - (Fraction(ref_hi) - Fraction(ref_lo))
+        if big == x:
+            assert hi == ref_hi and widening <= share * term, (n, x, tol, u)
+        else:
+            assert lo == ref_lo and widening <= share * term * Fraction(v - u, u), (n, x, tol, u)
         got = certify(u, v)
         # Undecided only at an exact root: a near-tie is about 2**-40 likely.
         assert got == ((fu > 0) - (fu < 0), abs(fu) / scale) if fu else got is None, (n, x, tol, u)

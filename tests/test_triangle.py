@@ -392,6 +392,96 @@ class TestEnclosure:
             triangle._bounds(n, x, v.bit_length())(u, v)
         assert used == {"create_decimal", "multiply", "divide", "fma", "subtract"}
 
+    CONTEXT_CASES = [(120, 100, 1e-12), (120, 20, 1e-30), (30, 29, 5e-324), (801, 3, 1e-30)]
+
+    def test_reads_nothing_from_the_thread_context(self):
+        # Under a thread context of 3 digits with every trap on, the bounds
+        # and the certified signs are those of the default context, to the
+        # last digit, and raise nothing: the lower bound's factor
+        # 1 + 2 E 10**(1 - digits) made by an addition would round to 1 in
+        # that context and leave the lower bound above J.
+        def everything():
+            out = []
+            for n, x, tol in self.CONTEXT_CASES:
+                v = _fine_grid(n, tol)
+                bounds = triangle._bounds(n, x, v.bit_length())
+                certify = triangle._enclosure(n, x, v.bit_length())
+                for u in ((x + 1) * v // (n + 3) + 1, (2 * x + 3) * v // (2 * (n + 3)),
+                          (x + 2) * v // (n + 3) - 1):
+                    out.append(([bound.as_tuple() for bound in bounds(u, v)], certify(u, v)))
+            return out
+
+        want = everything()
+        with decimal.localcontext() as caller:
+            caller.prec = 3
+            for signal in caller.traps:
+                caller.traps[signal] = True
+            assert everything() == want
+
+    def test_rounding_count_walks_the_operations(self):
+        # The most roundings the first term T = 2 a^(n+2) S(r) passes
+        # through, counted with multiplicity by walking _bounds' operations:
+        # an integer operand counts 0, a rounded result its operands' counts
+        # plus 1 (the larger of an fma's product and addend), 2 w_0 is exact.
+        # S's walk for one m runs in m steps; the max-plus form of the same
+        # Horner loop, the largest count over its terms, sweeps every m in
+        # one pass and is checked against the step by step walk first.
+        weights = [0]  # 2 w_k: a multiply and a divide from 2 w_(k-1)
+        for k in range(1, 5001):
+            weights.append(weights[-1] + 2)
+        r = 1  # one divide of integers
+
+        def horner(m):
+            s = weights[m]
+            for k in range(m - 1, -1, -1):
+                s = max(s + r, weights[k]) + 1  # fma(s, r, 2 w_k)
+            return s
+
+        core, below = [], 0  # below: the largest count of a term k < m
+        for m in range(5001):
+            # The term of w_m passes m fused steps; the term of w_k, k < m,
+            # its own and k more.
+            core.append(max(weights[m] + m * r + m, below))
+            below = max(below, weights[m] + m * r + m + 1)
+        assert [horner(m) for m in range(201)] == core[:201]
+
+        def power(n):
+            a = 1  # one divide of integers
+            p = a
+            for bit in bin(n + 2)[3:]:
+                p = 2 * p + 1  # multiply(p, p)
+                if bit == "1":
+                    p = p + a + 1  # multiply(p, a)
+            return p
+
+        powers = [power(n) for n in range(10_001)]
+        pairs = {(n, m) for n in range(1, 10_001) for m in {0, 1, 2, n // 2 - 1, n // 2} if m >= 0}
+        pairs |= {(n, m) for m in range(5001) for n in (2 * m, 2 * m + 1, 9999, 10_000)
+                  if 0 < n <= 10_000 and m <= n // 2}
+        for n, m in sorted(pairs):
+            walked = powers[n] + core[m] + 1  # multiply(power, s)
+            assert walked <= triangle._first_term_roundings(n, m), (n, m)
+        # The count is tight: every rounding of the walk is one of E's.
+        assert all(powers[n] + core[n // 2] + 1 == triangle._first_term_roundings(n, n // 2)
+                   for n in range(1, 10_001))
+
+    def test_the_lower_bound_is_inflated_past_the_power(self):
+        # With m = 0 or 1 nearly every rounding of T is the power's, 2n + 3
+        # of them: the bounds still hold J next to the root and at both
+        # ends of x's range.
+        tol = 1e-30
+        for n in (500, 1001):
+            v = _fine_grid(n, tol)
+            for x in (0, 1, n - 1, n):
+                value = triangle._estimating_value(BinomialObs(n, x))
+                bounds = triangle._bounds(n, x, v.bit_length())
+                centre = solve_iterative_bayes(BinomialObs(n, x), tol).value_exact
+                u = centre.numerator * (v // centre.denominator)
+                for point in (u - 1, u + 1, (x + 1) * v // (n + 3) + 1, (x + 2) * v // (n + 3) - 1):
+                    lo, hi = bounds(point, v)
+                    exact_value = Fraction(value(point, v), v ** (n + 2))
+                    assert Fraction(lo) <= exact_value <= Fraction(hi), (n, x, point)
+
     @pytest.mark.parametrize("n", [300, 801])
     def test_both_sides_of_half_mirror(self, n):
         # Below n/2 the bounds are those of (n, n - x) at 1 - a, times
@@ -453,6 +543,20 @@ class TestSolveIterativeBayes:
     def test_bad_tol_rejected(self, solve, tol):
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             solve(tol)
+
+    def test_a_certified_solve_builds_no_polynomial(self, monkeypatch):
+        # Both probes of (800, 533) at 1e-30 are certified: the solve gives
+        # the Estimate of exact evaluation without building J.
+        obs, tol = BinomialObs(800, 533), 1e-30
+        monkeypatch.setattr(triangle, "_certify_bits", lambda *args: 0)
+        want = solve_iterative_bayes(obs, tol)
+        monkeypatch.undo()
+
+        def unreachable(obs):
+            raise AssertionError("estimating polynomial built by a certified solve")
+
+        monkeypatch.setattr(triangle, "estimating_polynomial", unreachable)
+        assert solve_iterative_bayes(obs, tol) == want
 
     def test_tol_checked_before_polynomial_built(self, monkeypatch):
         def unreachable(obs):
