@@ -515,9 +515,15 @@ class TestEvaluationCount:
         # x = n/2, whose exact root is returned once both bracket ends are
         # checked; 7,530 when both bracket ends were evaluated first, 21,628
         # without the hint and 23,426 when the residual took an evaluation of
-        # its own.  All are below the enclosure's crossover.
+        # its own.  All are below the enclosure's crossover, and its first
+        # test, inline in the solve, spares them the call of _certify_bits.
         calls = _count_evaluations(monkeypatch)
         probes = _count_probes(monkeypatch)
+
+        def uncalled(*args):
+            raise AssertionError("_certify_bits called below the crossover")
+
+        monkeypatch.setattr(triangle, "_certify_bits", uncalled)
         for n in range(1, 61):
             for x in range(n + 1):
                 solve_iterative_bayes(BinomialObs(n, x), tol=1e-12)
