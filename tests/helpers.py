@@ -48,8 +48,8 @@ the same positive core form evaluated twice, once in a context that rounds
 toward -inf and once in one that rounds toward +inf, so that each bound
 rests on the monotonicity of its operations alone.  The package makes one
 pass, rounding up, and takes the lower bound from an a-priori count of its
-roundings; its bounds must hold J and stay within a few times the width of
-these.
+roundings; its bounds must hold J, equal these at one end and be wider at
+the other by no more than that count allows.
 
 The homogeneous-evaluation reference is the single Horner loop over all
 coefficients: the package splits long inputs into balanced halves and must

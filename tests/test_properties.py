@@ -194,16 +194,15 @@ def _check_enclosure(n, x, tol, data, draws):
         # T = J + (m+1) G/v on the short side, at u' = v - u below n/2,
         # where J is -(u'/u) times the short side's; |J| <= max(|lo|, |hi|).
         short = u if big == x else v - u
-        most = max(abs(Fraction(lo)), abs(Fraction(hi))) * Fraction(v - short if big != x else 1,
-                                                                   short if big != x else 1)
-        term = most + Fraction((n - big + 1) * ((n + 3) * short - (big + 1) * v), v)
+        most = max(abs(Fraction(lo)), abs(Fraction(hi)))
+        term = most * Fraction(u, short) + Fraction((n - big + 1) * ((n + 3) * short - (big + 1) * v), v)
         widening = (Fraction(hi) - Fraction(lo)) - (Fraction(ref_hi) - Fraction(ref_lo))
         if big == x:
             assert hi == ref_hi and widening <= share * term, (n, x, tol, u)
         else:
-            assert lo == ref_lo and widening <= share * term * Fraction(v - u, u), (n, x, tol, u)
+            assert lo == ref_lo and widening <= share * term * Fraction(short, u), (n, x, tol, u)
         got = certify(u, v)
-        # Undecided only at an exact root: a near-tie is about 2**-40 likely.
+        # Undecided only at an exact root: a near-tie is about 2**-35 likely.
         assert got == ((fu > 0) - (fu < 0), abs(fu) / scale) if fu else got is None, (n, x, tol, u)
 
 
