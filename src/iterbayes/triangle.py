@@ -43,7 +43,7 @@ n = 10,000.
 
 The root always lies in the open interval ((x+1)/(n+3), (x+2)/(n+3)), where
 J falls from positive to negative, so the authoritative solver isolates it
-there with sign tests that are exact, or proven by a directed-rounding
+there with sign tests that are exact, or proven by a fixed-point integer
 enclosure (below), correct unconditionally on floating-point behaviour.  It
 returns the bracket plain bisection of that interval would, found by
 quadratic interval refinement on bisection's grid refined once
@@ -51,20 +51,21 @@ quadratic interval refinement on bisection's grid refined once
 so it evaluates a bracket end only when a secant or the final cell needs it,
 and checks its sign then: the cell it returns is still certified by two
 exact or proven signs, and by the lemma above it holds the one root.  A
-float Newton estimate of the root (``_root_hint``) chooses where that search
+float Newton estimate of the root (``_float_hint``) chooses where that search
 starts, but never decides a sign, so a solve takes at most 2 exact
 evaluations at tol 1e-12 and 1e-13, residual included, instead of forty or
 more (3 at x = n/2, where the first probe meets the root 1/2 and both
 bracket ends are checked).  At finer tols a large enough solve refines that
-estimate by secant steps in a local decimal context (``_refine``) to under
-half of bisection's last cell, and again takes 2; smaller ones keep the
-float estimate (at most 6 evaluations at 1e-30 for n <= 120).  Above a
-crossover in n, tol and the core's length (``_certify_bits``), the two
-probes are decided without exact evaluation: ``_enclosure`` bounds J between
-two Decimals, computed on the cancellation-free positive core form in one
-pass rounded toward +inf, the lower bound from an a-priori count of its
-roundings (``_bounds``), and its sign is the bounds' when they exclude 0,
-its residual their common float.
+estimate by secant steps in integers (``_refine``) to under half of
+bisection's last cell, and again takes 2; smaller ones keep the float
+estimate (at most 6 evaluations at 1e-30 for n <= 120).  Above a crossover
+in n, tol and the core's length (``_certify_bits``), the two probes are
+decided without exact evaluation: ``_enclosure`` bounds J between two
+integers on one scale, computed on the cancellation-free positive core form
+in one pass of floors, the upper bound from an a-priori bound on their
+error (``_bounds``), and its sign is the bounds' when they exclude 0, its
+residual their common float.  The refinement and the enclosure share that
+evaluator, built once per solve at the float estimate.
 Only an exact root or a near-tie falls back to exact evaluation, so no sign
 rests on rounding.  Each exact evaluation is exact in big integers and reads
 only the polynomial's short side: the core of (n, max(x, n - x)),
@@ -89,7 +90,6 @@ the root like J, and reports its residual.
 
 from __future__ import annotations
 
-import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -318,9 +318,9 @@ def _estimating_value(obs: BinomialObs) -> Callable[[int, int], int]:
 
 _LOG_1E200 = 200 * math.log(10)
 
-# The absolute error trusted in the float hint of _root_hint: 64 units in the
-# last place at 1.0.  On grids whose fine cell is narrower, large enough
-# solves refine the hint in decimal (_refine).
+# The absolute error trusted in the float hint of _float_hint: 64 units in
+# the last place at 1.0.  On grids whose fine cell is narrower, large enough
+# solves refine the hint in integers (_refine).
 HINT_ERROR = Fraction(1, 2**46)
 
 # The least n * fine (fine the depth of bisect_root's grid, about 43, 95,
@@ -333,20 +333,16 @@ HINT_ERROR = Fraction(1, 2**46)
 # and took 1.12 times as long at n = 9, 5e-324.
 _REFINE_MIN = 12_000
 
-# Traps of _refine's and _bounds' decimal contexts: any of them abandons the
-# refinement or the enclosure.
-_TRAPS = [decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow]
-
-# Formats the enclosure's bounds for float(): a Decimal's own str reads the
-# thread's context.
-_CONVERT = decimal.Context(capitals=1)
+# The evaluator of _bounds: (u, v) -> (lo, hi, shift) or None.
+_Bounds = Callable[[int, int], Optional[Tuple[int, int, int]]]
 
 
-def _root_hint(n: int, x: int, bits: int = 0) -> Tuple[Union[float, decimal.Decimal, None],
-                                                       Union[Fraction, decimal.Decimal]]:
-    """An estimate of J's root in the solver bracket of (n, x) and a bound on
-    its error, for ``bisect_root`` to start its exact search from; it decides
-    no sign.  The estimate is None when there is none.
+def _float_hint(n: int, x: int) -> Tuple[Optional[float], float]:
+    """An estimate of J's root in the solver bracket of (n, x), trusted to
+    within HINT_ERROR, for ``bisect_root`` to start its exact search from;
+    it decides no sign.  Returns (hint, slope): the hint is None when there
+    is none, and the slope is the short side's last float slope where the
+    loop stopped on a small step, where :func:`_refine` may start, else 0.
 
     Newton's method in floats on the log of the balance equation
     2 a^(x+2) pos(a) = (m+1) ((n+3) a - (x+1)), m = n - x, with pos the
@@ -358,11 +354,6 @@ def _root_hint(n: int, x: int, bits: int = 0) -> Tuple[Union[float, decimal.Deci
     x >= n/2, and mirrors below it as the exact evaluator does.  Each step
     is clamped halfway to a bracket end it would pass; the loop stops after
     a step below 1e-9 a, when the next one would be below double precision.
-    That float comes with the error HINT_ERROR.
-
-    Given ``bits`` > 0, :func:`_refine` carries a hint whose loop stopped on
-    a small step to within 2**-bits of the root, starting with its last
-    float slope, and its (hint, error) pair is returned unless it fails.
     """
     big = max(x, n - x)
     m = n - big
@@ -372,7 +363,7 @@ def _root_hint(n: int, x: int, bits: int = 0) -> Tuple[Union[float, decimal.Deci
     for _ in range(8):
         gap = (n + 3) * a - (big + 1)
         if not gap > 0:
-            return None, HINT_ERROR
+            return None, 0.0
         r = (1.0 - a) / a
         term = total = (m + 2) * (m + 1) / 2
         moment = 0.0
@@ -391,108 +382,215 @@ def _root_hint(n: int, x: int, bits: int = 0) -> Tuple[Union[float, decimal.Deci
         step = f / slope
         a = min(max(a - step, (a + lo) / 2), (a + hi) / 2)
         if abs(step) < 1e-9 * a:
-            if bits:
-                refined = _refine(n, big, a, slope, bits, big != x)
-                if refined is not None:
-                    return refined
-            break
-    return (a if big == x else 1.0 - a), HINT_ERROR
+            return (a if big == x else 1.0 - a), slope
+    return (a if big == x else 1.0 - a), 0.0
 
 
-def _core_weights(ctx: decimal.Context, n: int, m: int) -> Tuple[decimal.Decimal, list]:
-    """The weights 2 w_0 .. 2 w_m of the positive core form
-    S(r) = sum_k w_k r^k of (n, n - m), w_0 = C(m+2, 2), made in ``ctx`` by
-    the ratio recurrence w_(k+1)/w_k = (n+3-k)(m-k) / ((k+1)(m-k+2)), two
-    roundings a step: 2 w_m and the rest from 2 w_(m-1) down, in the order
-    Horner's rule reads them."""
-    mul, div = ctx.multiply, ctx.divide
-    weight = ctx.create_decimal((m + 2) * (m + 1))
-    weights = [weight]
+def _core_weights(n: int, m: int, r0: int, point: int, prec: int) -> Tuple[list, int]:
+    """The weights W_k = 2 w_k (r0/2**point)**k, k = m down to 0, of the
+    positive core form S(r) = sum_k w_k r^k of (n, n - m) folded at
+    r0/2**point, w_0 = C(m+2, 2), in the order Horner's rule reads them, as
+    integers on one scale 2**sigma: (weights, sigma), each at most W_k.
+
+    W_(k+1) = W_k r0 (n+3-k)(m-k) / ((k+1)(m-k+2) 2**point), the ratio
+    recurrence, runs on mantissa and exponent pairs: each step takes one
+    floor, a mantissa of prec or prec + 1 bits, so a relative error below
+    2**(1 - prec) (2 w_0 is exact).  On the scale of the largest exponent
+    plus 1 the largest weight's integer has prec - 1 or prec bits, and the
+    alignment floors once more.
+    A short r0 keeps each step's products short.
+    """
+    mantissa = (m + 2) * (m + 1)
+    exponent = mantissa.bit_length() - prec
+    mantissa <<= -exponent
+    mantissas, exponents = [mantissa], [exponent]
     for k in range(m):
-        weight = div(mul(weight, (n + 3 - k) * (m - k)), (k + 1) * (m - k + 2))
-        weights.append(weight)
-    top = weights.pop()
-    weights.reverse()
-    return top, weights
+        t = mantissa * ((n + 3 - k) * (m - k)) * r0
+        d = (k + 1) * (m - k + 2)
+        drop = t.bit_length() - d.bit_length() - prec
+        mantissa = (t >> drop if drop >= 0 else t << -drop) // d
+        exponent += drop - point
+        mantissas.append(mantissa)
+        exponents.append(exponent)
+    sigma = max(exponents) + 1
+    return [w >> sigma - e for w, e in zip(reversed(mantissas), reversed(exponents))], sigma
 
 
-def _refine(n: int, x: int, hint: float, slope: float, bits: int,
-            mirror: bool) -> Optional[Tuple[decimal.Decimal, decimal.Decimal]]:
-    """The float hint of the short side x >= n/2, carried to within 2**-bits
-    of J's root, and a bound on its error; both are Decimals, the hint
-    mirrored to 1 - hint when ``mirror``.  None if the iteration leaves the
-    solver bracket, stops shrinking its steps, runs out of steps or hits a
-    decimal trap.
+def _ulps(n: int, m: int, total: int, prec: int) -> int:
+    """E, the a-priori bound in units in the last place on how far
+    :func:`_bounds`' first term falls below T, for the core of length m + 1
+    whose aligned weights sum to ``total`` at ``prec`` bits; :func:`_bounds`
+    derives it."""
+    most = total + m + 1
+    most += -(-4 * m * most >> prec)  # Sum >= (total + m + 1) / (1 - m delta)
+    horner = 8 * (-(-3 * m * most >> prec) + 2 * m + 1)
+    power = 2 * (2 * (n + 2) - 1) + 1
+    return horner - (-power * (8 * most + horner) >> prec) + 1
 
-    The root is the zero of t(a) = 2 a^(n+2) S(r) / ((m+1) gap) - 1, the
-    balance equation as a ratio, with gap = (n+3) a - (x+1) and
-    S(r) = sum_k w_k r^k the core form :func:`_root_hint` sums.  The
-    iteration runs on d = (m+1) gap t = 2 a^(n+2) S(r) - (m+1) gap, which is
-    J itself through the positive core form: the same zero, one division
-    fewer.  Every operation runs in one local decimal context of ``digits``
-    digits, never in the thread's: its precision follows ``bits``, not the
-    caller's context (whose 28 default digits would stop the iteration near
-    2**-93).  The weights 2 w_k are made once by the ratio recurrence, S by
-    Horner's rule with one fused multiply-add per weight.  The first step
-    divides d by (m+1) gap times the float ``slope``, the derivative of
-    log(2 a^(n+2) S / ((m+1) gap)) and so of t at its zero; then secant
-    steps run until one is below 2**-bits.  The secant converges with order
-    1.6 from the float hint's 2**-46, so bit_length(bits) steps suffice.
 
-    A value of d is rounded at most about 5m + 8 times, relative to either
-    side, so the root it gives moves by under (8m + 16) units of
-    10**(1 - digits) over |t'|, which is 3.6 at n = 1 and about 2n above.
-    ``noise`` is ten times that bound and at most a tenth of 2**-bits.  The
-    reported error is the last step plus ``noise``: the secant's new point
-    is far closer to the root than the step that reached it.  Comparisons
-    between Decimals are exact and round nothing.
+def _bounds(n: int, x: int, hint: float, bits: int) -> _Bounds:
+    """Fixed-point integer bounds of J on the short side x >= n/2, folded
+    at the float ``hint`` of its root, a0: (u, v) -> (lo, hi, shift) with
+    lo <= 2**shift J(u/v) <= hi, for u/v in the solver bracket, decided
+    next to the root for v of at most ``bits`` bits; None where rho, below,
+    is too far above 1.
+
+    With m = n - x, r = (v - u)/u and a = u/v,
+
+        J(u/v) = T + L,   T = a^(n+2) sum_k W_k rho^k,   L = (m+1)((x+1)v - (n+3)u)/v,
+
+    where W_k = 2 w_k r0^k are the positive core form's weights, the ones
+    :func:`_float_hint` sums, folded at r0 = R0/2**j, the hint's r rounded
+    down to 30 bits, exact, and rho = r/r0 is near 1 at the probes; every
+    mantissa carries P = bits + 96 + 2 bit_length(n+3) bits.  The weights
+    are made once (:func:`_core_weights`); a probe makes one Horner pass
+    s <- floor(s rho'/2**P) + W'_k with rho' = floor(2**P rho), takes
+    a^(n+2) by square-and-multiply on mantissas renormalized to P bits by a
+    floor, and T' = floor(p s/2**P),
+    p the power's mantissa and e its exponent: T in units U = 2**-shift,
+    shift = -(e + sigma + P).  Every rounding is the floor of a positive
+    value, so each value is at most the true one, and T' <= T/U.  An
+    a-priori bound E (:func:`_ulps`) gives T/U <= T' + E, and L/U is
+    floored in lo and ceiled in hi by exact integer division:
+    lo = T' + floor(L/U), hi = T' + E + ceil(L/U).
+
+    E.  Let delta = 2**(1-P), under which every floor to a mantissa of at
+    least 2**(P-1) falls relatively, and take weights in units 2**sigma.
+
+    - W_k takes k floors of the recurrence and the alignment's, so
+      W_k - W'_k < k delta W_k + 1, and the true weights sum to at most
+      Sum = (total + m + 1)/(1 - m delta), total that of the W'_k.
+    - A probe with rho' m > (m+2) 2**P is refused, so rho^i < (1 + 2/m +
+      2**-P)^m < e^2 < 8 for i <= m (every probe of the solver bracket
+      passes when a0 is in it), and the sum S is at most 8 Sum.
+    - The Horner step from s_(k+1) to s_k floors once (under 1), and rho'
+      is 2**-P under rho, so S - s_k <= rho (S_(k+1) - s_(k+1)) +
+      s_(k+1) 2**-P + 1 + (W_k - W'_k).  Unrolled, with s_(k+1) rho^k at
+      most 8 Sum and the k delta W_k rho^k summing to at most m delta 8 Sum,
+      S - s <= 8 (3m Sum/2**P + 2m + 1) = H: 2m of the 3m are the weights'
+      relative floors, m the m uses of rho', and 2m + 1 the m + 1 alignment
+      floors and the m Horner floors.
+    - a is floored once to P or P + 1 bits, and every product of
+      square-and-multiply once to P bits.  Counted with multiplicity, a
+      product adding its factors' counts and one, a takes 1, a squaring of
+      a count c takes 2c + 1 and a product by a c + 2: a^(n+2) takes
+      2(n+2) - 1 = 2n + 3 (one count per operation, 2 log2(n) or so, would
+      undercount it, and the bounds miss J far from the root).  So
+      p >= p*(1 - (2n+3) delta), p* the true mantissa, and p* - p <=
+      2(2n+3) + 1 = C, as (2n+3)(4n+7) delta is far below 1.
+    - With p < 2**P and s <= 8 Sum, p* S <= (p + C)(s + H) <= p s + 2**P H +
+      C (8 Sum + H), and T/U = p* S/2**P < T' + 1 + H + C (8 Sum + H)/2**P
+      <= T' + E.
+
+    Precision.  Near the root rho is about 1, s about Sum >= 2**(P-2) and
+    T' about s/2 or more, so E/T' is under (152n + 176)/2**P, and T is
+    about -L, below m + 1.  There |J| exceeds about (m+1)/v, as |J'| is
+    above m + 1, so the bounds exclude 0, and give |J|'s float, which needs
+    53 bits of |J| more, with about 35 + bit_length(n+3) bits to spare.
+    Near the root, e + sigma + P is negative; a probe where it is not, far
+    outside the bracket, is refused too.
     """
     m = n - x
-    spent = len(str(8 * m + 16))
-    digits = bits * 30103 // 100000 + spent + 4
-    ctx = decimal.Context(prec=digits, rounding=decimal.ROUND_HALF_EVEN,
-                          Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX,
-                          capitals=1, clamp=0, flags=[], traps=_TRAPS)
-    mul, div, sub, fma = ctx.multiply, ctx.divide, ctx.subtract, ctx.fma
-    try:
-        top, weights = _core_weights(ctx, n, m)
+    prec = bits + 96 + 2 * (n + 3).bit_length()
+    p, q = hint.as_integer_ratio()
+    point = 30 + p.bit_length() - (q - p).bit_length()
+    r0 = ((q - p) << point) // p
+    weights, sigma = _core_weights(n, m, r0, point, prec)
+    error = _ulps(n, m, sum(weights), prec)
+    top, rest = weights[0], weights[1:]
+    limit = (m + 2) << prec
+    exponent = bin(n + 2)[3:]
 
-        def balance(a: decimal.Decimal) -> Tuple[decimal.Decimal, decimal.Decimal]:
-            """(m+1) gap and d at a; ValueError if a is outside the
-            bracket, where the sign of the fused gap is exact."""
-            gap = fma(a, n + 3, -(x + 1))
-            if not 0 < gap < 1:
-                raise ValueError
-            r = div(sub(1, a), a)
-            s = top
-            for w in weights:
-                s = fma(s, r, w)
-            side = mul(gap, m + 1)
-            return side, fma(ctx.power(a, n + 2), s, ctx.minus(side))
+    def bounds(u: int, v: int) -> Optional[Tuple[int, int, int]]:
+        rho = ((v - u) << prec + point) // (u * r0)
+        if m * rho > limit:
+            return None
+        s = top
+        for w in rest:
+            s = (s * rho >> prec) + w
+        k = prec + v.bit_length() - u.bit_length()
+        a = (u << k) // v
+        power, e = a, -k
+        for bit in exponent:
+            power *= power
+            drop = power.bit_length() - prec
+            power >>= drop
+            e = 2 * e + drop
+            if bit == "1":
+                power *= a
+                drop = power.bit_length() - prec
+                power >>= drop
+                e += drop - k
+        shift = -(e + sigma + prec)
+        if shift < 0:
+            return None
+        t = power * s >> prec
+        linear = (m + 1) * ((x + 1) * v - (n + 3) * u) << shift
+        return t + linear // v, t + error - (-linear // v), shift
 
-        prev = decimal.Decimal.from_float(hint)
-        side, d_prev = balance(prev)
-        near = sub(prev, div(d_prev, mul(side, ctx.create_decimal_from_float(slope))))
-        step = ctx.abs(sub(near, prev))
-        limit = div(1, 1 << bits)
-        for _ in range(bits.bit_length()):
-            if step < limit:
-                gap = fma(near, n + 3, -(x + 1))
-                if not 0 < gap < 1:
-                    return None
-                noise = ctx.scaleb(1, spent + 2 - digits)
-                # near has at most ``digits`` digits after the point and
-                # exceeds 0.1, so 1 - near is exact.
-                return (sub(1, near) if mirror else near), ctx.add(step, noise)
-            d_near = balance(near)[1]
-            new = sub(near, div(mul(d_near, sub(near, prev)), sub(d_near, d_prev)))
-            new_step = ctx.abs(sub(new, near))
-            if not new_step < step:
+    return bounds
+
+
+def _refine(n: int, x: int, bounds: _Bounds, hint: float, slope: float,
+            bits: int) -> Optional[Tuple[Fraction, Fraction]]:
+    """The float ``hint`` of the short side of (n, x) carried to within
+    2**-bits of J's root, and a bound on its error, both Fractions, the
+    hint mirrored to 1 - hint below x = n/2; None if the iteration leaves
+    the solver bracket, stops shrinking its steps, runs out of steps or
+    ``bounds``, the short side's :func:`_bounds`, refuses a point.
+
+    It runs in integers, on dyadic points A/2**K with K = bits + 10, and
+    takes J at each as the lower end of ``bounds``, brought to one shift
+    where two values meet.  The first step is Newton's: J over (m+1) gap
+    times the float ``slope``, the derivative of log(2 a^(n+2) S / ((m+1)
+    gap)), gap = (n+3) a - (x+1).  Then secant steps run until one is below
+    2**-bits; from the float hint's 2**-46, at order 1.6, bit_length(bits)
+    steps suffice.  A point's floor moves it by under 2**-K, and the bounds'
+    width moves J's zero by under that width over |J'|, above m + 1:
+    ``noise``, ten times their sum, is about a hundredth of 2**-bits.  The
+    reported error is the last step plus ``noise``: the secant's new point
+    is far closer to the root than the step that reached it.
+    """
+    big = max(x, n - x)
+    m = n - big
+    prec = bits + 10
+    one = 1 << prec
+    num, den = hint.as_integer_ratio()
+    prev = (num << prec) // den
+
+    def value(a: int) -> Optional[Tuple[int, int, int]]:
+        """The bounds of J at a/2**prec; None outside the bracket."""
+        return bounds(a, one) if 0 < (n + 3) * a - (big + 1) * one < one else None
+
+    got = value(prev)
+    if got is None:
+        return None
+    d_prev, _, shift_prev = got
+    num, den = slope.as_integer_ratio()
+    gap = (n + 3) * prev - (big + 1) * one
+    near = prev - (d_prev * den << 2 * prec) // ((m + 1) * gap * num << shift_prev)
+    step = abs(near - prev)
+    for _ in range(bits.bit_length()):
+        if not step >> prec - bits:
+            if not 0 < (n + 3) * near - (big + 1) * one < one:
                 return None
-            prev, d_prev, near, step = near, d_near, new, new_step
-        return None
-    except (decimal.DecimalException, ValueError):
-        return None
+            lo, hi, shift = got
+            noise = 10 * (1 + ((hi - lo) << prec >> shift) // (m + 1))
+            return Fraction(near if big == x else one - near, one), Fraction(step + noise, one)
+        got = value(near)
+        if got is None:
+            return None
+        d_near, _, shift = got
+        top = max(shift, shift_prev)
+        d_near, d_prev = d_near << top - shift, d_prev << top - shift_prev
+        if d_near == d_prev:
+            return None
+        new = near - d_near * (near - prev) // (d_near - d_prev)
+        new_step = abs(new - near)
+        if not new_step < step:
+            return None
+        prev, d_prev, shift_prev, near, step = near, d_near, top, new, new_step
+    return None
 
 
 def _hint_bits(n: int, x: int, tol_ratio: Tuple[int, int]) -> int:
@@ -533,26 +631,27 @@ def _certify_bits(n: int, x: int, tol_ratio: Tuple[int, int], hint_bits: int) ->
     its probes by :func:`_enclosure`; 0 where it evaluates them exactly.
     ``hint_bits`` is :func:`_hint_bits`'s for the same solve.
 
-    The enclosure costs a solve about 4 Decimal operations per core
-    coefficient, min(x, n - x) + 1 of them: 2 to build the weights once,
-    rounded up, and one fused step per probe, for the two probes a solve
-    makes (about 0.35 us each at 50-70 digits, 2-vCPU Linux host), plus
-    about 0.05 ms for the contexts, the powers and the divisions.  The
-    exact pair grows with n times bits, the size of its big products, and
-    with the core's length, and builds the polynomial first.  Timed per
-    solve (n 12-350, x from n/2 to n, tol 1e-12, 1e-13, 1e-15, 1e-30,
-    1e-100 and 5e-324; best of 7, the two ways alternating), the enclosure
-    won where
+    The enclosure costs a solve, per core coefficient, min(x, n - x) + 1
+    of them, one step of the weights' recurrence (about 0.45 us) and one
+    integer Horner step per probe (about 0.15 us at 160-230 bits, 1.9 us at
+    1,200; 2-vCPU Linux host), plus the powers and divisions.  The exact
+    pair grows with n times bits, the size of its big products, and with
+    the core's length, and builds the polynomial first.  Timed per solve
+    with the Decimal enclosure this replaced (n 12-350, x from n/2 to n,
+    tol 1e-12 to 5e-324; best of 7, alternating), the enclosure won where
 
         n * bits + _CERTIFY_PER_TERM * min(x, n - x) >= _CERTIFY_MIN,
 
-    by up to 11 times at 1e-100 and 3 times at 1e-30 (n = 300), and 1.1-1.7
-    times at 1e-12 from n = 200 to 350, and lost by up to 1.6 times at
-    1e-12 with n <= 100, below it; the losses above it, up to 12% at n = 12-16, x = n and
-    5e-324, are at the rule's edge, where the core has one coefficient.  A
-    solve counts only where its first pair is expected to end the search,
-    so that no secant needs exact values: where the float hint is fine
-    enough or the hint is refined, and never at x = n/2, whose root 1/2 the
+    by up to 11 times at 1e-100 and 3 times at 1e-30 (n = 300) and 1.1-1.7
+    times at 1e-12 (n = 200-350), and lost by up to 1.6 times at 1e-12 with
+    n <= 100, below it, and by up to 12% at the rule's edge, x = n at
+    5e-324 for n = 12-16, where the core has one coefficient.  The integer
+    enclosure takes 0.79-0.92 of the exact pair's time there (n = 12-18)
+    and 0.60-0.66 at n = 200-300, 1e-12; a lower crossover would reach
+    solves at n <= 60 and 1e-12, so the rule stays.  A solve
+    counts only where its first pair is expected to end the search, so
+    that no secant needs exact values: where the float hint is fine enough
+    or the hint is refined, and never at x = n/2, whose root 1/2 the
     enclosure cannot decide.  A first test on ``tol``'s denominator alone,
     of which bits is at most the bit length plus 2, with min(x, n - x) at
     most n/2, keeps the solves far below the rule, every one at n <= 60 and
@@ -567,152 +666,41 @@ def _certify_bits(n: int, x: int, tol_ratio: Tuple[int, int], hint_bits: int) ->
     return bits if n * bits + _CERTIFY_PER_TERM * min(x, n - x) >= _CERTIFY_MIN else 0
 
 
-def _first_term_roundings(n: int, m: int) -> int:
-    """E = 4m + 2n + 4: the most roundings, counted with multiplicity, that
-    the first term of :func:`_bounds` on the core of length m + 1 passes
-    through."""
-    return 4 * m + 2 * n + 4
-
-
-def _bounds(n: int, x: int, bits: int) -> Callable[[int, int], Tuple[decimal.Decimal, decimal.Decimal]]:
-    """Directed-rounding bounds of J for (n, x): (u, v) -> (lo, hi) with
-    lo <= J(u/v) <= hi, for u/v in the solver bracket and v of at most
-    ``bits`` bits.  A decimal trap, here or in the evaluator, raises its
-    DecimalException.
-
-    On the short side x >= n/2, with m = n - x, r = (v - u)/u and
-    G = (n+3)u - (x+1)v,
-
-        J(u/v) = T - (m+1) G/v,   T = 2 a^(n+2) S(r),   a = u/v,
-
-    S(r) = sum_k w_k r^k the positive core form that :func:`_root_hint` and
-    :func:`_refine` sum.  Every factor of T is positive, so every operation
-    on it is monotone, and one pass in a context that rounds toward +inf
-    gives T_hi >= T.  The weights 2 w_k come from :func:`_core_weights`,
-    once per solve; a^(n+2) is taken by square-and-multiply, each product
-    rounded up, since a context's power is not guaranteed to round so.
-
-    A lower bound of T follows from T_hi by an a-priori bound (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, 2002, sec. 3.1).  A
-    result rounded up to ``digits`` digits is y (1 + d) with 0 <= d < eps,
-    eps = 10**(1 - digits), for every positive y above the context's Emin,
-    which no value here nears: a > 1/3 on the short side, so a^(n+2) >
-    3**-(n+2).  Counted with multiplicity,
-    so that a product adds its factors' counts and one more,
-    T_hi <= T (1 + eps)**E with E = :func:`_first_term_roundings`:
-
-    - 2 w_k by the recurrence takes 2k roundings (2 w_0 is an integer of
-      far fewer than ``digits`` digits, exact), r^k takes k, and Horner's
-      rule adds k + 1 to the term of w_k (m to that of w_m, which starts
-      it), so a term of S takes at most 4k + 1 <= 4m - 3 for k < m, and
-      4m for k = m: S takes at most 4m;
-    - the power takes 2(n+2) - 1: a takes 1 = 2 * 1 - 1; a square of a^j
-      within 2j - 1 takes 2(2j - 1) + 1 = 2(2j) - 1, each squaring doubling
-      the count before it, and a product by a 2j - 1 + 1 + 1 = 2(j+1) - 1;
-    - the product of the two takes 1.
-
-    So E = 4m + 2(n+2) - 1 + 1 = 4m + 2n + 4 <= 4n + 4, as m <= n/2.  As
-    E eps <= 1 and exp(t) <= 1 + 2t for 0 <= t <= 1, (1 + eps)**E <= 1 +
-    2 E eps, and T_lo = T_hi / (1 + 2 E eps), rounded down, is at most T.
-    The factor is made exactly from its digits, and divided in the
-    context that rounds down: nothing here reads the thread's context.
-    Then lo = T_lo - (m+1) G/v and hi = T_hi - (m+1) G/v, with (m+1) G/v
-    rounded up in lo and down in hi, each difference rounded in its
-    bound's direction.  Below n/2 the mirror identity gives
-    J(u/v) = -(u'/u) J_{n,n-x}(u'/v) with u' = v - u, and the bounds of
-    J_{n,n-x} are multiplied by -u'/u as an interval.  Both contexts are
-    local, with _refine's exponent range and traps; negation is
-    ``copy_negate``, which rounds nothing.
-
-    Precision.  T_hi - T_lo is at most (2E + 1) eps T_hi, and the
-    linear term's two roundings and the subtractions' add about 4 eps T
-    more, so the bounds are under (8n + 16) eps times T apart, and T is
-    about (m+1) G/v, below m + 1.  Next to the root, on a grid of
-    denominator v, |J| is about |J'| / v at least, and |J'| is above
-    m + 1, so the bounds exclude 0 once 10**digits exceeds (8n + 16) 10 v,
-    and give |J|'s float, which needs 53 bits of |J| more, once it exceeds
-    (8n + 16) 10 v 2**53.  ``digits`` carries bits + 93 bits, bits the bit
-    length of v, plus the digits of 8n + 16 and 4 more: 40 bits beyond that
-    need.  Two passes, one rounded each way, give a narrower interval, as a
-    directed rounding's own error averages about a fifth of eps: this one
-    is 4 to 30 times as wide (about 8 times in the median at n 100-3000),
-    and spends 2 to 5 of those 40 bits.
-    """
-    big = max(x, n - x)
-    m = n - big
-    digits = (bits + 93) * 30103 // 100000 + len(str(8 * n + 16)) + 4
-    low, high = (decimal.Context(prec=digits, rounding=rounding,
-                                 Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX,
-                                 capitals=1, clamp=0, flags=[], traps=_TRAPS)
-                 for rounding in (decimal.ROUND_FLOOR, decimal.ROUND_CEILING))
-    top, weights = _core_weights(high, n, m)
-    # 1 + 2 E 10**(1 - digits), exact.
-    scale = 10 ** (digits - 1) + 2 * _first_term_roundings(n, m)
-    inflation = decimal.Decimal((0, tuple(map(int, str(scale))), 1 - digits))
-    exponent = bin(n + 2)[3:]
-    mul, div, fma = high.multiply, high.divide, high.fma
-    mirror = big != x
-
-    def bounds(u: int, v: int) -> Tuple[decimal.Decimal, decimal.Decimal]:
-        if mirror:
-            u = v - u
-        r = div(v - u, u)
-        s = top
-        for w in weights:
-            s = fma(s, r, w)
-        a = div(u, v)
-        power = a
-        for bit in exponent:
-            power = mul(power, power)
-            if bit == "1":
-                power = mul(power, a)
-        term = mul(power, s)
-        linear = (m + 1) * ((n + 3) * u - (big + 1) * v)
-        lo = low.subtract(low.divide(term, inflation), high.divide(linear, v))
-        hi = high.subtract(term, low.divide(linear, v))
-        if mirror:
-            return (high.divide(high.multiply(hi, u), v - u).copy_negate(),
-                    low.divide(low.multiply(lo, u), v - u).copy_negate())
-        return lo, hi
-
-    return bounds
-
-
-def _enclosure(n: int, x: int,
-               bits: int) -> Optional[Callable[[int, int], Optional[Tuple[int, float]]]]:
+def _enclosure(n: int, x: int, bounds: _Bounds) -> Callable[[int, int], Optional[Tuple[int, float]]]:
     """A certified sign evaluator of J for (n, x), for ``bisect_root``'s
-    ``certify``: (u, v) -> (sign, residual) of J at u/v from
-    :func:`_bounds`, or None when those cannot decide them.
+    ``certify``: (u, v) -> (sign, residual) of J at u/v from ``bounds``, the
+    short side's :func:`_bounds`, or None when those cannot decide them.
 
-    The sign is the bounds' when they exclude 0; the residual |J| rounded
-    to a float is float(|lo|) when that equals float(|hi|), since rounding
-    to nearest is monotone.  Otherwise, at an exact root or a near-tie, the
-    result is None and the caller evaluates J exactly; by the precision of
-    :func:`_bounds` a near-tie is |J| within about 2**-40 of the grid
-    cell's scale, or of a rounding boundary of the float.  A decimal trap
-    gives None too, and while the weights are built, None for the evaluator
-    itself: the solve then evaluates every probe exactly.
+    The sign is the bounds' when they exclude 0.  The residual |J| rounded
+    to a float is |lo| 2**-shift rounded when that equals |hi| 2**-shift
+    rounded, each rounded once by int true division, since rounding to
+    nearest is monotone.  Below n/2 the mirror identity
+    J(u/v) = -(u'/u) J_{n,n-x}(u'/v), u' = v - u, negates the sign and
+    scales both ends by u'/u inside that division.  Otherwise, at an exact
+    root or a near-tie, or where ``bounds`` refuses the point, the result
+    is None and the caller evaluates J exactly; by the precision of
+    :func:`_bounds` a near-tie is |J| within about 2**-35 of the grid
+    cell's scale, or of a rounding boundary of the float.
     """
-    try:
-        bounds = _bounds(n, x, bits)
-    except decimal.DecimalException:
-        return None
+    mirror = 2 * x < n
 
     def certify(u: int, v: int) -> Optional[Tuple[int, float]]:
-        try:
-            lo, hi = bounds(u, v)
-        except decimal.DecimalException:
+        num, den = (v - u, u) if mirror else (1, 1)
+        got = bounds(v - u if mirror else u, v)
+        if got is None:
             return None
-        if not (lo.is_signed() or lo.is_zero()):
+        lo, hi, shift = got
+        if lo > 0:
             sign = 1
-        elif hi.is_signed() and not hi.is_zero():
-            sign = -1
+        elif hi < 0:
+            sign, lo, hi = -1, -hi, -lo
         else:
             return None
-        residual = float(_CONVERT.to_sci_string(lo.copy_abs()))
-        if residual != float(_CONVERT.to_sci_string(hi.copy_abs())):
+        den <<= shift
+        residual = lo * num / den
+        if residual != hi * num / den:
             return None
-        return sign, residual
+        return (-sign if mirror else sign), residual
 
     return certify
 
@@ -722,26 +710,38 @@ def _bisect_estimate(value: Callable[[int, int], int], obs: BinomialObs,
                      label: object, certified: bool = False) -> Estimate:
     """Bisect the degree-(n+2) polynomial whose homogeneous evaluator is
     ``value`` on the solver bracket of ``obs``, from the hint of
-    :func:`_root_hint`; ``tol_ratio`` is ``tol``'s integer ratio, as
-    ``check_tol`` returned it.  The polynomial must fall through its root
-    there, as J does, so that ``bisect_root`` evaluates the bracket ends
-    only when it needs them.  If it is J itself and ``certified``, probes
-    above the crossover of :func:`_certify_bits` are decided by
-    :func:`_enclosure` first.  An absent sign change raises BracketFailure
-    naming ``label``, formatted only then."""
+    :func:`_float_hint`, refined by :func:`_refine` where :func:`_hint_bits`
+    asks; ``tol_ratio`` is ``tol``'s integer ratio, as ``check_tol``
+    returned it.  The polynomial must fall through its root there, as J
+    does, so that ``bisect_root`` evaluates the bracket ends only when it
+    needs them.  If it is J itself and ``certified``, probes above the
+    crossover of :func:`_certify_bits` are decided by :func:`_enclosure`
+    first.  The refinement and the enclosure share one :func:`_bounds`,
+    built from the float hint only where either runs.  An absent sign
+    change raises BracketFailure naming ``label``, formatted only then."""
     lo, hi = solver_bracket(obs)
     n, x = obs.n, obs.x
     hint_bits = _hint_bits(n, x, tol_ratio)
-    near, error = _root_hint(n, x, hint_bits)
+    # The first test of _certify_bits, inline and with min(x, n - x) at
+    # most n/2: small solves make no call.
+    bits = (certified
+            and n * (tol_ratio[1].bit_length() + 2 + _CERTIFY_PER_TERM // 2) >= _CERTIFY_MIN
+            and _certify_bits(n, x, tol_ratio, hint_bits))
+    near, slope = _float_hint(n, x)
+    error, certify = HINT_ERROR, None
+    if near is not None and (bits or hint_bits and slope):
+        big = max(x, n - x)
+        # The short side's hint, exact: near or, below n/2, 1 - near, a float
+        # above 1/2 (x != n/2 here) whose complement is a float too.
+        a = near if big == x else 1.0 - near
+        bounds = _bounds(n, big, a, max(bits, hint_bits))
+        if hint_bits and slope:
+            near, error = _refine(n, x, bounds, a, slope, hint_bits) or (near, error)
+        if bits:
+            certify = _enclosure(n, x, bounds)
     try:
-        # The first test of _certify_bits, inline and with min(x, n - x) at
-        # most n/2: small solves make no call.
-        if (certified
-                and n * (tol_ratio[1].bit_length() + 2 + _CERTIFY_PER_TERM // 2) >= _CERTIFY_MIN
-                and (bits := _certify_bits(n, x, tol_ratio, hint_bits))):
-            return bisect_root(value, n + 2, lo, hi, tol=tol, near=near, near_error=error,
-                               certify=_enclosure(n, x, bits))
-        return bisect_root(value, n + 2, lo, hi, tol=tol, near=near, near_error=error)
+        return bisect_root(value, n + 2, lo, hi, tol=tol, near=near, near_error=error,
+                           certify=certify)
     except ValueError as exc:
         raise BracketFailure(f"no sign change over {lo}..{hi} for {label}: {exc}") from exc
 

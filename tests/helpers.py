@@ -381,27 +381,44 @@ def reference_positive_core(a, obs):
                for i in range(m + 1))
 
 
+# Traps of reference_bounds' contexts: none of their values nears the
+# exponent range, so none should fire.
+REFERENCE_TRAPS = [decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow,
+                   decimal.Underflow]
+
+
 def reference_bounds(n, x, bits):
-    """Bounds (lo, hi) of J(u/v) for (n, x) as ``triangle._bounds`` gives
-    them, by two monotone passes over J = 2 a^(n+2) S(r) - (m+1) G/v on the
-    short side, one rounded toward -inf and one toward +inf, each with its
-    own weights; the linear term is rounded the other way, and below n/2
-    the mirror identity's factor -(v-u)/u is applied as an interval.  The
-    contexts carry ``triangle._bounds``' digits, exponent range and traps."""
+    """Bounds (lo, hi) of J(u/v) for (n, x), two Decimals, by two monotone
+    passes over J = 2 a^(n+2) S(r) - (m+1) G/v on the short side, one
+    rounded toward -inf and one toward +inf, each with its own weights
+    2 w_k made by the ratio recurrence w_(k+1)/w_k = (n+3-k)(m-k) /
+    ((k+1)(m-k+2)) from 2 w_0 = (m+2)(m+1); the linear term is rounded the
+    other way, and below n/2 the mirror identity's factor -(v-u)/u is
+    applied as an interval.  Each context carries bits + 93 bits, plus the
+    digits of 8n + 16 and 4 more, and its own traps."""
     big = max(x, n - x)
     m = n - big
     digits = (bits + 93) * 30103 // 100000 + len(str(8 * n + 16)) + 4
     low, high = (decimal.Context(prec=digits, rounding=rounding,
                                  Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX,
-                                 traps=triangle._TRAPS)
+                                 traps=REFERENCE_TRAPS)
                  for rounding in (decimal.ROUND_FLOOR, decimal.ROUND_CEILING))
-    cores = {ctx: triangle._core_weights(ctx, n, m) for ctx in (low, high)}
+
+    def weights(ctx):
+        weight = ctx.create_decimal((m + 2) * (m + 1))
+        out = [weight]
+        for k in range(m):
+            weight = ctx.divide(ctx.multiply(weight, (n + 3 - k) * (m - k)), (k + 1) * (m - k + 2))
+            out.append(weight)
+        return out[::-1]  # Horner's order, 2 w_m first
+
+    cores = {ctx: weights(ctx) for ctx in (low, high)}
 
     def first_term(ctx, u, v):
-        top, weights = cores[ctx]
+        top, *rest = cores[ctx]
         r = ctx.divide(v - u, u)
         s = top
-        for w in weights:
+        for w in rest:
             s = ctx.fma(s, r, w)
         a = ctx.divide(u, v)
         power = a
@@ -424,6 +441,16 @@ def reference_bounds(n, x, bits):
         return lo, hi
 
     return bounds
+
+
+def solve_bounds(n, x, bits):
+    """The short side's fixed-point bounds of J and the certified sign
+    evaluator of (n, x) on them, built as a solve builds them: from the
+    float hint, for grid denominators of ``bits`` bits."""
+    big = max(x, n - x)
+    hint = triangle._float_hint(n, x)[0]
+    bounds = triangle._bounds(n, big, hint if big == x else 1.0 - hint, bits)
+    return bounds, triangle._enclosure(n, x, bounds)
 
 
 def reference_homogeneous_value(coeffs, u, v):

@@ -274,7 +274,7 @@ class TestBisectRootEqualsBisection:
             def outside(u, v):
                 return oracle(u, v) if not c0 <= Fraction(u, v) <= c1 else None
 
-            hint = triangle._root_hint(n, x)[0]
+            hint = triangle._float_hint(n, x)[0]
             for certify in (oracle, lambda u, v: None, outside):
                 for near in (hint, hint + 2**-30, None):
                     got = exact.bisect_root(value, n + 2, lo, hi, tol, near=near,
@@ -460,6 +460,19 @@ class TestEvaluationCount:
                 assert counts[-1] == ((2, 0) if _certified(n, x, tol) else (0, 2)), (n, x)
         assert counts.count((2, 0)) == 48
 
+    # A core of one or two coefficients sums to few bits, about 50 at
+    # n = 750 and x = n - 1: scaled to the bounds' own precision, not
+    # clamped to whole numbers, it still decides both probes.
+    @pytest.mark.parametrize("tol", [1e-12, 1e-30], ids=["1e-12", "1e-30"])
+    def test_short_cores(self, monkeypatch, tol):
+        calls = _count_evaluations(monkeypatch)
+        probes = _count_probes(monkeypatch)
+        for n in (750, 2000):
+            for x in (n, n - 1):
+                calls[0] = probes[0] = 0
+                solve_iterative_bayes(BinomialObs(n, x), tol=tol)
+                assert (probes[0], calls[0]) == (2, 0), (n, x)
+
     @pytest.mark.parametrize("n", [2000, 5000, 10_000])
     def test_large_n(self, monkeypatch, n):
         calls = _count_evaluations(monkeypatch)
@@ -483,7 +496,7 @@ class TestEvaluationCount:
         for n, x in self.CASES:
             obs = BinomialObs(n, x)
             lo, hi = solver_bracket(obs)
-            off = Fraction(triangle._root_hint(n, x)[0]) + Fraction(1, 2**30)
+            off = Fraction(triangle._float_hint(n, x)[0]) + Fraction(1, 2**30)
             for kind, near in ((None, None), ("poor", float(min(off, (lo + 3 * hi) / 4)))):
                 calls[0] = 0
                 exact.bisect_root(triangle._estimating_value(obs), n + 2, lo, hi, tol, near=near,
@@ -574,15 +587,15 @@ class TestEvaluationCount:
 
 
 class TestRefinedHint:
-    """The decimal refinement of the hint runs in its own context and only
-    where the grid's fine cell is narrower than the float hint's error."""
+    """The refinement of the hint runs in integers, reads no decimal
+    context, and runs only where the grid's fine cell is narrower than the
+    float hint's error."""
 
     def test_caller_decimal_context_is_untouched(self, monkeypatch):
         # A caller's context of 3 digits with every trap on changes no
         # Estimate and no count of probes or evaluations, and comes back as
-        # it was: with the default 28 digits the iteration would stop near
-        # 2**-93.  Every case refines its hint and decides both probes by
-        # the enclosure, whose two contexts are local too.
+        # it was.  Every case refines its hint and decides both probes by
+        # the enclosure.
         calls = _count_evaluations(monkeypatch)
         probes = _count_probes(monkeypatch)
         cases = [(n, x, tol) for tol in (1e-30, 5e-324) for n, x in ((150, 40), (150, 110), (301, 7))]
@@ -604,6 +617,22 @@ class TestRefinedHint:
             before = repr(caller)
             assert solve_all() == want
             assert decimal.getcontext() is caller and repr(caller) == before
+
+    def test_a_refused_point_abandons_the_refinement(self, monkeypatch):
+        # Where the evaluator refuses a point the refinement returns None,
+        # and the solve, from the float hint with every probe evaluated
+        # exactly, gives the same Estimate.
+        calls = _count_evaluations(monkeypatch)
+        n, x, tol = 300, 200, 1e-30
+        bits = triangle._hint_bits(n, x, tol.as_integer_ratio())
+        near, slope = triangle._float_hint(n, x)
+        assert bits and slope
+        assert triangle._refine(n, x, lambda u, v: None, near, slope, bits) is None
+        want = solve_iterative_bayes(BinomialObs(n, x), tol)
+        monkeypatch.setattr(triangle, "_bounds", lambda *args: lambda u, v: None)
+        calls[0] = 0
+        assert solve_iterative_bayes(BinomialObs(n, x), tol) == want
+        assert calls[0] > 2
 
     def test_default_tols_never_refine(self, monkeypatch):
         # Every n <= 60 at 1e-12 and every n <= 120 at 1e-13, the tols of
@@ -632,7 +661,7 @@ class TestLazyEnds:
     @staticmethod
     def isolate(value, n, x, tol, hinted):
         lo, hi = solver_bracket(BinomialObs(n, x))
-        near, error = triangle._root_hint(n, x) if hinted else (None, None)
+        near, error = (triangle._float_hint(n, x)[0], triangle.HINT_ERROR) if hinted else (None, None)
         return exact.bisect_root(value, n + 2, lo, hi, tol, near=near, near_error=error)
 
     def rejected(self, value, n, x, tol, hinted):

@@ -35,6 +35,7 @@ from helpers import (
     reference_estimating_coeffs,
     reference_homogeneous_value,
     reference_mean_ratio,
+    solve_bounds,
     weighted_posterior_mean,
 )
 from reference_tables import PRINT_TOL, TABLE2, TABLE3
@@ -310,8 +311,8 @@ class TestRootHint:
 
     @pytest.mark.parametrize("n, x", CASES)
     def test_finite_inside_the_bracket_and_near_the_root(self, n, x):
-        hint, error = triangle._root_hint(n, x)
-        assert math.isfinite(hint) and error is HINT_ERROR
+        hint = triangle._float_hint(n, x)[0]
+        assert math.isfinite(hint)
         lo, hi = solver_bracket(BinomialObs(n, x))
         assert lo < hint < hi
         # J is positive below its one root in the bracket and negative above
@@ -326,8 +327,9 @@ class TestRootHint:
     @pytest.mark.parametrize("n, x", [(2**60, 2**60), (2**60, 0)])
     def test_a_gap_that_rounds_to_zero_gives_no_hint(self, n, x):
         # (n+3) a - (x+1) at the start (x+1.5)/(n+3) rounds to 0 in floats
-        # when n is far above 2**53; the hint is then absent, not an error.
-        assert triangle._root_hint(n, x) == (None, HINT_ERROR)
+        # when n is far above 2**53; the hint is then absent, not an error,
+        # and nothing is refined.
+        assert triangle._float_hint(n, x) == (None, 0.0)
 
 
 def _fine_grid(n, tol):
@@ -337,165 +339,168 @@ def _fine_grid(n, tol):
 
 
 class TestEnclosure:
-    """The directed-rounding bounds of J (``triangle._bounds``) and the
-    certified signs built on them (``triangle._enclosure``)."""
+    """The fixed-point bounds of J (``triangle._bounds``) and the certified
+    signs built on them (``triangle._enclosure``)."""
 
     @pytest.mark.parametrize("tol", [1e-12, 1e-30, 5e-324], ids=["1e-12", "1e-30", "5e-324"])
     @pytest.mark.parametrize("n", [2, 10, 100, 600])
     def test_the_root_half_is_undecided(self, n, tol):
         # At x = n/2 the root 1/2 is a grid point: the bounds hold 0 there
-        # (both are 0 where every operation is exact) and the probe is left
-        # to exact evaluation.
+        # and the probe is left to exact evaluation.
         v = _fine_grid(n, tol)
         x = n // 2
-        lo, hi = triangle._bounds(n, x, v.bit_length())(v // 2, v)
+        bounds, certify = solve_bounds(n, x, v.bit_length())
+        lo, hi, _ = bounds(v // 2, v)
         assert lo <= 0 <= hi
-        certify = triangle._enclosure(n, x, v.bit_length())
         assert certify(v // 2, v) is None
         # Beside it the signs are J's: positive below, negative above.
         assert certify(v // 2 - 1, v)[0] == 1 and certify(v // 2 + 1, v)[0] == -1
 
     @pytest.mark.parametrize("n", [1, 7, 40, 100])
     def test_weights_bracket_the_exact_ones(self, n):
-        # Rounded down and up, the recurrence's weights enclose the integers
-        # 2 C(n+3, k) C(m-k+2, 2); with digits enough for every product of
-        # the recurrence they are those integers.
+        # Folded at r0 = 1, the recurrence's weights are at most the
+        # integers 2 C(n+3, k) C(m-k+2, 2) and, k floors of relative error
+        # below 2**(1 - prec) and one of alignment later, at least that much
+        # less; with prec bits enough for the largest they are those
+        # integers.  Folded at r0 = 3/4 and at a 30-bit r0 they bracket
+        # 2 w_k r0**k alike.
         for m in range(n // 2 + 1):
             want = [2 * math.comb(n + 3, k) * math.comb(m - k + 2, 2) for k in range(m + 1)]
-            for prec in (12, 60, 400):
-                got = []
-                for rounding in (decimal.ROUND_FLOOR, decimal.ROUND_CEILING):
-                    ctx = decimal.Context(prec=prec, rounding=rounding, traps=[])
-                    top, rest = triangle._core_weights(ctx, n, m)
-                    got.append([top] + rest)
-                low, high = [[Fraction(w) for w in reversed(side)] for side in got]
-                assert all(lo <= w <= hi for lo, w, hi in zip(low, want, high)), (n, m, prec)
-                if max(want) * (n + 3) * (m + 2) < 10**prec:
-                    assert low == want == high, (n, m, prec)
+            for prec in (60, 120, 400):
+                for r0, point in ((1, 0), (3, 2), (0x2AAAAAAB, 31)):
+                    weights, sigma = triangle._core_weights(n, m, r0, point, prec)
+                    got = [w * Fraction(2) ** sigma for w in reversed(weights)]
+                    folded = [w * Fraction(r0, 1 << point) ** k for k, w in enumerate(want)]
+                    delta = Fraction(2, 1 << prec)
+                    assert all(w * (1 - delta) ** k - Fraction(2) ** sigma < g <= w
+                               for k, (g, w) in enumerate(zip(got, folded))), (n, m, prec)
+                    if r0 == 1 and max(want) < 1 << prec:
+                        assert got == want, (n, m, prec)
 
-    def test_only_operations_that_round_as_asked(self, monkeypatch):
-        # The decimal specification rounds add, subtract, multiply, divide
-        # and fma correctly in every rounding mode, but not power: the
-        # bounds use only the former, and create_decimal for the first
-        # weight.
-        used = set()
+    def test_builds_no_decimal_context(self, monkeypatch):
+        # The bounds, the certified signs and the refinement run in
+        # integers: with decimal.Context unusable, refined and certified
+        # solves give the same Estimates, and triangle does not import
+        # decimal at all.
+        cases = [(120, 100, 1e-30), (120, 20, 5e-324), (801, 3, 1e-30), (800, 533, 1e-12)]
+        want = [solve_iterative_bayes(BinomialObs(n, x), tol) for n, x, tol in cases]
 
-        class Recording(decimal.Context):
-            def __getattribute__(self, name):
-                used.add(name)
-                return super().__getattribute__(name)
+        def unusable(*args, **kwargs):
+            raise AssertionError("decimal.Context built")
 
-        monkeypatch.setattr(decimal, "Context", Recording)
-        for n, x, tol in [(120, 100, 1e-12), (120, 20, 1e-30), (30, 29, 5e-324)]:
-            v = _fine_grid(n, tol)
-            u = (2 * x + 3) * v // (2 * (n + 3))
-            triangle._bounds(n, x, v.bit_length())(u, v)
-        assert used == {"create_decimal", "multiply", "divide", "fma", "subtract"}
+        monkeypatch.setattr(decimal, "Context", unusable)
+        assert [solve_iterative_bayes(BinomialObs(n, x), tol) for n, x, tol in cases] == want
+        assert "decimal" not in vars(triangle)
 
-    CONTEXT_CASES = [(120, 100, 1e-12), (120, 20, 1e-30), (30, 29, 5e-324), (801, 3, 1e-30)]
-
-    def test_reads_nothing_from_the_thread_context(self):
-        # Under a thread context of 3 digits with every trap on, the bounds
-        # and the certified signs are those of the default context, to the
-        # last digit, and raise nothing: the lower bound's factor
-        # 1 + 2 E 10**(1 - digits) made by an addition would round to 1 in
-        # that context and leave the lower bound above J.
-        def everything():
-            out = []
-            for n, x, tol in self.CONTEXT_CASES:
-                v = _fine_grid(n, tol)
-                bounds = triangle._bounds(n, x, v.bit_length())
-                certify = triangle._enclosure(n, x, v.bit_length())
-                for u in ((x + 1) * v // (n + 3) + 1, (2 * x + 3) * v // (2 * (n + 3)),
-                          (x + 2) * v // (n + 3) - 1):
-                    out.append(([bound.as_tuple() for bound in bounds(u, v)], certify(u, v)))
-            return out
-
-        want = everything()
-        with decimal.localcontext() as caller:
-            caller.prec = 3
-            for signal in caller.traps:
-                caller.traps[signal] = True
-            assert everything() == want
-
-    def test_rounding_count_walks_the_operations(self):
-        # The most roundings the first term T = 2 a^(n+2) S(r) passes
-        # through, counted with multiplicity by walking _bounds' operations:
-        # an integer operand counts 0, a rounded result its operands' counts
-        # plus 1 (the larger of an fma's product and addend), 2 w_0 is exact.
-        # S's walk for one m runs in m steps; the max-plus form of the same
-        # Horner loop, the largest count over its terms, sweeps every m in
-        # one pass and is checked against the step by step walk first.
-        weights = [0]  # 2 w_k: a multiply and a divide from 2 w_(k-1)
-        for k in range(1, 5001):
-            weights.append(weights[-1] + 2)
-        r = 1  # one divide of integers
-
-        def horner(m):
-            s = weights[m]
+    def test_error_bound_walks_the_operations(self):
+        # E of _ulps, rebuilt by walking the operations of _core_weights
+        # and _bounds, for every n <= 10,000 at m = 0, 1, 2, n/2 - 1 and
+        # n/2 and for every m <= 5,000 at n = 2m, 2m + 1, 9,999 and 10,000.
+        # Relative floors are counted with multiplicity in units of 2**-P
+        # (a floor to a mantissa of P bits or more is under 2 of them), by
+        # the max-plus form over the terms; absolute floors in units of the
+        # sum's last place, each grown by rho^i < 8 at most.
+        def core_counts(m):
+            relative = 2 * m  # 2 w_m: m recurrence floors
+            absolute = 1  # its alignment
             for k in range(m - 1, -1, -1):
-                s = max(s + r, weights[k]) + 1  # fma(s, r, 2 w_k)
-            return s
+                relative = max(relative + 1, 2 * k)  # a use of rho', and 2 w_k
+                absolute += 2  # the Horner floor and 2 w_k's alignment
+            return relative, absolute
 
-        core, below = [], 0  # below: the largest count of a term k < m
-        for m in range(5001):
-            # The term of w_m passes m fused steps; the term of w_k, k < m,
-            # its own and k more.
-            core.append(max(weights[m] + m * r + m, below))
-            below = max(below, weights[m] + m * r + m + 1)
-        assert [horner(m) for m in range(201)] == core[:201]
+        cores = [core_counts(m) for m in range(201)]
+        assert cores == [(3 * m, 2 * m + 1) for m in range(201)]
+        cores += [(3 * m, 2 * m + 1) for m in range(201, 5001)]
 
         def power(n):
-            a = 1  # one divide of integers
+            a = 1  # floored once to P bits
             p = a
             for bit in bin(n + 2)[3:]:
-                p = 2 * p + 1  # multiply(p, p)
+                p = 2 * p + 1  # a square, renormalized
                 if bit == "1":
-                    p = p + a + 1  # multiply(p, a)
+                    p = p + a + 1  # a product by a, renormalized
             return p
 
-        powers = [power(n) for n in range(10_001)]
+        def walked(n, m, total, prec):
+            relative, absolute = cores[m]
+            # The true weights' sum, from the recurrence's m relative floors
+            # (1/(1 - m delta) <= 1 + 2 m delta) and the alignments.
+            most = total + m + 1
+            most += -(-2 * (2 * m) * most >> prec)
+            horner = 8 * (-(-relative * most >> prec) + absolute)
+            limit = 2 * power(n) + 1  # the power's mantissa, in its last place
+            return horner - (-limit * (8 * most + horner) >> prec) + 1
+
+        powers = {n: power(n) for n in range(10_001)}
+        assert all(powers[n] == 2 * (n + 2) - 1 for n in range(10_001))
         pairs = {(n, m) for n in range(1, 10_001) for m in {0, 1, 2, n // 2 - 1, n // 2} if m >= 0}
         pairs |= {(n, m) for m in range(5001) for n in (2 * m, 2 * m + 1, 9999, 10_000)
                   if 0 < n <= 10_000 and m <= n // 2}
         for n, m in sorted(pairs):
-            walked = powers[n] + core[m] + 1  # multiply(power, s)
-            assert walked <= triangle._first_term_roundings(n, m), (n, m)
-        # The count is tight: every rounding of the walk is one of E's.
-        assert all(powers[n] + core[n // 2] + 1 == triangle._first_term_roundings(n, n // 2)
-                   for n in range(1, 10_001))
+            prec = 150 + 2 * (n + 3).bit_length()
+            for total in (1 << prec - 1, (m + 1) << prec + 1):
+                assert walked(n, m, total, prec) == triangle._ulps(n, m, total, prec), (n, m)
 
-    def test_the_lower_bound_is_inflated_past_the_power(self):
-        # With m = 0 or 1 nearly every rounding of T is the power's, 2n + 3
-        # of them: the bounds still hold J next to the root and at both
-        # ends of x's range.
+    @pytest.mark.parametrize("n", [10, 290, 1001])
+    def test_the_width_is_e_and_the_linear_terms_rounding(self, n):
+        # On the fine grid, v = (n+3) 2**k, the linear term is exact in the
+        # bounds' units and the bounds are E apart; at u/v with v prime to
+        # n + 3 it is floored in lo and ceiled in hi, one unit more.
+        tol = 1e-30
+        v = _fine_grid(n, tol)
+        for x in (n - 1, n - n // 3):
+            bounds, _ = solve_bounds(n, x, v.bit_length() + 2)
+            root = solve_iterative_bayes(BinomialObs(n, x), tol).value_exact
+            lo, hi, _ = bounds(root.numerator * (v // root.denominator), v)
+            width = hi - lo
+            prime = 4 * v + 1 if (4 * v + 1) % (n + 3) else 4 * v + 3
+            u = root.numerator * prime // root.denominator
+            lo, hi, shift = bounds(u, prime)
+            assert ((n - x + 1) * ((x + 1) * prime - (n + 3) * u) << shift) % prime
+            assert hi - lo == width + 1, (n, x)
+
+    def test_the_bounds_hold_past_the_power(self):
+        # With m = 0 or 1 nearly every floor of T is the power's, 2n + 3 of
+        # them: the bounds still hold J next to the root, at both ends of
+        # the solver bracket and at both ends of x's range.
         tol = 1e-30
         for n in (500, 1001):
             v = _fine_grid(n, tol)
             for x in (0, 1, n - 1, n):
                 value = triangle._estimating_value(BinomialObs(n, x))
-                bounds = triangle._bounds(n, x, v.bit_length())
+                bounds, _ = solve_bounds(n, x, v.bit_length())
                 centre = solve_iterative_bayes(BinomialObs(n, x), tol).value_exact
                 u = centre.numerator * (v // centre.denominator)
                 for point in (u - 1, u + 1, (x + 1) * v // (n + 3) + 1, (x + 2) * v // (n + 3) - 1):
-                    lo, hi = bounds(point, v)
-                    exact_value = Fraction(value(point, v), v ** (n + 2))
-                    assert Fraction(lo) <= exact_value <= Fraction(hi), (n, x, point)
+                    short = point if 2 * x >= n else v - point
+                    lo, hi, shift = bounds(short, v)
+                    # J of the short side at short/v, times v**(n+2) short.
+                    exact_value = value(point, v) * (point if 2 * x >= n else -point)
+                    assert lo * v ** (n + 2) * short <= exact_value << shift, (n, x, point)
+                    assert exact_value << shift <= hi * v ** (n + 2) * short, (n, x, point)
 
     @pytest.mark.parametrize("n", [300, 801])
     def test_both_sides_of_half_mirror(self, n):
-        # Below n/2 the bounds are those of (n, n - x) at 1 - a, times
-        # -(1 - a)/a as an interval; they hold J of (n, x) itself.
+        # Below n/2 the certified signs are those of (n, n - x) at 1 - a,
+        # negated, and the residual that one's times (1 - a)/a: J's own.
         tol = 1e-30
         v = _fine_grid(n, tol)
         for x in (1, n // 3, (n - 1) // 2):
             value = triangle._estimating_value(BinomialObs(n, x))
-            bounds = triangle._bounds(n, x, v.bit_length())
+            _, certify = solve_bounds(n, x, v.bit_length())
             for u in ((x + 1) * v // (n + 3) + 1, (2 * x + 3) * v // (2 * (n + 3)),
                       (x + 2) * v // (n + 3) - 1):
-                lo, hi = bounds(u, v)
-                exact_value = Fraction(value(u, v), v ** (n + 2))
-                assert Fraction(lo) <= exact_value <= Fraction(hi), (x, u)
+                fu = value(u, v)
+                assert certify(u, v) == ((fu > 0) - (fu < 0), abs(fu) / v ** (n + 2)), (x, u)
+
+    def test_a_point_far_from_the_hint_is_refused(self):
+        # rho = r/r0 above 1 + 2/m leaves the a-priori bound: such a point
+        # is refused, and certify leaves it to exact evaluation.
+        n, x = 600, 500
+        v = _fine_grid(n, 1e-30)
+        bounds, certify = solve_bounds(n, x, v.bit_length())
+        far = (x + 1) * v // (n + 6)  # r about (m+5)/(x+1), far below the bracket
+        assert bounds(far, v) is None and certify(far, v) is None
 
 
 class TestSolveIterativeBayes:
