@@ -28,12 +28,12 @@ FORMATS = ("plain", "csv", "json")
 # solves.  An exact evaluation costs about the square of n, and grows as
 # --tol shrinks, so trials times log2(1/tol) is bounded too, by its value at
 # MAX_TRIALS and tol 1e-30.  At n = 10000 every solve but x = n/2 decides its
-# two probes by the enclosure instead (one estimate command at x = n/3 took
-# 0.08-0.13 s at the default --tol and 0.09 s at 1e-30, against 0.14-0.21 s
-# and 0.25-0.27 s with exact probes, eight runs each, interpreter start
-# included, 2-vCPU Linux host); x = n/2 evaluates three points exactly,
-# 0.17-0.20 s at 1e-30.  The host's speed drifts by up to 2x between
-# sittings.
+# two probes by the integer enclosure instead (one estimate command at
+# x = n/3 took 0.09-0.13 s at the default --tol and at 1e-30, against
+# 0.09-0.14 s and 0.10-0.15 s with the Decimal enclosure and 0.14-0.21 s and
+# 0.25-0.27 s with exact probes, eight runs each, interpreter start included,
+# 2-vCPU Linux host); x = n/2 evaluates three points exactly, 0.21-0.28 s at
+# 1e-30.  The host's speed drifts by up to 2x between sittings.
 MAX_TRIALS = 10_000
 MAX_TRIAL_BITS = MAX_TRIALS * -math.log2(1e-30)
 

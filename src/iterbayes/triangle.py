@@ -395,10 +395,9 @@ def _core_weights(n: int, m: int, r0: int, point: int, prec: int) -> Tuple[list,
     W_(k+1) = W_k r0 (n+3-k)(m-k) / ((k+1)(m-k+2) 2**point), the ratio
     recurrence, runs on mantissa and exponent pairs: each step takes one
     floor, a mantissa of prec or prec + 1 bits, so a relative error below
-    2**(1 - prec) (2 w_0 is exact).  On the scale of the largest exponent
-    plus 1 the largest weight's integer has prec - 1 or prec bits, and the
-    alignment floors once more.
-    A short r0 keeps each step's products short.
+    2**(1 - prec) (2 w_0 is exact); a short r0 keeps its products short.
+    On the scale of the largest exponent plus 1 the largest weight's
+    integer has prec - 1 or prec bits, and the alignment floors once more.
     """
     mantissa = (m + 2) * (m + 1)
     exponent = mantissa.bit_length() - prec
